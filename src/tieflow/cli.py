@@ -10,21 +10,30 @@ every output embeds the parameters that produced it. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-from datetime import datetime, timezone
+from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics, synth
+from .artifacts import DataError, decoding, read_json, read_text, write_json, write_lines
 from .events import (
     ParseError,
     TimeRange,
     filter_events,
     parse_events_path,
+    parse_time,
     write_events_csv,
 )
 from .cooccur import DEFAULT_WINDOW, build_cooccurrence_graph, write_pair_counts_tsv
-from .ifs import FlowParams, assignment_to_doc, detect_communities, sweep_epsilon, write_assignment_json
+from .ifs import (
+    FlowParams,
+    assignment_to_doc,
+    detect_communities,
+    read_assignment_json,
+    sweep_epsilon,
+    write_assignment_json,
+)
 from .orient import (
     orient_edges,
     read_tie_graph_json,
@@ -44,69 +53,86 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
-def _parse_epoch(text: str) -> int:
+def _time(text: str) -> int:
+    """Type of the time options: epoch seconds or YYYY-MM-DDTHH:MM:SS (UTC)."""
     try:
-        return int(text)
+        return parse_time(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _time_or_end(text: str) -> int | str:
+    """Type of --time: a time, or 'end' for the graph's last co-occurrence."""
+    return text if text == "end" else _time(text)
+
+
+def _origin_fraction(text: str) -> float:
+    """Type of --epsilon and of each --epsilons entry."""
+    try:
+        value = float(text)
     except ValueError:
-        pass
+        value = math.nan
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"epsilon {text!r} outside (0, 1]")
+    return value
+
+
+def _origin_fractions(text: str) -> list[float]:
+    values = [_origin_fraction(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError("list at least one epsilon")
+    return values
+
+
+def _build_params(args) -> None:
+    """Build the command's decay, walk and flow parameters before any file
+    is read; their classes check every bound."""
     try:
-        dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
-    except ValueError:
-        raise UsageError(f"cannot parse time {text!r} (epoch seconds or YYYY-MM-DDTHH:MM:SS)")
-    return int(dt.replace(tzinfo=timezone.utc).timestamp())
+        if "alpha" in args:
+            half_life = DEFAULT_HALF_LIFE if args.half_life is None else args.half_life
+            args.decay = (DecayParams(args.alpha) if args.alpha is not None
+                          else DecayParams.from_half_life(half_life))
+        if "damping" in args:
+            args.walk = WalkParams(args.damping, args.tolerance, args.max_iterations)
+        if "beta" in args:
+            args.flow = FlowParams(args.beta, args.seed, args.max_rounds, relay=not args.single_hop)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _resolve_time(text: str, graph) -> float:
-    if text == "end":
-        return float(graph.end_time())
-    return float(_parse_epoch(text))
-
-
-def _decay_params(args) -> DecayParams:
-    if args.alpha is not None and args.half_life is not None:
-        raise UsageError("supply exactly one of --alpha / --half-life")
-    if args.alpha is not None:
-        if args.alpha <= 0:
-            raise UsageError("--alpha must be positive")
-        return DecayParams(alpha=args.alpha)
-    half_life = args.half_life if args.half_life is not None else DEFAULT_HALF_LIFE
-    if half_life <= 0:
-        raise UsageError("--half-life must be positive")
-    return DecayParams.from_half_life(half_life)
-
-
-def _load_graph(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"tie graph file not found: {path}")
+def _load_events(path):
     try:
-        return read_tie_graph_json(p)
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise DataError(f"malformed tie graph file {path}: {exc}")
+        return parse_events_path(path)
+    except FileNotFoundError:
+        raise DataError(f"events file not found: {path}") from None
+    except (ParseError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
-def _load_events(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"events file not found: {path}")
-    try:
-        return parse_events_path(p)
-    except ParseError as exc:
-        raise DataError(f"{path}: {exc}")
+def _graph_at(args):
+    """The --graph tie graph, --time resolved against it, and the graph and
+    alpha entries of the parameters that its artifacts embed."""
+    graph = read_tie_graph_json(args.graph)
+    if not graph.edges:
+        raise DataError(f"tie graph file {args.graph} has no edges")
+    t = float(graph.end_time() if args.time == "end" else args.time)
+    return graph, t, {"graph": str(args.graph), "alpha": args.decay.alpha}
+
+
+def _snapshot(args):
+    """The snapshot at --time and its graph/time/alpha parameter entries."""
+    graph, t, params = _graph_at(args)
+    snapshot = snapshot_at(graph, args.decay, t)
+    if snapshot.edge_count == 0:
+        raise UsageError(
+            f"no tie has weight at t={t:.12g}; the graph's first co-occurrence "
+            f"is at {graph.start_time()}"
+        )
+    return snapshot, dict(params, time=t)
 
 
 def _param_comments(params: dict) -> list[str]:
     return [f"{key} = {params[key]}" for key in sorted(params)]
-
-
-def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 # ---------------------------------------------------------------- handlers
@@ -114,11 +140,11 @@ def _write_json(path, doc: dict) -> None:
 
 def _handle_ingest(args) -> int:
     log = _load_events(args.input)
-    keep = frozenset(s for s in (args.keep_locations or "").split(",") if s)
+    keep = frozenset(s for s in args.keep_locations.split(",") if s)
     filtered = filter_events(log, keep)
     out = Path(args.output)
     write_events_csv(filtered, out)
-    _write_json(
+    write_json(
         out.with_suffix(out.suffix + ".meta.json"),
         {
             "input": str(args.input),
@@ -154,76 +180,39 @@ def _handle_build(args) -> int:
 
 
 def _handle_snapshot(args) -> int:
-    graph = _load_graph(args.graph)
-    decay = _decay_params(args)
-    t = _resolve_time(args.time, graph)
-    snapshot = snapshot_at(graph, decay, t)
-    params = {"graph": str(args.graph), "time": t, "alpha": decay.alpha}
-    write_snapshot_tsv(snapshot, decay, args.output, _param_comments(params))
-    print(f"wrote {args.output} ({snapshot.edge_count} edges at t={t:.12g})")
+    snapshot, params = _snapshot(args)
+    write_snapshot_tsv(snapshot, args.decay, args.output, _param_comments(params))
+    print(f"wrote {args.output} ({snapshot.edge_count} edges at t={snapshot.time:.12g})")
     return EXIT_OK
 
 
-def _walk_params(args) -> WalkParams:
-    if not 0 < args.damping < 1:
-        raise UsageError("--damping must lie strictly between 0 and 1")
-    return WalkParams(
-        damping=args.damping, tolerance=args.tolerance, max_iterations=args.max_iterations
-    )
-
-
 def _handle_pagerank(args) -> int:
-    graph = _load_graph(args.graph)
-    decay = _decay_params(args)
-    t = _resolve_time(args.time, graph)
-    snapshot = snapshot_at(graph, decay, t)
-    result = pagerank(snapshot, _walk_params(args))
-    params = {
-        "graph": str(args.graph),
-        "time": t,
-        "alpha": decay.alpha,
-        "damping": args.damping,
-        "tolerance": args.tolerance,
-        "iterations": result.iterations,
-        "converged": result.converged,
-    }
+    snapshot, params = _snapshot(args)
+    result = pagerank(snapshot, args.walk)
+    params.update(damping=args.damping, tolerance=args.tolerance,
+                  iterations=result.iterations, converged=result.converged)
     write_scores_tsv(result, args.output, _param_comments(params))
     print(f"wrote {args.output} (converged={result.converged} after {result.iterations} iterations)")
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
-def _flow_params(args) -> FlowParams:
-    if not 0 < args.beta < 1:
-        raise UsageError("--beta must lie strictly between 0 and 1")
-    return FlowParams(
-        beta=args.beta, seed=args.seed, max_rounds=args.max_rounds, relay=not args.single_hop
-    )
-
-
 def _handle_detect(args) -> int:
-    if not 0 < args.epsilon <= 1:
-        raise UsageError("--epsilon must lie in (0, 1]")
-    graph = _load_graph(args.graph)
-    decay = _decay_params(args)
-    t = _resolve_time(args.time, graph)
-    snapshot = snapshot_at(graph, decay, t)
-    ranking = pagerank(snapshot, _walk_params(args))
-    flow = _flow_params(args)
-    assignment = detect_communities(snapshot, ranking, args.epsilon, flow)
+    snapshot, params = _snapshot(args)
+    ranking = pagerank(snapshot, args.walk)
+    assignment = detect_communities(snapshot, ranking, args.epsilon, args.flow)
     doc = assignment_to_doc(
         assignment,
-        time=t,
+        time=params.pop("time"),
         epsilon=args.epsilon,
-        params=flow,
-        extra_params={
-            "graph": str(args.graph),
-            "alpha": decay.alpha,
-            "damping": args.damping,
-            "max_rounds": args.max_rounds,
-            "relay": not args.single_hop,
-            "rounds_run": assignment.rounds,
-            "pagerank_converged": ranking.converged,
-        },
+        params=args.flow,
+        extra_params=dict(
+            params,
+            damping=args.damping,
+            max_rounds=args.max_rounds,
+            relay=args.flow.relay,
+            rounds_run=assignment.rounds,
+            pagerank_converged=ranking.converged,
+        ),
     )
     write_assignment_json(doc, args.output)
     print(
@@ -233,116 +222,78 @@ def _handle_detect(args) -> int:
     return EXIT_OK if ranking.converged else EXIT_NOT_CONVERGED
 
 
-def _read_assignment(path):
-    from .ifs import CommunityAssignment
-
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"communities file not found: {path}")
-    with open(p, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    labels: dict[str, int] = {}
-    origin_of: dict[int, str] = {}
-    for community in doc["communities"]:
-        origin_of[int(community["label"])] = community["origin"]
-        for member in community["members"]:
-            labels[member] = int(community["label"])
-    return CommunityAssignment(
-        labels=labels,
-        isolated=frozenset(doc["isolated"]),
-        origin_of=origin_of,
-        rounds=0,
-    )
+def _behavior(args, assignment) -> dict:
+    """Behavior indicator variances for evaluate --events/--categories."""
+    log = _load_events(args.events)
+    category_map = read_json(args.categories, "categories file")
+    if not isinstance(category_map, dict) or not all(
+        isinstance(category, str) for category in category_map.values()
+    ):
+        raise DataError(f"malformed categories file {args.categories}: "
+                        "want an object mapping location id to category")
+    if not log.records:
+        raise DataError(f"events file {args.events} has no records")
+    span = log.time_range()
+    try:
+        semester = TimeRange(
+            span.start if args.semester_start is None else args.semester_start,
+            span.end if args.semester_end is None else args.semester_end,
+        )
+    except ValueError:
+        raise UsageError("the semester must start before it ends") from None
+    try:
+        profiles = metrics.behavior_profiles(log, category_map, semester)
+    except ValueError as exc:
+        raise DataError(f"categories file {args.categories}: {exc}") from None
+    table = metrics.variance_comparison(profiles, assignment)
+    return {
+        name: {"variance_all": pair[0], "mean_within_community_variance": pair[1]}
+        for name, pair in table.items()
+    }
 
 
 def _handle_evaluate(args) -> int:
-    graph = _load_graph(args.graph)
-    decay = _decay_params(args)
-    t = _resolve_time(args.time, graph)
-    snapshot = snapshot_at(graph, decay, t)
-    assignment = _read_assignment(args.communities)
+    if args.events and not args.categories:
+        raise UsageError("--events requires --categories")
+    snapshot, params = _snapshot(args)
+    assignment = read_assignment_json(args.communities)
     unknown = set(assignment.labels) - set(snapshot.nodes)
     if unknown:
-        raise DataError(f"communities mention nodes missing from the graph: {sorted(unknown)[:5]}")
+        raise DataError(f"communities file {args.communities} names nodes missing from the graph: "
+                        f"{sorted(unknown)[:5]}")
     report = metrics.partition_report(snapshot, assignment, directed=not args.undirected)
     doc = {
-        "params": {
-            "graph": str(args.graph),
-            "communities": str(args.communities),
-            "time": t,
-            "alpha": decay.alpha,
-            "modularity_variant": "undirected" if args.undirected else "directed",
-        },
-        "partition": {
-            "modularity": report.modularity,
-            "community_count": report.community_count,
-            "avg_size": report.avg_size,
-            "isolated_count": report.isolated_count,
-        },
+        "params": dict(
+            params,
+            communities=str(args.communities),
+            modularity_variant="undirected" if args.undirected else "directed",
+        ),
+        "partition": asdict(report),
     }
     if args.events:
-        if not args.categories:
-            raise UsageError("--events requires --categories")
-        log = _load_events(args.events)
-        with open(args.categories, "r", encoding="utf-8") as handle:
-            category_map = json.load(handle)
-        semester = TimeRange(
-            _parse_epoch(args.semester_start) if args.semester_start else log.time_range().start,
-            _parse_epoch(args.semester_end) if args.semester_end else log.time_range().end,
-        )
-        profiles = metrics.behavior_profiles(log, category_map, semester)
-        table = metrics.variance_comparison(profiles, assignment)
-        doc["behavior"] = {
-            name: {"variance_all": pair[0], "mean_within_community_variance": pair[1]}
-            for name, pair in table.items()
-        }
-    _write_json(args.output, doc)
+        doc["behavior"] = _behavior(args, assignment)
+    write_json(args.output, doc)
     print(f"wrote {args.output} (modularity={report.modularity:.6f})")
     return EXIT_OK
 
 
 def _handle_sweep(args) -> int:
-    try:
-        epsilons = [float(text) for text in args.epsilons.split(",") if text]
-    except ValueError:
-        raise UsageError(f"cannot parse --epsilons {args.epsilons!r}")
-    if not epsilons:
-        raise UsageError("--epsilons must list at least one value")
-    for value in epsilons:
-        if not 0 < value <= 1:
-            raise UsageError(f"epsilon {value} outside (0, 1]")
-    graph = _load_graph(args.graph)
-    decay = _decay_params(args)
-    t = _resolve_time(args.time, graph)
-    snapshot = snapshot_at(graph, decay, t)
-    ranking = pagerank(snapshot, _walk_params(args))
-    rows = sweep_epsilon(snapshot, ranking, epsilons, _flow_params(args))
-    params = {
-        "graph": str(args.graph),
-        "time": t,
-        "alpha": decay.alpha,
-        "damping": args.damping,
-        "beta": args.beta,
-        "seed": args.seed,
-    }
-    with open(args.output, "w", encoding="utf-8") as handle:
-        for comment in _param_comments(params):
-            handle.write(f"# {comment}\n")
-        handle.write("epsilon\tmodularity\tcommunity_count\tavg_size\n")
-        for row in rows:
-            handle.write(
-                f"{row.epsilon:.12g}\t{row.modularity:.12g}"
-                f"\t{row.community_count}\t{row.avg_size:.12g}\n"
-            )
+    snapshot, params = _snapshot(args)
+    ranking = pagerank(snapshot, args.walk)
+    rows = sweep_epsilon(snapshot, ranking, args.epsilons, args.flow)
+    params.update(damping=args.damping, beta=args.beta, seed=args.seed)
+    lines = ["epsilon\tmodularity\tcommunity_count\tavg_size"] + [
+        f"{row.epsilon:.12g}\t{row.modularity:.12g}\t{row.community_count}\t{row.avg_size:.12g}"
+        for row in rows
+    ]
+    write_lines(args.output, _param_comments(params), lines)
     print(f"wrote {args.output} ({len(rows)} rows)")
     return EXIT_OK if ranking.converged else EXIT_NOT_CONVERGED
 
 
 def _handle_synth(args) -> int:
-    if args.weeks <= 0:
-        raise UsageError("--weeks must be positive")
-    start = _parse_epoch(args.start)
-    semester = TimeRange(start, start + int(args.weeks * synth.WEEK_SECONDS))
+    if not 0 < args.weeks < math.inf:
+        raise UsageError("--weeks must be positive and finite")
     locations = dict(synth.DEFAULT_LOCATIONS)
     if args.locations:
         locations = {}
@@ -354,21 +305,21 @@ def _handle_synth(args) -> int:
                 locations[category.strip()] = int(count)
             except ValueError:
                 raise UsageError(f"bad --locations count in {part!r}")
-    config = synth.SyntheticConfig(
-        n_students=args.students,
-        n_communities=args.communities,
-        semester=semester,
-        intra_rate=args.intra_rate,
-        inter_rate=args.inter_rate,
-        jitter=args.jitter,
-        seed=args.seed,
-        locations_per_category=locations,
-    )
     try:
-        config.validate()
+        semester = TimeRange(args.start, args.start + int(args.weeks * synth.WEEK_SECONDS))
+        config = synth.SyntheticConfig(
+            n_students=args.students,
+            n_communities=args.communities,
+            semester=semester,
+            intra_rate=args.intra_rate,
+            inter_rate=args.inter_rate,
+            jitter=args.jitter,
+            seed=args.seed,
+            locations_per_category=locations,
+        )
+        log, truth = synth.generate(config)  # validates the config; ValueError if infeasible
     except ValueError as exc:
-        raise UsageError(str(exc))
-    log, truth = synth.generate(config)
+        raise UsageError(str(exc)) from None
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_events_csv(log, out_dir / "events.csv")
@@ -385,106 +336,84 @@ def _handle_synth(args) -> int:
         "locations": locations,
     }
     synth.write_ground_truth(truth, out_dir / "ground_truth.json", params)
-    categories = synth.default_category_map(config)
-    _write_json(out_dir / "categories.json", categories)
+    write_json(out_dir / "categories.json", synth.default_category_map(config))
     print(f"wrote {out_dir}/events.csv ({len(log)} events)")
     return EXIT_OK
 
 
-def _handle_report(args) -> int:
-    chosen = [bool(args.graph), bool(args.sweep), bool(args.evaluation)]
-    if sum(chosen) != 1:
-        raise UsageError("supply exactly one of --graph / --sweep / --evaluation")
-    if args.graph:
-        if args.n_points < 2:
-            raise UsageError("--n-points must be at least 2")
-        graph = _load_graph(args.graph)
-        decay = _decay_params(args)
-        t_end = _resolve_time(args.time, graph)
-        t_start = float(min(times[0] for times in graph.edges.values())) if graph.edges else 0.0
-        if args.start_time:
-            t_start = float(_parse_epoch(args.start_time))
-        if t_start >= t_end:
-            raise UsageError("curve start time must be earlier than snapshot time")
-        params = {
-            "graph": str(args.graph),
-            "alpha": decay.alpha,
-            "t_start": t_start,
-            "t_end": t_end,
-            "n_points": args.n_points,
-        }
-        with open(args.output, "w", encoding="utf-8") as handle:
-            for comment in _param_comments(params):
-                handle.write(f"# {comment}\n")
-            handle.write("time,active_edges,total_weight,mean_weight\n")
-            for snapshot in sample_snapshots(graph, decay, t_start, t_end, args.n_points):
-                mean = snapshot.total_weight / snapshot.edge_count if snapshot.edge_count else 0.0
-                handle.write(
-                    f"{snapshot.time:.12g},{snapshot.edge_count},"
-                    f"{snapshot.total_weight:.12g},{mean:.12g}\n"
-                )
-        print(f"wrote {args.output} ({args.n_points} curve points)")
-        return EXIT_OK
-    if args.sweep:
-        rows = _read_sweep_tsv(args.sweep)
-        lines = _format_table(
-            ["origin fraction", "modularity", "communities", "avg members"],
-            [
-                [f"{row[0]:.0%}", f"{row[1]:.3f}", f"{int(row[2])}", f"{row[3]:.3f}"]
-                for row in rows
-            ],
-        )
-        Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"wrote {args.output}")
-        return EXIT_OK
-    doc = _read_json(args.evaluation)
-    lines = _format_table(
-        ["metric", "value"],
-        [["modularity", f"{doc['partition']['modularity']:.3f}"],
-         ["communities", str(doc["partition"]["community_count"])],
-         ["avg members", f"{doc['partition']['avg_size']:.3f}"],
-         ["isolated", str(doc["partition"]["isolated_count"])]],
-    )
-    if "behavior" in doc:
-        lines.append("")
-        lines.extend(
-            _format_table(
-                ["indicator", "variance all", "mean within community"],
-                [
-                    [name, f"{cell['variance_all']:.4f}",
-                     f"{cell['mean_within_community_variance']:.4f}"]
-                    for name, cell in sorted(doc["behavior"].items())
-                ],
-            )
-        )
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {args.output}")
+def _curve(args) -> int:
+    if args.n_points < 2:
+        raise UsageError("--n-points must be at least 2")
+    graph, t_end, params = _graph_at(args)
+    t_start = float(graph.start_time() if args.start_time is None else args.start_time)
+    if t_start >= t_end:
+        raise UsageError("curve start time must be earlier than snapshot time")
+    params.update(t_start=t_start, t_end=t_end, n_points=args.n_points)
+
+    def rows():
+        yield "time,active_edges,total_weight,mean_weight"
+        for snapshot in sample_snapshots(graph, args.decay, t_start, t_end, args.n_points):
+            total, count = snapshot.total_weight, snapshot.edge_count
+            mean = total / count if count else 0.0
+            yield f"{snapshot.time:.12g},{count},{total:.12g},{mean:.12g}"
+
+    write_lines(args.output, _param_comments(params), rows())
+    print(f"wrote {args.output} ({args.n_points} curve points)")
     return EXIT_OK
 
 
-def _read_json(path):
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"file not found: {path}")
-    with open(p, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _read_sweep_tsv(path) -> list[tuple[float, float, float, float]]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"sweep file not found: {path}")
+def _sweep_table(path) -> list[str]:
     rows = []
-    with open(p, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("epsilon"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"malformed sweep row: {line!r}")
-            rows.append((float(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-    return rows
+    for number, line in enumerate(read_text(path, "sweep file").splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("epsilon"):
+            continue
+        try:
+            epsilon, modularity, count, avg = line.split("\t")
+            rows.append([f"{float(epsilon):.0%}", f"{float(modularity):.3f}",
+                         f"{int(count)}", f"{float(avg):.3f}"])
+        except ValueError:
+            raise DataError(f"malformed sweep file {path}, line {number}: "
+                            f"want 4 numeric cells, got {line!r}") from None
+    return _format_table(["origin fraction", "modularity", "communities", "avg members"], rows)
+
+
+def _evaluation_table(path) -> list[str]:
+    doc = read_json(path, "evaluation file")
+    with decoding(path, "evaluation file"):
+        partition = doc["partition"]
+        lines = _format_table(
+            ["metric", "value"],
+            [["modularity", f"{partition['modularity']:.3f}"],
+             ["communities", str(partition["community_count"])],
+             ["avg members", f"{partition['avg_size']:.3f}"],
+             ["isolated", str(partition["isolated_count"])]],
+        )
+        if "behavior" in doc:
+            lines.append("")
+            lines.extend(
+                _format_table(
+                    ["indicator", "variance all", "mean within community"],
+                    [
+                        [name, f"{cell['variance_all']:.4f}",
+                         f"{cell['mean_within_community_variance']:.4f}"]
+                        for name, cell in sorted(doc["behavior"].items())
+                    ],
+                )
+            )
+    return lines
+
+
+def _handle_report(args) -> int:
+    if args.graph is not None:
+        return _curve(args)
+    if args.sweep is not None:
+        lines = _sweep_table(args.sweep)
+    else:
+        lines = _evaluation_table(args.evaluation)
+    write_lines(args.output, (), lines)
+    print(f"wrote {args.output}")
+    return EXIT_OK
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -502,12 +431,26 @@ def _format_table(header: list[str], rows: list[list[str]]) -> list[str]:
 # ------------------------------------------------------------------ parser
 
 
-def _add_decay_arguments(parser) -> None:
-    parser.add_argument(
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Report bad arguments as a usage error, usage line after the message."""
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
+def _add_graph_arguments(parser, graph_group=None) -> None:
+    """--graph, --time, --output and the decay options of the commands that
+    read a tie graph; --graph joins graph_group when one is given."""
+    owner = parser if graph_group is None else graph_group
+    owner.add_argument("--graph", required=graph_group is None, help="tie_graph.json from build")
+    parser.add_argument("--time", type=_time_or_end, default="end",
+                        help="epoch seconds, ISO timestamp, or 'end' (default end)")
+    parser.add_argument("--output", required=True)
+    decay = parser.add_mutually_exclusive_group()
+    decay.add_argument(
         "--half-life", type=float, default=None,
         help="tie half-life in seconds (default 604800 = 7 days; mutually exclusive with --alpha)",
     )
-    parser.add_argument(
+    decay.add_argument(
         "--alpha", type=float, default=None,
         help="decay rate per second (mutually exclusive with --half-life)",
     )
@@ -523,7 +466,7 @@ def _add_walk_arguments(parser) -> None:
 
 
 def _add_flow_arguments(parser) -> None:
-    parser.add_argument("--epsilon", type=float, default=0.20,
+    parser.add_argument("--epsilon", type=_origin_fraction, default=0.20,
                         help="origin fraction of top-ranked nodes (default 0.20)")
     parser.add_argument("--beta", type=float, default=0.25,
                         help="propagation probability exponent (default 0.25)")
@@ -535,10 +478,11 @@ def _add_flow_arguments(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tieflow",
         description="Tie-decay friendship networks and flow-based community detection",
     )
+    parser.set_defaults(handler=None)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     p = sub.add_parser("ingest", help="normalize and filter a raw event CSV")
@@ -556,51 +500,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_handle_build)
 
     p = sub.add_parser("snapshot", help="tie-decay weights at a single time")
-    p.add_argument("--graph", required=True, help="tie_graph.json from build")
-    p.add_argument("--time", default="end",
-                   help="epoch seconds, ISO timestamp, or 'end' (default end)")
-    p.add_argument("--output", required=True)
-    _add_decay_arguments(p)
+    _add_graph_arguments(p)
     p.set_defaults(handler=_handle_snapshot)
 
     p = sub.add_parser("pagerank", help="rank nodes on a snapshot")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--time", default="end")
-    p.add_argument("--output", required=True)
-    _add_decay_arguments(p)
+    _add_graph_arguments(p)
     _add_walk_arguments(p)
     p.set_defaults(handler=_handle_pagerank)
 
     p = sub.add_parser("detect", help="information-flow community detection")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--time", default="end")
-    p.add_argument("--output", required=True)
-    _add_decay_arguments(p)
+    _add_graph_arguments(p)
     _add_walk_arguments(p)
     _add_flow_arguments(p)
     p.set_defaults(handler=_handle_detect)
 
     p = sub.add_parser("evaluate", help="score a detected partition")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--time", default="end")
+    _add_graph_arguments(p)
     p.add_argument("--communities", required=True, help="detect output JSON")
-    p.add_argument("--output", required=True)
     p.add_argument("--undirected", action="store_true",
                    help="use the symmetrized undirected modularity variant")
     p.add_argument("--events", default=None, help="canonical event CSV for behavior indicators")
     p.add_argument("--categories", default=None, help="JSON map location id -> category")
-    p.add_argument("--semester-start", default=None)
-    p.add_argument("--semester-end", default=None)
-    _add_decay_arguments(p)
+    p.add_argument("--semester-start", type=_time, default=None)
+    p.add_argument("--semester-end", type=_time, default=None)
     p.set_defaults(handler=_handle_evaluate)
 
     p = sub.add_parser("sweep", help="detection across origin fractions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--time", default="end")
-    p.add_argument("--epsilons", default="0.5,0.45,0.4,0.35,0.3,0.25,0.2,0.15,0.1,0.05",
+    _add_graph_arguments(p)
+    p.add_argument("--epsilons", type=_origin_fractions,
+                   default="0.5,0.45,0.4,0.35,0.3,0.25,0.2,0.15,0.1,0.05",
                    help="comma-separated origin fractions")
-    p.add_argument("--output", required=True)
-    _add_decay_arguments(p)
     _add_walk_arguments(p)
     _add_flow_arguments(p)
     p.set_defaults(handler=_handle_sweep)
@@ -615,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weeks", type=float, default=12.0)
     p.add_argument("--jitter", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--start", default="2019-09-02T00:00:00",
+    p.add_argument("--start", type=_time, default="2019-09-02T00:00:00",
                    help="semester start (epoch seconds or ISO, default 2019-09-02T00:00:00)")
     p.add_argument("--locations", default="",
                    help="category=count list (default dining=33,bath=6,boiler=6,shop=4)")
@@ -623,40 +552,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_handle_synth)
 
     p = sub.add_parser("report", help="curve data or aligned text tables")
-    p.add_argument("--graph", default=None, help="emit a weight-evolution curve CSV")
-    p.add_argument("--sweep", default=None, help="format a sweep TSV as a text table")
-    p.add_argument("--evaluation", default=None, help="format an evaluate JSON as a text table")
-    p.add_argument("--time", default="end")
-    p.add_argument("--start-time", default=None, help="curve start (default: first event)")
+    inputs = p.add_mutually_exclusive_group(required=True)
+    _add_graph_arguments(p, inputs)
+    inputs.add_argument("--sweep", default=None, help="format a sweep TSV as a text table")
+    inputs.add_argument("--evaluation", default=None,
+                        help="format an evaluate JSON as a text table")
+    p.add_argument("--start-time", type=_time, default=None,
+                   help="curve start (default: first event)")
     p.add_argument("--n-points", type=int, default=1000,
                    help="number of curve samples (default 1000)")
-    p.add_argument("--output", required=True)
-    _add_decay_arguments(p)
     p.set_defaults(handler=_handle_report)
 
     return parser
+
+
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    if getattr(args, "handler", None) is None:
+    except UsageError as exc:
+        return _fail(exc, EXIT_USAGE)
+    if args.handler is None:
         parser.print_help()
         return EXIT_USAGE
     try:
+        _build_params(args)
         return args.handler(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DataError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _fail(exc, EXIT_USAGE)
+    except (DataError, OSError) as exc:
+        return _fail(exc, EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
+from .artifacts import write_lines
 from .events import EventLog
 
 DEFAULT_WINDOW = 120  # seconds
@@ -103,8 +104,4 @@ def build_cooccurrence_graph(log: EventLog, window: int = DEFAULT_WINDOW) -> Coo
 
 def write_pair_counts_tsv(g: CooccurrenceGraph, path, comments: Sequence[str] = ()) -> None:
     """TSV export: student_a<TAB>student_b<TAB>count, student_a < student_b."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for (a, b) in sorted(g.edges):
-            handle.write(f"{a}\t{b}\t{len(g.edges[(a, b)])}\n")
+    write_lines(path, comments, (f"{a}\t{b}\t{len(g.edges[(a, b)])}" for (a, b) in sorted(g.edges)))

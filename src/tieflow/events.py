@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable
 
 CSV_HEADER = ["student_id", "timestamp", "location_id", "kind", "amount"]
 KINDS = ("spend", "recharge")
+TIME_LIMIT = 253402300800  # 10000-01-01T00:00:00Z, where datetime's calendar ends
 
 
 class ParseError(ValueError):
@@ -86,18 +88,24 @@ class EventLog:
         return TimeRange(min(times), max(times) + 1)
 
 
-def _parse_timestamp(raw: str, line: int) -> int:
-    text = raw.strip()
+def parse_time(text: str) -> int:
+    """Epoch seconds from integer text or ISO ``YYYY-MM-DDTHH:MM:SS`` (UTC).
+
+    Raises ValueError for other text and for times outside
+    [0, TIME_LIMIT), the range the behavior indicators' calendar covers.
+    """
     try:
         value = int(text)
     except ValueError:
         try:
             dt = datetime.strptime(text, "%Y-%m-%dT%H:%M:%S")
         except ValueError:
-            raise ParseError(line, f"unparsable timestamp {raw!r}") from None
+            raise ValueError(
+                f"cannot parse time {text!r} (epoch seconds or YYYY-MM-DDTHH:MM:SS)"
+            ) from None
         value = int(dt.replace(tzinfo=timezone.utc).timestamp())
-    if value < 0:
-        raise ParseError(line, f"negative timestamp {raw!r}")
+    if not 0 <= value < TIME_LIMIT:
+        raise ValueError(f"time {text!r} outside 1970-01-01 .. 9999-12-31")
     return value
 
 
@@ -111,11 +119,16 @@ def _parse_row(row: list[str], line: int) -> EventRecord:
         raise ParseError(line, "empty location_id")
     if kind not in KINDS:
         raise ParseError(line, f"unknown kind {kind!r}")
-    timestamp = _parse_timestamp(raw_ts, line)
+    try:
+        timestamp = parse_time(raw_ts)
+    except ValueError as exc:
+        raise ParseError(line, f"bad timestamp: {exc}") from None
     try:
         amount = float(raw_amount)
     except ValueError:
         raise ParseError(line, f"unparsable amount {raw_amount!r}") from None
+    if not math.isfinite(amount):
+        raise ParseError(line, f"non-finite amount {raw_amount!r}")
     if amount < 0:
         raise ParseError(line, f"negative amount {raw_amount!r}")
     return EventRecord(student, timestamp, location, kind, amount)
@@ -129,17 +142,18 @@ def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
     1-based line number.
     """
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError(1, "missing header") from None
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise ParseError(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
     records = []
-    for line, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        records.append(_parse_row(row, line))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "missing header")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise ParseError(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        for line, row in enumerate(reader, start=2):
+            if row:
+                records.append(_parse_row(row, line))
+    except csv.Error as exc:  # an overlong field, such as one an unclosed quote runs on
+        raise ParseError(reader.line_num, str(exc)) from None
     return EventLog.from_records(records)
 
 

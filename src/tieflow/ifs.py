@@ -10,7 +10,6 @@ the round budget) terminates the run.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -19,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import metrics
+from .artifacts import DataError, decoding, read_json, write_json
 from .pagerank import PageRankVector, rank_nodes
 from .tiedecay import NetworkSnapshot
 
@@ -241,6 +241,23 @@ def assignment_to_doc(
 
 
 def write_assignment_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, doc)
+
+
+def read_assignment_json(path) -> CommunityAssignment:
+    """The assignment in a document of assignment_to_doc's shape. Rounds
+    and the trace are not stored, so they come back as 0 and empty."""
+    what = "communities file"
+    doc = read_json(path, what)
+    labels: dict[str, int] = {}
+    origin_of: dict[int, str] = {}
+    with decoding(path, what):
+        for community in doc["communities"]:
+            label = int(community["label"])
+            origin_of[label] = community["origin"]
+            for member in community["members"]:
+                labels[member] = label
+        isolated = frozenset(doc["isolated"])
+    if not all(isinstance(node, str) for node in [*labels, *isolated, *origin_of.values()]):
+        raise DataError(f"malformed {what} {path}: node ids must be strings")
+    return CommunityAssignment(labels=labels, isolated=isolated, origin_of=origin_of, rounds=0)

@@ -6,11 +6,13 @@ equal-degree endpoints get both directions, each carrying the full payload.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
+from .artifacts import DataError, decoding, read_json, write_json, write_lines
 from .cooccur import CooccurrenceGraph
+from .events import TIME_LIMIT
 
 
 @dataclass(frozen=True)
@@ -20,6 +22,12 @@ class DirectedTieGraph:
     nodes: frozenset[str]
     degree: dict[str, int]  # undirected degree of the source graph
     edges: dict[tuple[str, str], tuple[int, ...]]  # (src, dst) -> sorted times
+
+    def start_time(self) -> int:
+        """Earliest co-occurrence timestamp over all edges."""
+        if not self.edges:
+            raise ValueError("graph has no edges")
+        return min(times[0] for times in self.edges.values())
 
     def end_time(self) -> int:
         """Latest co-occurrence timestamp over all edges."""
@@ -60,11 +68,9 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
 
 def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
     """TSV export: src<TAB>dst<TAB>count."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for (src, dst) in sorted(g.edges):
-            handle.write(f"{src}\t{dst}\t{len(g.edges[(src, dst)])}\n")
+    write_lines(path, comments, (
+        f"{src}\t{dst}\t{len(g.edges[(src, dst)])}" for (src, dst) in sorted(g.edges)
+    ))
 
 
 def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) -> None:
@@ -78,19 +84,32 @@ def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) 
             for (src, dst) in sorted(g.edges)
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, doc)
 
 
 def read_tie_graph_json(path) -> DirectedTieGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    edges = {
-        (e["src"], e["dst"]): tuple(int(t) for t in e["times"]) for e in doc["edges"]
-    }
-    return DirectedTieGraph(
-        nodes=frozenset(doc["nodes"]),
-        degree={node: int(k) for node, k in doc["degree"].items()},
-        edges=edges,
-    )
+    """Load a tie graph, rejecting one whose edges name unknown nodes or
+    carry times that are not a nonempty ascending list of integer timestamps."""
+    what = "tie graph file"
+    doc = read_json(path, what)
+    with decoding(path, what):
+        nodes = frozenset(doc["nodes"])
+        degree = {node: int(k) for node, k in doc["degree"].items()}
+        edges = {(e["src"], e["dst"]): tuple(e["times"]) for e in doc["edges"]}
+    if not all(isinstance(node, str) for node in nodes):
+        raise DataError(f"malformed {what} {path}: node ids must be strings")
+    if set(map(type, chain.from_iterable(edges.values()))) - {int}:
+        raise DataError(f"malformed {what} {path}: edge times must be integers")
+    for (src, dst), times in edges.items():
+        if src not in nodes or dst not in nodes:
+            fault = "names a node missing from 'nodes'"
+        elif not times:
+            fault = "has no times"
+        elif list(times) != sorted(times):
+            fault = "has unsorted times"
+        elif not (0 <= times[0] and times[-1] < TIME_LIMIT):
+            fault = "has times outside 1970-01-01 .. 9999-12-31"
+        else:
+            continue
+        raise DataError(f"malformed {what} {path}: edge {src!r} -> {dst!r} {fault}")
+    return DirectedTieGraph(nodes=nodes, degree=degree, edges=edges)

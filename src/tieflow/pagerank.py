@@ -12,6 +12,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
+from .artifacts import write_lines
 from .tiedecay import NetworkSnapshot
 
 
@@ -24,6 +25,10 @@ class WalkParams:
     def __post_init__(self) -> None:
         if not 0 < self.damping < 1:
             raise ValueError("damping must lie strictly between 0 and 1")
+        if not self.tolerance >= 0:
+            raise ValueError("tolerance must be non-negative")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,11 +68,9 @@ def transition_matrix(s: NetworkSnapshot) -> sparse.csr_matrix:
     if n == 0:
         raise ValueError("snapshot has no nodes")
     normalized, dangling = _row_normalized(s)
-    result = sparse.lil_matrix((n, n))
-    result[~dangling] = normalized[~dangling]
-    if dangling.any():
-        result[dangling] = np.full(n, 1.0 / n)
-    return result.tocsr()
+    # Outer product: 1/n in every column of each dangling row, zero elsewhere.
+    teleport = sparse.csr_matrix(dangling[:, None] / n) @ sparse.csr_matrix(np.ones((1, n)))
+    return (normalized + teleport).tocsr()
 
 
 def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankVector:
@@ -114,8 +117,6 @@ def rank_nodes(pr: PageRankVector) -> list[str]:
 
 def write_scores_tsv(pr: PageRankVector, path, comments: Sequence[str] = ()) -> None:
     """TSV export: node<TAB>score<TAB>rank (scores to 12 significant digits)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for rank, node in enumerate(rank_nodes(pr), start=1):
-            handle.write(f"{node}\t{pr.scores[node]:.12g}\t{rank}\n")
+    ranked = enumerate(rank_nodes(pr), start=1)
+    write_lines(path, comments,
+                (f"{node}\t{pr.scores[node]:.12g}\t{rank}" for rank, node in ranked))

@@ -12,7 +12,6 @@ on generated data.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -20,6 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .artifacts import decoding, read_json, write_json
 from .events import EventLog, EventRecord, TimeRange
 
 WEEK_SECONDS = 7 * 86400
@@ -219,16 +219,13 @@ def default_category_map(config: SyntheticConfig) -> dict[str, str]:
 
 
 def write_ground_truth(labels: Mapping[str, int], path, params: dict | None = None) -> None:
-    doc = {"params": params or {}, "labels": dict(sorted(labels.items()))}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, {"params": params or {}, "labels": dict(sorted(labels.items()))})
 
 
 def read_ground_truth(path) -> dict[str, int]:
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return {node: int(label) for node, label in doc["labels"].items()}
+    doc = read_json(path, "ground truth file")
+    with decoding(path, "ground truth file"):
+        return {node: int(label) for node, label in doc["labels"].items()}
 
 
 def nmi(a: Mapping[str, int], b: Mapping[str, int]) -> float:

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy import sparse
 
+from .artifacts import write_lines
 from .orient import DirectedTieGraph
 
 DEFAULT_HALF_LIFE = 7 * 86400.0  # seconds; alpha = ln(2) / half_life
@@ -27,8 +28,8 @@ class DecayParams:
     alpha: float  # decay rate per second
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be strictly positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be strictly positive and finite")
 
     @classmethod
     def from_half_life(cls, seconds: float) -> "DecayParams":
@@ -177,10 +178,8 @@ def sample_snapshots(
 def write_snapshot_tsv(s: NetworkSnapshot, params: DecayParams, path,
                        comments: Sequence[str] = ()) -> None:
     """TSV export: src<TAB>dst<TAB>weight (12 significant digits)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(f"# t = {s.time:.12g}\n")
-        handle.write(f"# alpha = {params.alpha:.12g}\n")
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for src, dst, w in sorted(s.edges()):
-            handle.write(f"{src}\t{dst}\t{w:.12g}\n")
+    write_lines(
+        path,
+        [f"t = {s.time:.12g}", f"alpha = {params.alpha:.12g}", *comments],
+        (f"{src}\t{dst}\t{w:.12g}" for src, dst, w in sorted(s.edges())),
+    )

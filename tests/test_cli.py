@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -271,3 +272,125 @@ def test_report_requires_exactly_one_input(tmp_path, built):
         ["report", "--graph", str(built), "--sweep", str(built),
          "--output", str(tmp_path / "t.txt")]
     ) == 1
+
+
+# ------------------------------------------------------------- golden bytes
+
+GOLDEN = Path(__file__).parent / "golden" / "chain"
+GRAPH = "graph/tie_graph.json"
+# The README chain on EVENTS, every report mode, and a tiny synth run, all
+# with relative paths so that the parameters embedded in each artifact are
+# the same wherever the test runs.
+CHAIN = [
+    ["ingest", "--input", "raw.csv", "--output", "canonical.csv"],
+    ["build", "--events", "canonical.csv", "--output-dir", "graph"],
+    ["snapshot", "--graph", GRAPH, "--output", "snapshot.tsv"],
+    ["pagerank", "--graph", GRAPH, "--output", "scores.tsv"],
+    ["detect", "--graph", GRAPH, "--epsilon", "0.5", "--seed", "7",
+     "--output", "communities.json"],
+    ["evaluate", "--graph", GRAPH, "--communities", "communities.json",
+     "--events", "canonical.csv", "--categories", "categories.json", "--output", "report.json"],
+    ["sweep", "--graph", GRAPH, "--epsilons", "1.0,0.5,0.34", "--output", "sweep.tsv"],
+    ["report", "--sweep", "sweep.tsv", "--output", "sweep_table.txt"],
+    ["report", "--evaluation", "report.json", "--output", "report_table.txt"],
+    ["report", "--graph", GRAPH, "--n-points", "5", "--output", "curve.csv"],
+    ["synth", "--students", "6", "--communities", "2", "--intra-rate", "2", "--inter-rate", "0.5",
+     "--weeks", "1", "--seed", "1", "--output-dir", "synth"],
+]
+CATEGORIES = '{"caf": "dining", "shop": "shop"}\n'
+
+
+def run_chain(directory: Path) -> None:
+    """Write EVENTS and CATEGORIES into directory and run CHAIN there."""
+    (directory / "raw.csv").write_text(EVENTS, encoding="utf-8")
+    (directory / "categories.json").write_text(CATEGORIES, encoding="utf-8")
+    for argv in CHAIN:
+        assert main(argv) == 0, argv
+
+
+def test_cli_chain_artifacts_match_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_chain(tmp_path)
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    expected = sorted(p.relative_to(GOLDEN).as_posix() for p in GOLDEN.rglob("*") if p.is_file())
+    assert written == expected
+    for rel in written:
+        assert (tmp_path / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
+
+
+@pytest.fixture
+def chain(tmp_path, monkeypatch):
+    """The artifacts of CHAIN in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    run_chain(tmp_path)
+    return tmp_path
+
+
+def edit_json(edit):
+    def apply(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+EVALUATE = ["evaluate", "--graph", GRAPH, "--communities", "communities.json", "--output", "e.json"]
+SNAPSHOT = ["snapshot", "--graph", GRAPH, "--output", "s.tsv"]
+# case -> (artifact, mutation of its text, command that reads it, fault named in the message)
+MALFORMED = {
+    "graph-non-integer-time": (
+        GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[1000.5])),
+        SNAPSHOT, "edge times must be integers"),
+    "graph-unsorted-times": (
+        GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[2000, 1000])),
+        SNAPSHOT, "unsorted times"),
+    "graph-time-out-of-range": (
+        GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[10**400])),
+        SNAPSHOT, "outside 1970-01-01 .. 9999-12-31"),
+    "graph-unknown-node": (
+        GRAPH, edit_json(lambda doc: doc["edges"][0].update(dst="ghost")),
+        SNAPSHOT, "missing from 'nodes'"),
+    "communities-without-communities": (
+        "communities.json", edit_json(lambda doc: doc.pop("communities")),
+        EVALUATE, "missing field 'communities'"),
+    "sweep-non-numeric-cell": (
+        "sweep.tsv", lambda text: text + "0.5\tlots\t1\t3\n",
+        ["report", "--sweep", "sweep.tsv", "--output", "t.txt"], "line 11"),
+    "evaluation-without-partition": (
+        "report.json", edit_json(lambda doc: doc.pop("partition")),
+        ["report", "--evaluation", "report.json", "--output", "t.txt"],
+        "missing field 'partition'"),
+    "evaluation-nested-too-deep": (
+        "report.json", lambda text: "[" * 100000,
+        ["report", "--evaluation", "report.json", "--output", "t.txt"], "recursion"),
+    "categories-missing-location": (
+        "categories.json", edit_json(lambda doc: doc.pop("shop")),
+        EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"],
+        "missing locations: ['shop']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_artifact_is_data_error(chain, capsys, case):
+    artifact, mutate, argv, fault = MALFORMED[case]
+    path = chain / artifact
+    path.write_text(mutate(path.read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert artifact in err and fault in err, err
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["pagerank", "--graph", GRAPH, "--output", "p.tsv", "--max-iterations", "0"],
+     "max_iterations must be positive"),
+    (["pagerank", "--graph", GRAPH, "--output", "p.tsv", "--tolerance", "-1"],
+     "tolerance must be non-negative"),
+    (EVALUATE + ["--time", "999"], "first co-occurrence is at 1000"),
+    (SNAPSHOT + ["--time", "9" * 400], "outside 1970-01-01 .. 9999-12-31"),
+], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow"])
+def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert fault in capsys.readouterr().err

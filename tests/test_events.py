@@ -59,6 +59,11 @@ def test_unparsable_timestamp_and_amount():
         parse(HEADER + "s1,noon,caf3,spend,1\n")
     with pytest.raises(ParseError, match="amount"):
         parse(HEADER + "s1,1000,caf3,spend,lots\n")
+    with pytest.raises(ParseError, match="line 2: bad timestamp"):
+        parse(HEADER + "s1,253402300800,caf3,spend,1\n")  # 10000-01-01
+    for amount in ("nan", "inf"):
+        with pytest.raises(ParseError, match="line 2: non-finite amount"):
+            parse(HEADER + f"s1,1000,caf3,spend,{amount}\n")
 
 
 def test_negative_amount_rejected():

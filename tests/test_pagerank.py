@@ -146,6 +146,16 @@ def test_damping_validation():
         WalkParams(damping=0.0)
 
 
+def test_tolerance_and_iteration_budget_validation():
+    with pytest.raises(ValueError, match="tolerance"):
+        WalkParams(tolerance=-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        WalkParams(tolerance=float("nan"))
+    with pytest.raises(ValueError, match="max_iterations"):
+        WalkParams(max_iterations=0)
+    WalkParams(tolerance=0.0, max_iterations=1)
+
+
 # ------------------------------------------------------------ ranking
 
 
