@@ -113,7 +113,7 @@ def _graph_at(args):
     """The --graph tie graph, --time resolved against it, and the graph and
     alpha entries of the parameters that its artifacts embed."""
     graph = read_tie_graph_json(args.graph)
-    if not graph.edges:
+    if not len(graph.src):
         raise DataError(f"tie graph file {args.graph} has no edges")
     t = float(graph.end_time() if args.time == "end" else args.time)
     return graph, t, {"graph": str(args.graph), "alpha": args.decay.alpha}
@@ -174,7 +174,7 @@ def _handle_build(args) -> int:
     write_tie_graph_json(tie_graph, out_dir / "tie_graph.json", params)
     print(
         f"wrote {out_dir}/tie_graph.json "
-        f"({len(tie_graph.nodes)} nodes, {len(tie_graph.edges)} directed edges)"
+        f"({len(tie_graph.nodes)} nodes, {len(tie_graph.src)} directed edges)"
     )
     return EXIT_OK
 
@@ -466,8 +466,6 @@ def _add_walk_arguments(parser) -> None:
 
 
 def _add_flow_arguments(parser) -> None:
-    parser.add_argument("--epsilon", type=_origin_fraction, default=0.20,
-                        help="origin fraction of top-ranked nodes (default 0.20)")
     parser.add_argument("--beta", type=float, default=0.25,
                         help="propagation probability exponent (default 0.25)")
     parser.add_argument("--seed", type=int, default=0, help="cascade RNG seed (default 0)")
@@ -511,6 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="information-flow community detection")
     _add_graph_arguments(p)
     _add_walk_arguments(p)
+    p.add_argument("--epsilon", type=_origin_fraction, default=0.20,
+                   help="origin fraction of top-ranked nodes (default 0.20)")
     _add_flow_arguments(p)
     p.set_defaults(handler=_handle_detect)
 
@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semester-end", type=_time, default=None)
     p.set_defaults(handler=_handle_evaluate)
 
-    p = sub.add_parser("sweep", help="detection across origin fractions")
+    # No abbreviations here, so that --epsilon is not read as --epsilons.
+    p = sub.add_parser("sweep", help="detection across origin fractions", allow_abbrev=False)
     _add_graph_arguments(p)
     p.add_argument("--epsilons", type=_origin_fractions,
                    default="0.5,0.45,0.4,0.35,0.3,0.25,0.2,0.15,0.1,0.05",

@@ -7,42 +7,78 @@ equal-degree endpoints get both directions, each carrying the full payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .artifacts import DataError, decoding, read_json, write_json, write_lines
 from .cooccur import CooccurrenceGraph
 from .events import TIME_LIMIT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DirectedTieGraph:
-    """Directed graph whose edges keep the originating co-occurrence times."""
+    """Directed graph whose edges keep the originating co-occurrence times,
+    in columnar form: edge e runs from nodes[src[e]] to nodes[dst[e]] with
+    ascending times[offsets[e] : offsets[e + 1]]. Edges are in (src, dst)
+    order; the sorted ``nodes`` are the index space, as in NetworkSnapshot.
+    """
 
-    nodes: frozenset[str]
-    degree: dict[str, int]  # undirected degree of the source graph
-    edges: dict[tuple[str, str], tuple[int, ...]]  # (src, dst) -> sorted times
+    nodes: tuple[str, ...]
+    degree: np.ndarray  # undirected degree of the source graph, per node
+    src: np.ndarray
+    dst: np.ndarray
+    offsets: np.ndarray
+    times: np.ndarray  # int64 timestamps
+
+    def _rows(self):
+        """(src id, dst id, list of times) per edge, in edge order."""
+        names = np.array(self.nodes, dtype=object)
+        bounds = zip(self.offsets[:-1], self.offsets[1:])
+        for s, d, (start, stop) in zip(names[self.src], names[self.dst], bounds):
+            yield s, d, self.times[start:stop].tolist()
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
+        """Read-only (src, dst) -> times view, built on first use."""
+        return MappingProxyType({(s, d): tuple(times) for s, d, times in self._rows()})
 
     def start_time(self) -> int:
-        """Earliest co-occurrence timestamp over all edges."""
-        if not self.edges:
-            raise ValueError("graph has no edges")
-        return min(times[0] for times in self.edges.values())
+        """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
+        return int(self.times.min())
 
     def end_time(self) -> int:
-        """Latest co-occurrence timestamp over all edges."""
-        if not self.edges:
-            raise ValueError("graph has no edges")
-        return max(times[-1] for times in self.edges.values())
+        """Latest co-occurrence timestamp over all edges (ValueError if none)."""
+        return int(self.times.max())
+
+
+def _assemble(nodes, degree, src, dst, lists) -> DirectedTieGraph:
+    """The tie graph of the edges src[k] -> dst[k] with ascending integer
+    times lists[k], put in (src, dst) order."""
+    order = np.lexsort((dst, src))
+    lists = [lists[k] for k in order]
+    offsets = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+    times = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(offsets[-1]))
+    return DirectedTieGraph(nodes, degree, src[order], dst[order], offsets, times)
+
+
+def _endpoints(g: CooccurrenceGraph):
+    """Sorted node ids, the node indices of each edge's two ends in g.edges
+    order, and each node's degree."""
+    nodes = tuple(sorted(g.nodes))
+    index = {node: i for i, node in enumerate(nodes)}
+    a = np.fromiter((index[x] for x, _ in g.edges), dtype=np.int64, count=len(g.edges))
+    b = np.fromiter((index[y] for _, y in g.edges), dtype=np.int64, count=len(g.edges))
+    return nodes, a, b, np.bincount(np.concatenate([a, b]), minlength=len(nodes))
 
 
 def node_degrees(g: CooccurrenceGraph) -> dict[str, int]:
     """Number of distinct neighbors per node; isolated nodes have degree 0."""
-    degrees = {node: 0 for node in g.nodes}
-    for a, b in g.edges:
-        degrees[a] += 1
-        degrees[b] += 1
-    return degrees
+    nodes, _, _, degree = _endpoints(g)
+    return dict(zip(nodes, degree.tolist()))
 
 
 def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
@@ -52,64 +88,65 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
     without splitting the weight. Degrees are computed once on the full
     undirected graph.
     """
-    degrees = node_degrees(g)
-    edges: dict[tuple[str, str], tuple[int, ...]] = {}
-    for (a, b), times in g.edges.items():
-        ka, kb = degrees[a], degrees[b]
-        if ka > kb:
-            edges[(a, b)] = times
-        elif ka < kb:
-            edges[(b, a)] = times
-        else:
-            edges[(a, b)] = times
-            edges[(b, a)] = times
-    return DirectedTieGraph(nodes=g.nodes, degree=degrees, edges=edges)
+    nodes, a, b, degree = _endpoints(g)
+    forward, backward = degree[a] >= degree[b], degree[a] <= degree[b]
+    src = np.concatenate([a[forward], b[backward]])
+    dst = np.concatenate([b[forward], a[backward]])
+    lists = list(g.edges.values())
+    edge = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])
+    return _assemble(nodes, degree, src, dst, [lists[k] for k in edge])
 
 
 def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
     """TSV export: src<TAB>dst<TAB>count."""
-    write_lines(path, comments, (
-        f"{src}\t{dst}\t{len(g.edges[(src, dst)])}" for (src, dst) in sorted(g.edges)
-    ))
+    write_lines(path, comments, (f"{s}\t{d}\t{len(times)}" for s, d, times in g._rows()))
 
 
 def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) -> None:
     """Lossless JSON persistence (keeps per-edge times for later snapshots)."""
     doc = {
         "params": params or {},
-        "nodes": sorted(g.nodes),
-        "degree": {node: g.degree[node] for node in sorted(g.degree)},
-        "edges": [
-            {"src": src, "dst": dst, "times": list(g.edges[(src, dst)])}
-            for (src, dst) in sorted(g.edges)
-        ],
+        "nodes": list(g.nodes),
+        "degree": dict(zip(g.nodes, g.degree.tolist())),
+        "edges": [{"src": s, "dst": d, "times": times} for s, d, times in g._rows()],
     }
     write_json(path, doc)
 
 
 def read_tie_graph_json(path) -> DirectedTieGraph:
-    """Load a tie graph, rejecting one whose edges name unknown nodes or
-    carry times that are not a nonempty ascending list of integer timestamps."""
+    """Load a tie graph, rejecting one whose edges name unknown nodes, carry
+    times that are not a nonempty ascending list of integer timestamps, or
+    appear twice."""
     what = "tie graph file"
     doc = read_json(path, what)
     with decoding(path, what):
-        nodes = frozenset(doc["nodes"])
-        degree = {node: int(k) for node, k in doc["degree"].items()}
-        edges = {(e["src"], e["dst"]): tuple(e["times"]) for e in doc["edges"]}
-    if not all(isinstance(node, str) for node in nodes):
-        raise DataError(f"malformed {what} {path}: node ids must be strings")
-    if set(map(type, chain.from_iterable(edges.values()))) - {int}:
+        names = list(doc["nodes"])
+        if not all(isinstance(node, str) for node in names):
+            raise DataError(f"malformed {what} {path}: node ids must be strings")
+        nodes = tuple(sorted(set(names)))
+        index = {node: i for i, node in enumerate(nodes)}
+        degree = np.array([int(doc["degree"][node]) for node in nodes], dtype=np.int64)
+        edges = doc["edges"]
+        src = np.array([index.get(e["src"], -1) for e in edges], dtype=np.int64)
+        dst = np.array([index.get(e["dst"], -1) for e in edges], dtype=np.int64)
+        lists = [e["times"] for e in edges]
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+    flat = list(chain.from_iterable(lists))
+    if set(map(type, flat)) - {int}:
         raise DataError(f"malformed {what} {path}: edge times must be integers")
-    for (src, dst), times in edges.items():
-        if src not in nodes or dst not in nodes:
-            fault = "names a node missing from 'nodes'"
-        elif not times:
-            fault = "has no times"
-        elif list(times) != sorted(times):
-            fault = "has unsorted times"
-        elif not (0 <= times[0] and times[-1] < TIME_LIMIT):
-            fault = "has times outside 1970-01-01 .. 9999-12-31"
-        else:
-            continue
-        raise DataError(f"malformed {what} {path}: edge {src!r} -> {dst!r} {fault}")
-    return DirectedTieGraph(nodes=nodes, degree=degree, edges=edges)
+    if flat and not (0 <= min(flat) and max(flat) < TIME_LIMIT):
+        flat = [tau if 0 <= tau < TIME_LIMIT else -1 for tau in flat]  # -1 marks the outliers
+    times = np.array(flat, dtype=np.int64)
+    edge_of = np.repeat(np.arange(len(counts)), counts)
+    order = np.lexsort((dst, src))
+    for fault, bad in (
+        ("names a node missing from 'nodes'", np.flatnonzero((src < 0) | (dst < 0))),
+        ("has no times", np.flatnonzero(counts == 0)),
+        ("has times outside 1970-01-01 .. 9999-12-31", edge_of[times < 0]),
+        ("has unsorted times", edge_of[1:][(np.diff(times) < 0) & (np.diff(edge_of) == 0)]),
+        ("is listed twice", order[1:][(np.diff(src[order]) == 0) & (np.diff(dst[order]) == 0)]),
+    ):
+        if len(bad):
+            e = edges[bad[0]]
+            raise DataError(f"malformed {what} {path}: edge {e['src']!r} -> {e['dst']!r} {fault}")
+    return _assemble(nodes, degree, src, dst, lists)

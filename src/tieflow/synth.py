@@ -19,7 +19,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import decoding, read_json, write_json
+from .artifacts import write_json
 from .events import EventLog, EventRecord, TimeRange
 
 WEEK_SECONDS = 7 * 86400
@@ -30,6 +30,10 @@ DEFAULT_LOCATIONS = {"dining": 33, "bath": 6, "boiler": 6, "shop": 4}
 # (plus jitter) so chance collisions cannot fake a cross-community tie. The
 # value matches the default co-occurrence window.
 DEFAULT_SEPARATION_WINDOW = 120
+
+# Most co-visits (the sum of the Poisson means) a configuration may ask for:
+# about 24 times the 253k of the 5,000-student scale configuration.
+MAX_COVISITS = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -162,21 +166,16 @@ def generate(config: SyntheticConfig) -> tuple[EventLog, dict[str, int]]:
     total_pairs = config.n_students * (config.n_students - 1) // 2
     cross_pairs = total_pairs - intra_pairs
 
-    n_intra = int(rng.poisson(intra_pairs * config.intra_rate * weeks)) if intra_pairs else 0
-    n_cross = (
-        int(rng.poisson(cross_pairs * config.inter_rate * weeks))
-        if cross_pairs and config.inter_rate > 0
-        else 0
-    )
-
-    first = np.empty(0, dtype=np.int64)
-    second = np.empty(0, dtype=np.int64)
-    if n_intra:
-        a, b = _sample_pairs(rng, n_intra, community, want_same=True)
-        first, second = np.concatenate([first, a]), np.concatenate([second, b])
-    if n_cross:
-        a, b = _sample_pairs(rng, n_cross, community, want_same=False)
-        first, second = np.concatenate([first, a]), np.concatenate([second, b])
+    intra_mean = intra_pairs * config.intra_rate * weeks
+    cross_mean = cross_pairs * config.inter_rate * weeks
+    if not intra_mean + cross_mean <= MAX_COVISITS:
+        raise ValueError(f"the configuration asks for about {intra_mean + cross_mean:.3g} "
+                         f"co-visits, more than the {MAX_COVISITS} allowed")
+    # A zero mean draws nothing, and neither does sampling zero pairs.
+    n_intra, n_cross = int(rng.poisson(intra_mean)), int(rng.poisson(cross_mean))
+    intra = _sample_pairs(rng, n_intra, community, want_same=True)
+    cross = _sample_pairs(rng, n_cross, community, want_same=False)
+    first, second = np.concatenate([intra[0], cross[0]]), np.concatenate([intra[1], cross[1]])
 
     total = len(first)
     start = config.semester.start
@@ -220,12 +219,6 @@ def default_category_map(config: SyntheticConfig) -> dict[str, str]:
 
 def write_ground_truth(labels: Mapping[str, int], path, params: dict | None = None) -> None:
     write_json(path, {"params": params or {}, "labels": dict(sorted(labels.items()))})
-
-
-def read_ground_truth(path) -> dict[str, int]:
-    doc = read_json(path, "ground truth file")
-    with decoding(path, "ground truth file"):
-        return {node: int(label) for node, label in doc["labels"].items()}
 
 
 def nmi(a: Mapping[str, int], b: Mapping[str, int]) -> float:

@@ -1,9 +1,12 @@
 """Continuous-time tie-decay weights and network snapshots.
 
 Each co-occurrence bumps an edge's weight by 1; between interactions the
-weight decays as exp(-alpha * elapsed). The closed-form impulse-response
-sum is the implementation throughout; ODE integration exists only as a
-test oracle.
+weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, evaluates
+the closed-form impulse-response sum over stored event times: a single
+edge's weight (`edge_weight_at`), a snapshot (`snapshot_at`), the first
+point of a sampled curve and the impulses each later point adds all call
+it. Between points the curve decays by the semigroup law. ODE integration
+exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -75,51 +78,35 @@ class NetworkSnapshot:
         return int(self.matrix.nnz)
 
 
-def edge_weight_at(times: Sequence[int], params: DecayParams, t: float) -> float:
-    """Closed-form weight: sum of exp(-alpha*(t - tau)) over events tau <= t.
+def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: float,
+               t: float) -> np.ndarray:
+    """The one decay kernel: per edge e < n_edges, the sum of
+    exp(-alpha*(t - tau)) over the times tau <= t with edge_of[tau's slot] == e.
 
     Events strictly after t contribute nothing; an event at exactly t
     contributes 1 (the jump happens at the event instant).
     """
-    total = 0.0
-    for tau in times:
-        if tau > t:
-            break  # times sorted ascending
-        total += math.exp(-params.alpha * (t - tau))
-    return total
+    live = times <= t
+    contrib = np.zeros(len(times))
+    contrib[live] = np.exp(-alpha * (t - times[live]))
+    return np.bincount(edge_of, weights=contrib, minlength=n_edges)
 
 
-class _EdgeArrays:
-    """Flattened per-edge event times for vectorized evaluation."""
+def edge_weight_at(times: Sequence[int], params: DecayParams, t: float) -> float:
+    """Closed-form weight at time t of one edge with these ascending times."""
+    times = np.asarray(times)
+    return float(decay_sums(times, np.zeros(len(times), dtype=np.intp), 1, params.alpha, t)[0])
 
-    def __init__(self, g: DirectedTieGraph):
-        self.nodes = tuple(sorted(g.nodes))
-        index = {node: i for i, node in enumerate(self.nodes)}
-        keys = sorted(g.edges)
-        self.src = np.fromiter((index[s] for s, _ in keys), dtype=np.int64, count=len(keys))
-        self.dst = np.fromiter((index[d] for _, d in keys), dtype=np.int64, count=len(keys))
-        counts = np.fromiter((len(g.edges[k]) for k in keys), dtype=np.int64, count=len(keys))
-        self.offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.offsets[1:])
-        flat = np.empty(int(self.offsets[-1]), dtype=np.float64)
-        for e, key in enumerate(keys):
-            flat[self.offsets[e] : self.offsets[e + 1]] = g.edges[key]
-        self.event_times = flat
-        self.edge_of_event = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
 
-    def weights_at(self, alpha: float, t: float) -> np.ndarray:
-        live = self.event_times <= t
-        contrib = np.zeros(len(self.event_times))
-        contrib[live] = np.exp(-alpha * (t - self.event_times[live]))
-        return np.bincount(self.edge_of_event, weights=contrib, minlength=len(self.src))
+def _edge_of_times(g: DirectedTieGraph) -> np.ndarray:
+    return np.repeat(np.arange(len(g.src)), np.diff(g.offsets))
 
-    def snapshot(self, t: float, weights: np.ndarray) -> NetworkSnapshot:
-        keep = weights > SNAPSHOT_FLOOR
-        n = len(self.nodes)
-        matrix = sparse.csr_matrix(
-            (weights[keep], (self.src[keep], self.dst[keep])), shape=(n, n)
-        )
-        return NetworkSnapshot(time=t, nodes=self.nodes, matrix=matrix)
+
+def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnapshot:
+    keep = weights > SNAPSHOT_FLOOR
+    n = len(g.nodes)
+    matrix = sparse.csr_matrix((weights[keep], (g.src[keep], g.dst[keep])), shape=(n, n))
+    return NetworkSnapshot(time=t, nodes=g.nodes, matrix=matrix)
 
 
 def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSnapshot:
@@ -128,8 +115,7 @@ def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSn
     Edges whose weight is at or below SNAPSHOT_FLOOR are omitted from the
     sparse structure; isolated nodes remain in the node list.
     """
-    arrays = _EdgeArrays(g)
-    return arrays.snapshot(t, arrays.weights_at(params.alpha, t))
+    return _snapshot(g, t, decay_sums(g.times, _edge_of_times(g), len(g.src), params.alpha, t))
 
 
 def sample_snapshots(
@@ -150,29 +136,23 @@ def sample_snapshots(
         raise ValueError("n_points must be at least 2")
     if not t_start < t_end:
         raise ValueError("t_start must be earlier than t_end")
-    arrays = _EdgeArrays(g)
     spacing = (t_end - t_start) / (n_points - 1)
-    order = np.argsort(arrays.event_times, kind="stable")
-    sorted_times = arrays.event_times[order]
-    sorted_edges = arrays.edge_of_event[order]
+    edge_of = _edge_of_times(g)
+    order = np.argsort(g.times, kind="stable")
+    sorted_times, sorted_edges = g.times[order], edge_of[order]
 
-    weights = arrays.weights_at(params.alpha, t_start)
-    yield arrays.snapshot(t_start, weights)
+    weights = decay_sums(g.times, edge_of, len(g.src), params.alpha, t_start)
+    yield _snapshot(g, t_start, weights)
     cursor = int(np.searchsorted(sorted_times, t_start, side="right"))
     prev_t = t_start
     for k in range(1, n_points):
         t = t_start + k * spacing if k < n_points - 1 else t_end
-        weights = weights * math.exp(-params.alpha * (t - prev_t))
         upto = int(np.searchsorted(sorted_times, t, side="right"))
-        if upto > cursor:
-            tau = sorted_times[cursor:upto]
-            contrib = np.exp(-params.alpha * (t - tau))
-            weights = weights + np.bincount(
-                sorted_edges[cursor:upto], weights=contrib, minlength=len(weights)
-            )
-            cursor = upto
-        yield arrays.snapshot(t, weights)
-        prev_t = t
+        weights = weights * math.exp(-params.alpha * (t - prev_t)) + decay_sums(
+            sorted_times[cursor:upto], sorted_edges[cursor:upto], len(weights), params.alpha, t
+        )
+        cursor, prev_t = upto, t
+        yield _snapshot(g, t, weights)
 
 
 def write_snapshot_tsv(s: NetworkSnapshot, params: DecayParams, path,

@@ -246,6 +246,16 @@ def test_synth_rejects_infeasible_config(tmp_path, capsys):
     ) == 1
 
 
+def test_synth_rejects_config_asking_for_too_many_covisits(tmp_path, capsys):
+    # About 1.2e9 co-visits: rejected before any random draw or allocation.
+    assert main(
+        ["synth", "--students", "100", "--intra-rate", "1e9", "--weeks", "0.001",
+         "--output-dir", str(tmp_path / "x")]
+    ) == 1
+    assert "co-visits" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_report_curve_points(tmp_path, built):
     out = tmp_path / "curve.csv"
     assert main(
@@ -350,6 +360,9 @@ MALFORMED = {
     "graph-unknown-node": (
         GRAPH, edit_json(lambda doc: doc["edges"][0].update(dst="ghost")),
         SNAPSHOT, "missing from 'nodes'"),
+    "graph-duplicate-edge": (
+        GRAPH, edit_json(lambda doc: doc["edges"].append(dict(doc["edges"][0], times=[5000]))),
+        SNAPSHOT, "edge 's1' -> 's2' is listed twice"),
     "communities-without-communities": (
         "communities.json", edit_json(lambda doc: doc.pop("communities")),
         EVALUATE, "missing field 'communities'"),
@@ -389,7 +402,10 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
      "tolerance must be non-negative"),
     (EVALUATE + ["--time", "999"], "first co-occurrence is at 1000"),
     (SNAPSHOT + ["--time", "9" * 400], "outside 1970-01-01 .. 9999-12-31"),
-], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow"])
+    (["sweep", "--graph", GRAPH, "--output", "s.tsv", "--epsilon", "0.3"],
+     "unrecognized arguments: --epsilon 0.3"),
+], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
+        "sweep-epsilon"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import sparse
@@ -104,6 +105,22 @@ def test_undirected_variant_matches_symmetrized_oracle():
         mine = modularity(snap, assignment(labels), directed=False)
         reference = double_sum_modularity(snap, labels, directed=False)
         assert mine == pytest.approx(reference, abs=1e-12)
+
+
+def test_full_labelings_match_networkx_directed_modularity():
+    # networkx counts isolated nodes differently, so every node is labeled here.
+    rng = random.Random(5)
+    for _ in range(50):
+        snap = random_snapshot(rng, rng.randrange(2, 31))
+        k = rng.randrange(1, 6)
+        labels = {node: rng.randrange(k) for node in snap.nodes}
+        graph = nx.DiGraph()
+        graph.add_nodes_from(snap.nodes)
+        graph.add_weighted_edges_from(snap.edges())
+        communities = [{node for node in labels if labels[node] == label}
+                       for label in set(labels.values())]
+        reference = nx.community.modularity(graph, communities, weight="weight")
+        assert modularity(snap, assignment(labels)) == pytest.approx(reference, abs=1e-12)
 
 
 def test_random_labels_have_small_modularity_on_average():

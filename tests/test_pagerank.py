@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from scipy import sparse
@@ -88,6 +89,22 @@ def test_matches_dense_eigensolve_oracle():
         reference = dense_pagerank(snap, 0.85)
         mine = np.array([pr.scores[node] for node in snap.nodes])
         assert np.abs(mine - reference).max() < 1e-8, f"trial {trial}"
+
+
+def test_matches_networkx_pagerank():
+    # A second, independent oracle; networkx also teleports dangling mass uniformly.
+    rng = random.Random(54321)
+    for trial in range(50):
+        n = rng.randrange(2, 51)
+        snap = random_snapshot(rng, n)
+        graph = nx.DiGraph()
+        graph.add_nodes_from(snap.nodes)
+        graph.add_weighted_edges_from(snap.edges())
+        reference = nx.pagerank(graph, alpha=0.85, tol=1e-14, max_iter=10_000)
+        pr = pagerank(snap, WalkParams(tolerance=1e-13))
+        assert pr.converged
+        gap = max(abs(pr.scores[node] - reference[node]) for node in snap.nodes)
+        assert gap < 1e-10, f"trial {trial}"
 
 
 def test_power_iteration_equals_explicit_matrix_iteration():

@@ -196,6 +196,8 @@ def test_incremental_sampling_matches_direct_evaluation():
         assert set(sampled) == set(exact)
         for key, w in exact.items():
             assert sampled[key] == pytest.approx(w, rel=1e-9)
+            assert sampled[key] == pytest.approx(
+                ode_edge_weight(tie.edges[key], params.alpha, snap.time), rel=1e-6)
 
 
 def test_snapshot_tsv_format(tmp_path):
