@@ -27,7 +27,7 @@ from .metrics import (
     variance_comparison,
 )
 from .orient import DirectedTieGraph, node_degrees, orient_edges
-from .pagerank import PageRankVector, WalkParams, pagerank, rank_nodes, transition_matrix
+from .pagerank import PageRankVector, WalkParams, pagerank, rank_nodes
 from .synth import SyntheticConfig, generate, nmi
 from .tiedecay import (
     DecayParams,
@@ -76,6 +76,5 @@ __all__ = [
     "select_origins",
     "snapshot_at",
     "sweep_epsilon",
-    "transition_matrix",
     "variance_comparison",
 ]

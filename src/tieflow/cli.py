@@ -432,6 +432,9 @@ def _format_table(header: list[str], rows: list[list[str]]) -> list[str]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # subparsers too: `--eps` is not `--epsilon`
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         """Report bad arguments as a usage error, usage line after the message."""
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
@@ -525,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semester-end", type=_time, default=None)
     p.set_defaults(handler=_handle_evaluate)
 
-    # No abbreviations here, so that --epsilon is not read as --epsilons.
-    p = sub.add_parser("sweep", help="detection across origin fractions", allow_abbrev=False)
+    p = sub.add_parser("sweep", help="detection across origin fractions")
     _add_graph_arguments(p)
     p.add_argument("--epsilons", type=_origin_fractions,
                    default="0.5,0.45,0.4,0.35,0.3,0.25,0.2,0.15,0.1,0.05",

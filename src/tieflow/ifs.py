@@ -10,6 +10,7 @@ the round budget) terminates the run.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -84,15 +85,18 @@ def select_origins(pr: PageRankVector, epsilon: float) -> OriginSet:
     )
 
 
-def propagation_probability(w: float, out_strength: float, beta: float) -> float:
-    """(w / out_strength)^beta; zero when the node has no out-strength."""
-    if w < 0:
+def propagation_probability(w, out_strength, beta: float):
+    """(w / out_strength)^beta, for scalars or arrays of edge weights and
+    their source's out-strength; zero where the weight is zero."""
+    w, out_strength = np.asarray(w, dtype=float), np.asarray(out_strength, dtype=float)
+    if (w < 0).any():
         raise ValueError("edge weight must be non-negative")
-    if w > out_strength:
+    if (w > out_strength).any():
         raise ValueError("edge weight cannot exceed the node's out-strength")
-    if out_strength == 0 or w == 0:
-        return 0.0
-    return (w / out_strength) ** beta
+    live = w > 0  # w <= out_strength, so out_strength > 0 here too
+    p = np.zeros(live.shape)
+    p[live] = np.power(w[live] / out_strength[live], beta)
+    return p if p.ndim else float(p)
 
 
 def detect_communities(
@@ -114,26 +118,15 @@ def detect_communities(
     origin_set = select_origins(pr, epsilon)
     origin_label = origin_set.labels
 
-    matrix = s.matrix.tocsr()
-    matrix.sort_indices()  # ascending column index = ascending node id
-    out_strength = np.asarray(matrix.sum(axis=1)).ravel()
-    index = {node: i for i, node in enumerate(s.nodes)}
-    # Per-edge probability (w / out_strength)^beta, computed once per run.
-    per_edge_strength = np.repeat(out_strength, np.diff(matrix.indptr))
-    edge_probability = np.power(matrix.data / per_edge_strength, params.beta)
-    edge_cache: dict[str, list[tuple[str, float]]] = {}
+    edge_probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta)
+    offsets = s.row_offsets
 
+    @functools.cache
     def attempts_from(node: str) -> list[tuple[str, float]]:
-        cached = edge_cache.get(node)
-        if cached is None:
-            row = index[node]
-            start, stop = matrix.indptr[row], matrix.indptr[row + 1]
-            cached = [
-                (s.nodes[col], float(p))
-                for col, p in zip(matrix.indices[start:stop], edge_probability[start:stop])
-            ]
-            edge_cache[node] = cached
-        return cached
+        """(destination, probability) per out-edge, in ascending node id."""
+        start, stop = offsets[s.index[node]], offsets[s.index[node] + 1]
+        return list(zip([s.nodes[j] for j in s.dst[start:stop].tolist()],
+                        edge_probability[start:stop].tolist()))
 
     rng = random.Random(params.seed)
     labels: dict[str, int] = {}

@@ -88,27 +88,33 @@ class SlotScheme:
 def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = True) -> float:
     """Partition quality on the snapshot; labeled node pairs only.
 
-    directed=False symmetrizes the adjacency first (w_ij + w_ji) and uses
-    the classic undirected weighted form.
+    directed=False is the classic undirected weighted form on the symmetrized
+    adjacency w_ij + w_ji. Halved, that adjacency has the same total and the
+    same intra-community weights, and out- and in-strength both (out + in) / 2.
     """
-    matrix = s.matrix.tocsr()
-    if not directed:
-        matrix = (matrix + matrix.T).tocsr()
-    total = float(matrix.sum())
+    total = s.total_weight
     if total <= 0:
         raise ValueError("snapshot has zero total weight")
-    out_strength = np.asarray(matrix.sum(axis=1)).ravel()
-    in_strength = np.asarray(matrix.sum(axis=0)).ravel()
+    out_strength = s.out_strength()
+    in_strength = np.bincount(s.dst, weights=s.weights, minlength=len(s.nodes))
+    if not directed:
+        out_strength = in_strength = (out_strength + in_strength) / 2
 
-    index = {node: i for i, node in enumerate(s.nodes)}
-    members: dict[int, list[int]] = defaultdict(list)
+    codes: dict[int, int] = {}  # label -> community number, in first-seen order
+    community = np.full(len(s.nodes), -1)
     for node, label in a.labels.items():
-        members[label].append(index[node])
+        community[s.index[node]] = codes.setdefault(label, len(codes))
+    intra = np.where(community[s.src] == community[s.dst], community[s.src], -1)
+    # Stable sorts keep each community's entries in (src, dst) order and its
+    # members in ascending node id: the orders a submatrix sum adds them in.
+    entries, members = np.argsort(intra, kind="stable"), np.argsort(community, kind="stable")
+    entry_bounds = np.searchsorted(intra[entries], np.arange(len(codes) + 1))
+    member_bounds = np.searchsorted(community[members], np.arange(len(codes) + 1))
 
     q = 0.0
-    for rows in members.values():
-        idx = np.array(sorted(rows), dtype=np.intp)
-        q += float(matrix[idx][:, idx].sum()) / total
+    for k in range(len(codes)):
+        idx = members[member_bounds[k]:member_bounds[k + 1]]
+        q += float(np.sum(s.weights[entries[entry_bounds[k]:entry_bounds[k + 1]]])) / total
         q -= float(out_strength[idx].sum()) * float(in_strength[idx].sum()) / (total * total)
     return q
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .artifacts import write_lines
 from .tiedecay import NetworkSnapshot
@@ -43,36 +42,6 @@ class PageRankVector:
         return len(self.scores)
 
 
-def _row_normalized(s: NetworkSnapshot) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Out-weight-normalized rows plus the dangling-row indicator.
-
-    The diagonal out-degree matrix is pseudo-inverted as reciprocal-or-zero
-    per row; rows with zero out-strength are flagged dangling.
-    """
-    matrix = s.matrix.tocsr()
-    out = np.asarray(matrix.sum(axis=1)).ravel()
-    dangling = out == 0
-    inv = np.zeros_like(out)
-    inv[~dangling] = 1.0 / out[~dangling]
-    normalized = sparse.diags(inv) @ matrix
-    return normalized.tocsr(), dangling
-
-
-def transition_matrix(s: NetworkSnapshot) -> sparse.csr_matrix:
-    """Row-stochastic transition matrix of the teleporting walk.
-
-    Rows with positive out-strength are the normalized out-weights; dangling
-    rows teleport uniformly (every entry 1/S).
-    """
-    n = len(s.nodes)
-    if n == 0:
-        raise ValueError("snapshot has no nodes")
-    normalized, dangling = _row_normalized(s)
-    # Outer product: 1/n in every column of each dangling row, zero elsewhere.
-    teleport = sparse.csr_matrix(dangling[:, None] / n) @ sparse.csr_matrix(np.ones((1, n)))
-    return (normalized + teleport).tocsr()
-
-
 def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankVector:
     """Power iteration from the uniform start vector.
 
@@ -84,8 +53,14 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     n = len(s.nodes)
     if n == 0:
         raise ValueError("snapshot has no nodes")
-    normalized, dangling = _row_normalized(s)
-    transposed = normalized.T.tocsr()
+    out = s.out_strength()
+    dangling = out == 0  # rows with no out-strength teleport uniformly
+    inv = np.divide(1.0, out, out=np.zeros_like(out), where=~dangling)
+    # P^T x is a bincount over the entries in (dst, src) order, the order of a
+    # transposed CSR mat-vec; weights * inv[src] is diag(inv) @ W exactly.
+    order = np.lexsort((s.src, s.dst))
+    src, dst = s.src[order], s.dst[order]
+    normalized = (s.weights * inv[s.src])[order]
     v = 1.0 / n
     x = np.full(n, v)
     residuals: list[float] = []
@@ -93,7 +68,8 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     iterations = 0
     for iterations in range(1, params.max_iterations + 1):
         dangling_mass = float(x[dangling].sum())
-        y = params.damping * (transposed @ x + dangling_mass * v) + (1.0 - params.damping) * v
+        walked = np.bincount(dst, weights=normalized * x[src], minlength=n)
+        y = params.damping * (walked + dangling_mass * v) + (1.0 - params.damping) * v
         residual = float(np.abs(y - x).sum())
         residuals.append(residual)
         x = y

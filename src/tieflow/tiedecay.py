@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .artifacts import write_lines
 from .orient import DirectedTieGraph
@@ -45,37 +44,63 @@ class DecayParams:
         return math.log(2.0) / self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSnapshot:
-    """Sparse directed weighted adjacency at a single instant.
+    """Directed weighted network at a single instant, as three arrays.
 
-    ``nodes`` is sorted and defines the matrix index space; ``matrix`` is a
-    CSR matrix with matrix[i, j] = weight of edge nodes[i] -> nodes[j].
+    ``nodes`` is sorted and defines the index space. Entry k is the edge
+    nodes[src[k]] -> nodes[dst[k]] of weight weights[k]; entries are unique
+    and in (src, dst) order, which is CSR order.
     """
 
     time: float
     nodes: tuple[str, ...]
-    matrix: sparse.csr_matrix
+    src: np.ndarray
+    dst: np.ndarray
+    weights: np.ndarray
 
     @cached_property
     def index(self) -> dict[str, int]:
         return {node: i for i, node in enumerate(self.nodes)}
 
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """Node i's entries are row_offsets[i]:row_offsets[i + 1]."""
+        return np.searchsorted(self.src, np.arange(len(self.nodes) + 1))
+
+    @cached_property
+    def matrix(self):
+        """A scipy CSR copy of the entries, built on first use (tieflow's only
+        scipy import). Nothing under src/ reads it; library callers and the
+        traced runs of perfbench/measure.py (``matrix.nnz``) do."""
+        from scipy import sparse
+
+        n = len(self.nodes)
+        return sparse.csr_matrix((self.weights, self.dst, self.row_offsets), shape=(n, n), copy=True)
+
     def weight(self, src: str, dst: str) -> float:
-        return self.matrix[self.index[src], self.index[dst]]
+        hit = (self.src == self.index[src]) & (self.dst == self.index[dst])
+        return float(self.weights[hit].sum())
 
     def edges(self) -> Iterator[tuple[str, str, float]]:
-        coo = self.matrix.tocoo()
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            yield self.nodes[i], self.nodes[j], float(w)
+        for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
+            yield self.nodes[i], self.nodes[j], w
+
+    def out_strength(self) -> np.ndarray:
+        """Per node, its row's weight sum, added pairwise by np.add.reduceat as
+        the pinned artifacts were (np.bincount over src differs in last bits)."""
+        rows = np.flatnonzero(np.diff(self.row_offsets))
+        out = np.zeros(len(self.nodes))
+        out[rows] = np.add.reduceat(self.weights, self.row_offsets[rows])
+        return out
 
     @property
     def total_weight(self) -> float:
-        return float(self.matrix.sum())
+        return float(np.sum(self.weights))
 
     @property
     def edge_count(self) -> int:
-        return int(self.matrix.nnz)
+        return len(self.weights)
 
 
 def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: float,
@@ -103,17 +128,15 @@ def _edge_of_times(g: DirectedTieGraph) -> np.ndarray:
 
 
 def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnapshot:
-    keep = weights > SNAPSHOT_FLOOR
-    n = len(g.nodes)
-    matrix = sparse.csr_matrix((weights[keep], (g.src[keep], g.dst[keep])), shape=(n, n))
-    return NetworkSnapshot(time=t, nodes=g.nodes, matrix=matrix)
+    kept = np.flatnonzero(weights > SNAPSHOT_FLOOR)  # faster than three boolean masks
+    return NetworkSnapshot(t, g.nodes, g.src[kept], g.dst[kept], weights[kept])
 
 
 def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSnapshot:
     """Evaluate every edge's tie-decay weight at time t.
 
     Edges whose weight is at or below SNAPSHOT_FLOOR are omitted from the
-    sparse structure; isolated nodes remain in the node list.
+    entries; isolated nodes remain in the node list.
     """
     return _snapshot(g, t, decay_sums(g.times, _edge_of_times(g), len(g.src), params.alpha, t))
 

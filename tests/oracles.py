@@ -2,13 +2,40 @@
 
 Everything here favors directness over speed: exhaustive enumeration,
 augmenting-path matching, dense eigensolves, explicit ODE integration,
-and literal double sums. None of it shares code with the package.
+and literal double sums. None of it shares code with the package; the
+one package class used is NetworkSnapshot, which `make_snapshot` builds
+for the tests and the oracles read only through its entry arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import odeint
+
+from tieflow.tiedecay import NetworkSnapshot
+
+
+# ---------------------------------------------------------------- snapshots
+
+
+def make_snapshot(weights: dict, nodes, time: float = 0.0) -> NetworkSnapshot:
+    """The snapshot of {(src, dst): weight} entries over the sorted nodes,
+    lexsorted into the (src, dst) index order NetworkSnapshot requires."""
+    nodes = tuple(sorted(nodes))
+    index = {node: i for i, node in enumerate(nodes)}
+    src = np.array([index[a] for a, _ in weights], dtype=np.intp)
+    dst = np.array([index[b] for _, b in weights], dtype=np.intp)
+    order = np.lexsort((dst, src))
+    values = np.array(list(weights.values()), dtype=float)
+    return NetworkSnapshot(time, nodes, src[order], dst[order], values[order])
+
+
+def dense_weights(snapshot) -> np.ndarray:
+    """The snapshot's n x n adjacency, from its entry arrays."""
+    n = len(snapshot.nodes)
+    weights = np.zeros((n, n))
+    np.add.at(weights, (snapshot.src, snapshot.dst), snapshot.weights)
+    return weights
 
 
 # ---------------------------------------------------------------- matching
@@ -115,7 +142,7 @@ def _decay_segment(w0: float, alpha: float, t0: float, t1: float) -> float:
 def dense_rate_matrix(snapshot, damping: float) -> np.ndarray:
     """The full teleporting-walk rate matrix built explicitly."""
     n = len(snapshot.nodes)
-    weights = snapshot.matrix.toarray()
+    weights = dense_weights(snapshot)
     out = weights.sum(axis=1)
     p = np.zeros((n, n))
     for i in range(n):
@@ -142,7 +169,7 @@ def dense_pagerank(snapshot, damping: float) -> np.ndarray:
 
 def double_sum_modularity(snapshot, labels: dict, directed: bool = True) -> float:
     """Literal O(n^2) double sum over labeled node pairs."""
-    weights = snapshot.matrix.toarray()
+    weights = dense_weights(snapshot)
     if not directed:
         weights = weights + weights.T
     total = weights.sum()

@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from tieflow.cooccur import build_cooccurrence_graph, cooccurrences_at_location
 from tieflow.events import EventLog, EventRecord, TimeRange
@@ -37,6 +36,7 @@ from oracles import (
     all_pairs_cooccurrence_counts,
     dense_pagerank,
     double_sum_modularity,
+    make_snapshot,
     ode_edge_weight,
     rank_priority_bfs,
 )
@@ -84,17 +84,12 @@ def test_criterion_2_pagerank_against_dense_eigensolve():
     for _ in range(50):
         n = rng.randrange(2, 51)
         nodes = tuple(f"n{i:02d}" for i in range(n))
-        rows, cols, data = [], [], []
+        weights = {}
         for i in range(n):
             for j in range(n):
                 if i != j and rng.random() < 0.2:
-                    rows.append(i)
-                    cols.append(j)
-                    data.append(rng.random() * 8 + 0.05)
-        snap_matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        from tieflow.tiedecay import NetworkSnapshot
-
-        snap = NetworkSnapshot(time=0.0, nodes=nodes, matrix=snap_matrix)
+                    weights[(nodes[i], nodes[j])] = rng.random() * 8 + 0.05
+        snap = make_snapshot(weights, nodes)
         pr = pagerank(snap)
         mine = np.array([pr.scores[node] for node in nodes])
         reference = dense_pagerank(snap, 0.85)
@@ -172,24 +167,18 @@ def test_criterion_4_cooccurrence_vs_enumeration_oracle():
 
 def test_criterion_5_modularity_vs_double_sum():
     rng = random.Random(20_240_005)
-    from tieflow.tiedecay import NetworkSnapshot
-
     worst = 0.0
     for _ in range(60):
         n = rng.randrange(2, 31)
         nodes = tuple(f"n{i:02d}" for i in range(n))
-        rows, cols, data = [], [], []
+        weights = {}
         for i in range(n):
             for j in range(n):
                 if i != j and rng.random() < 0.3:
-                    rows.append(i)
-                    cols.append(j)
-                    data.append(rng.random() * 5 + 0.01)
-        if not rows:
-            rows, cols, data = [0], [n - 1], [1.0]
-        snap = NetworkSnapshot(
-            time=0.0, nodes=nodes, matrix=sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        )
+                    weights[(nodes[i], nodes[j])] = rng.random() * 5 + 0.01
+        if not weights:
+            weights = {(nodes[0], nodes[n - 1]): 1.0}
+        snap = make_snapshot(weights, nodes)
         labels = {
             node: rng.randrange(4) for node in nodes if rng.random() < 0.8
         }
@@ -205,20 +194,15 @@ def test_criterion_5_modularity_vs_double_sum():
 
 def test_criterion_6_detection_invariants():
     rng = random.Random(20_240_006)
-    from tieflow.tiedecay import NetworkSnapshot
 
     def random_snapshot(n, density):
         nodes = tuple(f"n{i:03d}" for i in range(n))
-        rows, cols, data = [], [], []
+        weights = {}
         for i in range(n):
             for j in range(n):
                 if i != j and rng.random() < density:
-                    rows.append(i)
-                    cols.append(j)
-                    data.append(rng.random() * 3 + 0.1)
-        return NetworkSnapshot(
-            time=0.0, nodes=nodes, matrix=sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        )
+                    weights[(nodes[i], nodes[j])] = rng.random() * 3 + 0.1
+        return make_snapshot(weights, nodes)
 
     # community count bound + reachability on random weighted digraphs
     for trial in range(15):
@@ -258,18 +242,14 @@ def test_criterion_6_detection_invariants():
     for trial in range(20):
         n = rng.randrange(5, 101)
         nodes = tuple(f"n{i:03d}" for i in range(n))
-        rows, cols, data = [], [], []
+        weights = {}
         for i in range(n):
             if rng.random() < 0.8:
                 j = rng.randrange(n - 1)
                 if j >= i:
                     j += 1
-                rows.append(i)
-                cols.append(j)
-                data.append(rng.random() + 0.5)
-        snap = NetworkSnapshot(
-            time=0.0, nodes=nodes, matrix=sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        )
+                weights[(nodes[i], nodes[j])] = rng.random() + 0.5
+        snap = make_snapshot(weights, nodes)
         pr = pagerank(snap)
         origins = select_origins(pr, 0.2)
         assignment = detect_communities(snap, pr, 0.2, FlowParams(seed=trial))

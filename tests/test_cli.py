@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -404,9 +407,36 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     (SNAPSHOT + ["--time", "9" * 400], "outside 1970-01-01 .. 9999-12-31"),
     (["sweep", "--graph", GRAPH, "--output", "s.tsv", "--epsilon", "0.3"],
      "unrecognized arguments: --epsilon 0.3"),
+    (["detect", "--graph", GRAPH, "--output", "d.json", "--eps", "0.3"],
+     "unrecognized arguments: --eps 0.3"),
+    (["report", "--graph", GRAPH, "--n", "3", "--output", "c.csv"],
+     "unrecognized arguments: --n 3"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
-        "sweep-epsilon"])
+        "sweep-epsilon", "detect-prefix", "report-prefix"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1
     assert fault in capsys.readouterr().err
+
+
+def test_analysis_commands_never_import_scipy(tmp_path):
+    graph = str(GOLDEN / GRAPH)
+    commands = [
+        ["snapshot", "--graph", graph, "--output", "s.tsv"],
+        ["pagerank", "--graph", graph, "--output", "p.tsv"],
+        ["detect", "--graph", graph, "--output", "c.json"],
+        ["evaluate", "--graph", graph, "--communities", str(GOLDEN / "communities.json"),
+         "--output", "e.json"],
+        ["sweep", "--graph", graph, "--output", "w.tsv"],
+        ["report", "--graph", graph, "--n-points", "5", "--output", "curve.csv"],
+    ]
+    script = ("import json, sys\nfrom tieflow.cli import main\n"
+              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+              "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(commands)
+    assert scipy_modules == []

@@ -3,7 +3,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from tieflow.ifs import (
     CommunityAssignment,
@@ -16,18 +15,7 @@ from tieflow.ifs import (
 from tieflow.pagerank import PageRankVector, pagerank
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import rank_priority_bfs
-
-
-def make_snapshot(weights: dict, nodes) -> NetworkSnapshot:
-    nodes = tuple(sorted(nodes))
-    index = {node: i for i, node in enumerate(nodes)}
-    rows = [index[src] for src, _ in weights]
-    cols = [index[dst] for _, dst in weights]
-    matrix = sparse.csr_matrix(
-        (list(weights.values()), (rows, cols)), shape=(len(nodes), len(nodes))
-    )
-    return NetworkSnapshot(time=0.0, nodes=nodes, matrix=matrix)
+from oracles import make_snapshot, rank_priority_bfs
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:

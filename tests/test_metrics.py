@@ -4,7 +4,6 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from scipy import sparse
 
 from tieflow.events import EventLog, EventRecord, TimeRange
 from tieflow.ifs import CommunityAssignment
@@ -19,18 +18,7 @@ from tieflow.metrics import (
 )
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import double_sum_modularity
-
-
-def make_snapshot(weights: dict, nodes) -> NetworkSnapshot:
-    nodes = tuple(sorted(nodes))
-    index = {node: i for i, node in enumerate(nodes)}
-    rows = [index[src] for src, _ in weights]
-    cols = [index[dst] for _, dst in weights]
-    matrix = sparse.csr_matrix(
-        (list(weights.values()), (rows, cols)), shape=(len(nodes), len(nodes))
-    )
-    return NetworkSnapshot(time=0.0, nodes=nodes, matrix=matrix)
+from oracles import double_sum_modularity, make_snapshot
 
 
 def assignment(labels: dict, isolated=()) -> CommunityAssignment:

@@ -3,21 +3,15 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from scipy import sparse
 
-from tieflow.pagerank import WalkParams, pagerank, rank_nodes, transition_matrix, write_scores_tsv
+from tieflow.pagerank import WalkParams, pagerank, rank_nodes, write_scores_tsv
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import dense_pagerank, dense_rate_matrix
+from oracles import dense_pagerank, dense_rate_matrix, make_snapshot
 
 
 def snapshot_from_weights(weights: dict, n: int) -> NetworkSnapshot:
-    nodes = tuple(f"n{i:02d}" for i in range(n))
-    rows = [list(nodes).index(src) for src, _ in weights]
-    cols = [list(nodes).index(dst) for _, dst in weights]
-    data = list(weights.values())
-    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return NetworkSnapshot(time=0.0, nodes=nodes, matrix=matrix)
+    return make_snapshot(weights, [f"n{i:02d}" for i in range(n)])
 
 
 def random_snapshot(rng, n: int, density=0.15) -> NetworkSnapshot:
@@ -30,18 +24,19 @@ def random_snapshot(rng, n: int, density=0.15) -> NetworkSnapshot:
 
 
 # ------------------------------------------------- transition matrix
+# The walk's transition matrix is the oracle's rate matrix at damping 1.
 
 
 def test_single_edge_and_dangling_row():
     snap = snapshot_from_weights({("n00", "n01"): 5.0}, 2)
-    p = transition_matrix(snap).toarray()
+    p = dense_rate_matrix(snap, 1.0)
     assert p[0].tolist() == [0.0, 1.0]
     assert p[1].tolist() == [0.5, 0.5]
 
 
 def test_row_normalization():
     snap = snapshot_from_weights({("n00", "n01"): 2.0, ("n00", "n02"): 6.0}, 3)
-    p = transition_matrix(snap).toarray()
+    p = dense_rate_matrix(snap, 1.0)
     assert p[0, 1] == pytest.approx(0.25)
     assert p[0, 2] == pytest.approx(0.75)
 
@@ -50,14 +45,12 @@ def test_rows_sum_to_one_on_random_snapshots():
     rng = random.Random(31)
     for _ in range(10):
         snap = random_snapshot(rng, 5, density=0.4)
-        p = transition_matrix(snap).toarray()
+        p = dense_rate_matrix(snap, 1.0)
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-14
 
 
 def test_empty_snapshot_rejected():
-    empty = NetworkSnapshot(time=0.0, nodes=(), matrix=sparse.csr_matrix((0, 0)))
-    with pytest.raises(ValueError):
-        transition_matrix(empty)
+    empty = make_snapshot({}, ())
     with pytest.raises(ValueError):
         pagerank(empty)
 

@@ -15,7 +15,7 @@ from tieflow.tiedecay import (
     write_snapshot_tsv,
 )
 
-from oracles import ode_edge_weight
+from oracles import dense_weights, ode_edge_weight
 
 
 def toy_graph(edges: dict) -> "orient_edges":
@@ -143,6 +143,20 @@ def test_three_edge_toy_scales_by_decay_factor():
     factor = math.exp(-params.alpha * (t2 - t1))
     for src, dst, w in first.edges():
         assert second.weight(src, dst) == pytest.approx(w * factor, rel=1e-12)
+
+
+def test_entries_in_csr_order_and_scipy_view_agree():
+    tie = toy_graph(
+        {("a", "b"): (100,), ("a", "c"): (150, 180), ("b", "c"): (90,), ("c", "d"): (120,)}
+    )
+    snap = snapshot_at(tie, DecayParams(alpha=0.003), 200)
+    keys = list(zip(snap.src.tolist(), snap.dst.tolist()))
+    assert keys == sorted(set(keys))
+    dense = dense_weights(snap)
+    assert (dense.sum(axis=1) == 0).any()  # a node with no out-edges
+    assert np.allclose(snap.out_strength(), dense.sum(axis=1), rtol=1e-15, atol=0)
+    assert snap.matrix.nnz == snap.edge_count == len(keys)
+    assert (snap.matrix.toarray() == dense).all()
 
 
 def test_snapshot_drops_weights_at_floor():
