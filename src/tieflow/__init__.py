@@ -6,8 +6,8 @@ detect communities by simulated information flow. A synthetic generator
 with planted communities supports end-to-end verification.
 """
 
-from .cooccur import CooccurrenceGraph, build_cooccurrence_graph, cooccurrences_at_location
-from .events import EventLog, EventRecord, TimeRange, filter_events, parse_events
+from .cooccur import CooccurrenceGraph, build_cooccurrence_graph
+from .events import EventLog, TimeRange, filter_events, parse_events
 from .ifs import (
     CommunityAssignment,
     FlowParams,
@@ -46,7 +46,6 @@ __all__ = [
     "DecayParams",
     "DirectedTieGraph",
     "EventLog",
-    "EventRecord",
     "FlowParams",
     "NetworkSnapshot",
     "OriginSet",
@@ -58,7 +57,6 @@ __all__ = [
     "WalkParams",
     "behavior_profiles",
     "build_cooccurrence_graph",
-    "cooccurrences_at_location",
     "detect_communities",
     "edge_weight_at",
     "filter_events",

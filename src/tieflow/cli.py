@@ -231,7 +231,7 @@ def _behavior(args, assignment) -> dict:
     ):
         raise DataError(f"malformed categories file {args.categories}: "
                         "want an object mapping location id to category")
-    if not log.records:
+    if not len(log):
         raise DataError(f"events file {args.events} has no records")
     span = log.time_range()
     try:

@@ -11,13 +11,17 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import IO, Iterable
 
+import numpy as np
+
 CSV_HEADER = ["student_id", "timestamp", "location_id", "kind", "amount"]
 KINDS = ("spend", "recharge")
 TIME_LIMIT = 253402300800  # 10000-01-01T00:00:00Z, where datetime's calendar ends
+_BREAKS = frozenset("\t\r\n")  # would split the TSV rows that carry student ids
 
 
 class ParseError(ValueError):
@@ -26,15 +30,6 @@ class ParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass(frozen=True, slots=True)
-class EventRecord:
-    student_id: str
-    timestamp: int  # epoch seconds, UTC
-    location_id: str
-    kind: str  # "spend" | "recharge"
-    amount: float
 
 
 @dataclass(frozen=True)
@@ -60,32 +55,53 @@ class TimeRange:
         return self.span_seconds / 86400.0
 
 
-@dataclass(frozen=True)
-class EventLog:
-    """Immutable event collection, sorted by (location_id, timestamp)."""
+def _compact(names, codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted tuple of the distinct names that codes use, and the codes
+    re-indexed into it."""
+    used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    ranked = sorted(range(len(used)), key=lambda k: names[used[k]])
+    remap = np.zeros(len(names), dtype=np.int64)
+    remap[used[ranked]] = np.arange(len(used))
+    return tuple(names[used[k]] for k in ranked), remap[codes]
 
-    records: tuple[EventRecord, ...]
-    students: frozenset[str]
-    locations: frozenset[str]
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """Immutable event columns in (location, time) order; rows with equal
+    keys keep their input order. Row k: student students[student[k]] at
+    locations[location[k]] and time[k] (epoch seconds) spends amount[k], or
+    recharges it where spend[k] is False. ``students`` and ``locations`` are
+    sorted and hold only ids that some row uses.
+    """
+
+    students: tuple[str, ...]
+    locations: tuple[str, ...]
+    student: np.ndarray  # int64 codes into students
+    location: np.ndarray  # int64 codes into locations
+    time: np.ndarray  # int64
+    amount: np.ndarray  # float64
+    spend: np.ndarray  # bool
 
     @classmethod
-    def from_records(cls, records: Iterable[EventRecord]) -> "EventLog":
-        ordered = tuple(sorted(records, key=lambda r: (r.location_id, r.timestamp)))
-        return cls(
-            records=ordered,
-            students=frozenset(r.student_id for r in ordered),
-            locations=frozenset(r.location_id for r in ordered),
-        )
+    def from_codes(cls, students, student, locations, location, time, amount, spend) -> "EventLog":
+        """The log of rows (students[student[k]], time[k], locations[location[k]],
+        spend[k], amount[k]); the distinct id sequences may be in any order."""
+        students, student = _compact(students, np.asarray(student, dtype=np.int64))
+        locations, location = _compact(locations, np.asarray(location, dtype=np.int64))
+        time = np.asarray(time, dtype=np.int64)
+        order = np.lexsort((time, location))
+        amount, spend = np.asarray(amount, dtype=np.float64), np.asarray(spend, dtype=bool)
+        return cls(students, locations, student[order], location[order], time[order],
+                   amount[order], spend[order])
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.time)
 
     def time_range(self) -> TimeRange:
         """Smallest half-open range covering every event."""
-        if not self.records:
+        if not len(self):
             raise ValueError("empty log has no time range")
-        times = [r.timestamp for r in self.records]
-        return TimeRange(min(times), max(times) + 1)
+        return TimeRange(int(self.time.min()), int(self.time.max()) + 1)
 
 
 def parse_time(text: str) -> int:
@@ -109,52 +125,117 @@ def parse_time(text: str) -> int:
     return value
 
 
-def _parse_row(row: list[str], line: int) -> EventRecord:
+def _row_fault(row: list[str], line: int) -> ParseError | None:
+    """The ParseError for the first fault of a CSV row, or None if it has none."""
     if len(row) != len(CSV_HEADER):
-        raise ParseError(line, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
+        return ParseError(line, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
     student, raw_ts, location, kind, raw_amount = (field.strip() for field in row)
-    if not student:
-        raise ParseError(line, "empty student_id")
-    if not location:
-        raise ParseError(line, "empty location_id")
+    for column, value in (("student_id", student), ("location_id", location)):
+        if not value:
+            return ParseError(line, f"empty {column}")
+        if not _BREAKS.isdisjoint(value):
+            return ParseError(line, f"{column} {value!r} contains a tab or line break")
     if kind not in KINDS:
-        raise ParseError(line, f"unknown kind {kind!r}")
+        return ParseError(line, f"unknown kind {kind!r}")
     try:
-        timestamp = parse_time(raw_ts)
+        parse_time(raw_ts)
     except ValueError as exc:
-        raise ParseError(line, f"bad timestamp: {exc}") from None
+        return ParseError(line, f"bad timestamp: {exc}")
     try:
         amount = float(raw_amount)
     except ValueError:
-        raise ParseError(line, f"unparsable amount {raw_amount!r}") from None
+        return ParseError(line, f"unparsable amount {raw_amount!r}")
     if not math.isfinite(amount):
-        raise ParseError(line, f"non-finite amount {raw_amount!r}")
+        return ParseError(line, f"non-finite amount {raw_amount!r}")
     if amount < 0:
-        raise ParseError(line, f"negative amount {raw_amount!r}")
-    return EventRecord(student, timestamp, location, kind, amount)
+        return ParseError(line, f"negative amount {raw_amount!r}")
+    return None
+
+
+def _interned(raw: dict[str, int], codes: list[int], bad) -> tuple:
+    """The distinct stripped forms of the texts interned in raw, each row's
+    index among them, and whether bad(stripped text) holds for each row."""
+    names: dict[str, int] = {}
+    remap = np.array([names.setdefault(text.strip(), len(names)) for text in raw], dtype=np.int64)
+    rows = remap[np.array(codes, dtype=np.int64)]
+    return tuple(names), rows, np.array([bad(name) for name in names], dtype=bool)[rows]
+
+
+def _bad_id(name: str) -> bool:
+    return not name or not _BREAKS.isdisjoint(name)
+
+
+def _column(texts: list[str], dtype, fast, slow, bad) -> np.ndarray:
+    """fast(text) per text in one pass; if that fails anywhere, slow(text)
+    per text, and bad where slow raises ValueError."""
+    try:
+        return np.fromiter(map(fast, texts), dtype=dtype, count=len(texts))
+    except (ValueError, OverflowError):
+        return np.fromiter((_or(slow, text, bad) for text in texts), dtype=dtype, count=len(texts))
+
+
+def _or(convert, text: str, bad):
+    try:
+        return convert(text)
+    except ValueError:
+        return bad
 
 
 def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
     """Read a CSV stream into a canonical EventLog.
 
     Every well-formed row is kept (including recharges and duplicates);
-    filtering is a separate step. Malformed rows raise ParseError with the
-    1-based line number.
+    filtering is a separate step. Malformed input raises ParseError with
+    the 1-based physical line number of the first faulty row.
     """
     reader = csv.reader(stream)
-    records = []
+    ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
+    student, location, kind, times, amounts = [], [], [], [], []
+    lines = array("q")  # first physical line of each row
+    fault = None
     try:
         header = next(reader, None)
         if header is None:
             raise ParseError(1, "missing header")
         if [h.strip() for h in header] != CSV_HEADER:
             raise ParseError(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if row:
-                records.append(_parse_row(row, line))
+        students, locations, kinds = ids
+        end = reader.line_num
+        for row in reader:
+            start, end = end + 1, reader.line_num
+            if len(row) != len(CSV_HEADER):
+                if row:
+                    fault = _row_fault(row, start)
+                    break
+                continue
+            s, t, loc, k, a = row
+            student.append(students.setdefault(s, len(students)))
+            times.append(t)
+            location.append(locations.setdefault(loc, len(locations)))
+            kind.append(kinds.setdefault(k, len(kinds)))
+            amounts.append(a)
+            lines.append(start)
     except csv.Error as exc:  # an overlong field, such as one an unclosed quote runs on
-        raise ParseError(reader.line_num, str(exc)) from None
-    return EventLog.from_records(records)
+        fault = ParseError(reader.line_num, str(exc))
+
+    student_ids, student_of, bad_student = _interned(ids[0], student, _bad_id)
+    location_ids, location_of, bad_location = _interned(ids[1], location, _bad_id)
+    kind_ids, kind_of, bad_kind = _interned(ids[2], kind, lambda name: name not in KINDS)
+    # The fast paths accept exactly what the row checks accept: int() and
+    # float() ignore the surrounding whitespace that the checks strip.
+    time = _column(times, np.int64, int, lambda text: parse_time(text.strip()), -1)
+    amount = _column(amounts, np.float64, float, float, math.nan)
+    bad = (bad_student | bad_location | bad_kind | (time < 0) | (time >= TIME_LIMIT)
+           | ~np.isfinite(amount) | (amount < 0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        row = [list(raw)[codes[k]] for raw, codes in zip(ids, (student, location, kind))]
+        raise _row_fault([row[0], times[k], row[1], row[2], amounts[k]], lines[k])
+    if fault is not None:
+        raise fault
+    spend = np.array([name == "spend" for name in kind_ids], dtype=bool)[kind_of]
+    return EventLog.from_codes(student_ids, student_of, location_ids, location_of, time, amount,
+                               spend)
 
 
 def parse_events_path(path) -> EventLog:
@@ -164,22 +245,33 @@ def parse_events_path(path) -> EventLog:
 
 def filter_events(log: EventLog, keep_locations: frozenset[str] | set[str]) -> EventLog:
     """Keep spend events at the given locations (empty set keeps all locations)."""
-    kept = [
-        r
-        for r in log.records
-        if r.kind == "spend" and (not keep_locations or r.location_id in keep_locations)
-    ]
-    return EventLog.from_records(kept)
+    keep = log.spend
+    if keep_locations:
+        kept = [code for code, name in enumerate(log.locations) if name in keep_locations]
+        keep = keep & np.isin(log.location, kept)
+    return EventLog.from_codes(log.students, log.student[keep], log.locations, log.location[keep],
+                               log.time[keep], log.amount[keep], log.spend[keep])
+
+
+def _csv_cell(text: str) -> str:
+    """text as the csv module writes it inside a row, quoted if it must be."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
 
 
 def serialize_events(log: EventLog) -> str:
-    """Canonical CSV form; parse_events(serialize_events(log)) == log."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for r in log.records:
-        writer.writerow([r.student_id, r.timestamp, r.location_id, r.kind, repr(r.amount)])
-    return buffer.getvalue()
+    """Canonical CSV form; parse_events(serialize_events(log)) has log's rows."""
+    students = [_csv_cell(name) for name in log.students]
+    locations = [_csv_cell(name) for name in log.locations]
+    rows = zip(
+        map(students.__getitem__, log.student.tolist()),
+        log.time.tolist(),
+        map(locations.__getitem__, log.location.tolist()),
+        map(("recharge", "spend").__getitem__, log.spend.tolist()),
+        map(repr, log.amount.tolist()),
+    )
+    return ",".join(CSV_HEADER) + "\n" + "".join(f"{s},{t},{l},{k},{a}\n" for s, t, l, k, a in rows)
 
 
 def write_events_csv(log: EventLog, path) -> None:

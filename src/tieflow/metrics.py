@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .events import EventLog, TimeRange
+from .cooccur import _distinct
+from .events import TIME_LIMIT, EventLog, TimeRange
 
 if TYPE_CHECKING:  # circular at runtime only
     from .ifs import CommunityAssignment
@@ -157,45 +157,56 @@ def behavior_profiles(
     meal window; bath and shop entropies bin by day of week. Point-mass
     distributions give entropy 0 (perfectly regular behavior).
     """
-    missing = log.locations - set(category_map)
+    missing = set(log.locations) - set(category_map)
     if missing:
         raise ValueError(f"category_map missing locations: {sorted(missing)[:5]}")
     bad = set(category_map.values()) - set(LOCATION_CATEGORIES)
     if bad:
         raise ValueError(f"unknown location categories: {sorted(bad)}")
 
-    amounts: dict[str, float] = defaultdict(float)
-    counts: dict[str, int] = defaultdict(int)
-    days: dict[str, set[int]] = defaultdict(set)
-    slot_counts: dict[tuple[str, str], Counter] = defaultdict(Counter)
+    n = len(log.students)
+    keep = log.spend & (semester.start <= log.time) & (log.time < semester.end)
+    student, day, location = log.student[keep], log.time[keep] // 86400, log.location[keep]
+    amounts = np.bincount(student, weights=log.amount[keep], minlength=n).tolist()
+    counts = np.bincount(student, minlength=n).tolist()
+    per_day = TIME_LIMIT // 86400
+    days = np.bincount(_distinct(student * per_day + day) // per_day, minlength=n).tolist()
 
-    for r in log.records:
-        if r.kind != "spend" or not semester.contains(r.timestamp):
-            continue
-        student = r.student_id
-        amounts[student] += r.amount
-        counts[student] += 1
-        days[student].add(r.timestamp // 86400)
-        category = category_map[r.location_id]
-        moment = datetime.fromtimestamp(r.timestamp, tz=timezone.utc)
-        if category == "dining":
-            meal = scheme.meal_of(moment.hour)
-            if meal is not None:
-                slot_counts[(student, meal)][moment.hour] += 1
-        elif category in ("bath", "shop"):
-            slot_counts[(student, category)][moment.weekday()] += 1
+    # Slots: the hour of a dining event inside a meal window, the weekday
+    # (1970-01-01 was a Thursday) of a bath or shop event.
+    groups = ("breakfast", "lunch", "dinner", "bath", "shop")
+    hour = log.time[keep] // 3600 % 24
+    meal = np.array([groups.index(m) if (m := scheme.meal_of(h)) else -1 for h in range(24)])
+    categories = [category_map[name] for name in log.locations]
+    dining = np.array([c == "dining" for c in categories])[location]
+    other = np.array([groups.index(c) if c in groups else -1 for c in categories])[location]
+    group = np.where(dining, meal[hour], other)
+    slot = np.where(dining, hour, (day + 3) % 7)
+    # Per (student, group): slot counts in first-seen order, the order a
+    # Counter fed row by row holds them in.
+    rows = group >= 0
+    key = (student[rows] * len(groups) + group[rows]) * 24 + slot[rows]
+    keys, first, tally = np.unique(key, return_index=True, return_counts=True)
+    order = np.lexsort((first, keys // 24))
+    owner, tally = keys[order] // 24, tally[order].tolist()
+    entropy = np.zeros((n, len(groups)))
+    bounds = np.flatnonzero(np.diff(owner, append=-1)) + 1
+    for lo, hi in zip([0, *bounds[:-1].tolist()], bounds.tolist()):
+        entropy.flat[owner[lo]] = shannon_entropy(dict(enumerate(tally[lo:hi])))
+    entropy = entropy.tolist()
 
     profiles = {}
-    for student in sorted(log.students):
-        profiles[student] = BehaviorProfile(
-            total_amount=amounts[student],
-            event_count=counts[student],
-            active_days=len(days[student]),
-            bath_entropy=shannon_entropy(slot_counts[(student, "bath")]),
-            breakfast_entropy=shannon_entropy(slot_counts[(student, "breakfast")]),
-            lunch_entropy=shannon_entropy(slot_counts[(student, "lunch")]),
-            dinner_entropy=shannon_entropy(slot_counts[(student, "dinner")]),
-            shop_entropy=shannon_entropy(slot_counts[(student, "shop")]),
+    for k, student_id in enumerate(log.students):
+        breakfast, lunch, dinner, bath, shop = entropy[k]
+        profiles[student_id] = BehaviorProfile(
+            total_amount=amounts[k],
+            event_count=counts[k],
+            active_days=days[k],
+            bath_entropy=bath,
+            breakfast_entropy=breakfast,
+            lunch_entropy=lunch,
+            dinner_entropy=dinner,
+            shop_entropy=shop,
         )
     return profiles
 

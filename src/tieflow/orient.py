@@ -7,44 +7,23 @@ equal-degree endpoints get both directions, each carrying the full payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .artifacts import DataError, decoding, read_json, write_json, write_lines
-from .cooccur import CooccurrenceGraph
+from .cooccur import CooccurrenceGraph, TimedEdges, _ragged
 from .events import TIME_LIMIT
 
 
 @dataclass(frozen=True, eq=False)
-class DirectedTieGraph:
+class DirectedTieGraph(TimedEdges):
     """Directed graph whose edges keep the originating co-occurrence times,
-    in columnar form: edge e runs from nodes[src[e]] to nodes[dst[e]] with
-    ascending times[offsets[e] : offsets[e + 1]]. Edges are in (src, dst)
-    order; the sorted ``nodes`` are the index space, as in NetworkSnapshot.
-    """
+    in the columnar form of TimedEdges: edge e runs from nodes[src[e]] to
+    nodes[dst[e]]."""
 
-    nodes: tuple[str, ...]
     degree: np.ndarray  # undirected degree of the source graph, per node
-    src: np.ndarray
-    dst: np.ndarray
-    offsets: np.ndarray
-    times: np.ndarray  # int64 timestamps
-
-    def _rows(self):
-        """(src id, dst id, list of times) per edge, in edge order."""
-        names = np.array(self.nodes, dtype=object)
-        bounds = zip(self.offsets[:-1], self.offsets[1:])
-        for s, d, (start, stop) in zip(names[self.src], names[self.dst], bounds):
-            yield s, d, self.times[start:stop].tolist()
-
-    @cached_property
-    def edges(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
-        """Read-only (src, dst) -> times view, built on first use."""
-        return MappingProxyType({(s, d): tuple(times) for s, d, times in self._rows()})
 
     def start_time(self) -> int:
         """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
@@ -55,24 +34,21 @@ class DirectedTieGraph:
         return int(self.times.max())
 
 
-def _assemble(nodes, degree, src, dst, lists) -> DirectedTieGraph:
-    """The tie graph of the edges src[k] -> dst[k] with ascending integer
-    times lists[k], put in (src, dst) order."""
+def _assemble(nodes, degree, src, dst, starts, counts, times) -> DirectedTieGraph:
+    """The tie graph of the edges src[k] -> dst[k] with ascending times
+    times[starts[k] : starts[k] + counts[k]], put in (src, dst) order."""
     order = np.lexsort((dst, src))
-    lists = [lists[k] for k in order]
-    offsets = np.cumsum([0, *map(len, lists)], dtype=np.int64)
-    times = np.fromiter(chain.from_iterable(lists), dtype=np.int64, count=int(offsets[-1]))
-    return DirectedTieGraph(nodes, degree, src[order], dst[order], offsets, times)
+    counts = counts[order]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    times = times[_ragged(starts[order], counts)]
+    return DirectedTieGraph(nodes, src[order], dst[order], offsets, times, degree)
 
 
 def _endpoints(g: CooccurrenceGraph):
-    """Sorted node ids, the node indices of each edge's two ends in g.edges
+    """Sorted node ids, the node indices of each edge's two ends in edge
     order, and each node's degree."""
-    nodes = tuple(sorted(g.nodes))
-    index = {node: i for i, node in enumerate(nodes)}
-    a = np.fromiter((index[x] for x, _ in g.edges), dtype=np.int64, count=len(g.edges))
-    b = np.fromiter((index[y] for _, y in g.edges), dtype=np.int64, count=len(g.edges))
-    return nodes, a, b, np.bincount(np.concatenate([a, b]), minlength=len(nodes))
+    degree = np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.nodes))
+    return g.nodes, g.src, g.dst, degree
 
 
 def node_degrees(g: CooccurrenceGraph) -> dict[str, int]:
@@ -92,9 +68,8 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
     forward, backward = degree[a] >= degree[b], degree[a] <= degree[b]
     src = np.concatenate([a[forward], b[backward]])
     dst = np.concatenate([b[forward], a[backward]])
-    lists = list(g.edges.values())
     edge = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])
-    return _assemble(nodes, degree, src, dst, [lists[k] for k in edge])
+    return _assemble(nodes, degree, src, dst, g.offsets[edge], np.diff(g.offsets)[edge], g.times)
 
 
 def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
@@ -149,4 +124,4 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
         if len(bad):
             e = edges[bad[0]]
             raise DataError(f"malformed {what} {path}: edge {e['src']!r} -> {e['dst']!r} {fault}")
-    return _assemble(nodes, degree, src, dst, lists)
+    return _assemble(nodes, degree, src, dst, np.cumsum(counts) - counts, counts, times)

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .artifacts import write_json
-from .events import EventLog, EventRecord, TimeRange
+from .events import EventLog, TimeRange
 
 WEEK_SECONDS = 7 * 86400
 
@@ -191,20 +191,15 @@ def generate(config: SyntheticConfig) -> tuple[EventLog, dict[str, int]]:
     amount_first = np.maximum(rng.normal(means[first], config.amount_sigma), 0.0)
     amount_second = np.maximum(rng.normal(means[second], config.amount_sigma), 0.0)
 
-    records = []
-    for k in range(total):
-        location = locations[location_ids[k]]
-        t0 = int(base_times[k])
-        records.append(
-            EventRecord(students[first[k]], t0, location, "spend", float(amount_first[k]))
-        )
-        records.append(
-            EventRecord(
-                students[second[k]], t0 + int(offsets[k]), location, "spend",
-                float(amount_second[k]),
-            )
-        )
-    return EventLog.from_records(records), ground_truth
+    def pairs(x, y):  # co-visit k's first event, then its second
+        return np.stack([x, y], axis=1).ravel()
+
+    log = EventLog.from_codes(
+        students, pairs(first, second), locations, pairs(location_ids, location_ids),
+        pairs(base_times, base_times + offsets), pairs(amount_first, amount_second),
+        np.ones(2 * total, dtype=bool),
+    )
+    return log, ground_truth
 
 
 def default_category_map(config: SyntheticConfig) -> dict[str, str]:

@@ -1,18 +1,102 @@
 """Independent reference implementations used to check production code.
 
-Everything here favors directness over speed: exhaustive enumeration,
-augmenting-path matching, dense eigensolves, explicit ODE integration,
-and literal double sums. None of it shares code with the package; the
-one package class used is NetworkSnapshot, which `make_snapshot` builds
-for the tests and the oracles read only through its entry arrays.
+Everything here favors directness over speed: a row-by-row CSV parser,
+full-list greedy matching, exhaustive enumeration, augmenting-path
+matching, dense eigensolves, explicit ODE integration, and literal double
+sums. None of it shares code with the package, except that the reference
+parser uses its time parser and error type; the package classes used are
+EventLog, CooccurrenceGraph and NetworkSnapshot, which `make_log`,
+`make_cooccurrence` and `make_snapshot` build for the tests through the
+constructors production uses, and which the oracles read only through
+their arrays.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+
 import numpy as np
 from scipy.integrate import odeint
 
+from tieflow.cooccur import CooccurrenceGraph
+from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.tiedecay import NetworkSnapshot
+
+
+# ---------------------------------------------------------------- event logs
+
+
+def make_log(rows) -> EventLog:
+    """The log of (student, time, location[, kind[, amount]]) rows; kind
+    defaults to "spend" and amount to 1.0."""
+    rows = [(*row, "spend", 1.0)[:5] for row in rows]
+    # Ids in first-seen order, which from_codes sorts.
+    students, locations = ({row[k]: None for row in rows} for k in (0, 2))
+    code = [{name: i for i, name in enumerate(names)} for names in (students, locations)]
+    return EventLog.from_codes(
+        tuple(students), [code[0][row[0]] for row in rows],
+        tuple(locations), [code[1][row[2]] for row in rows],
+        [row[1] for row in rows], [row[4] for row in rows], [row[3] == "spend" for row in rows],
+    )
+
+
+def log_rows(log: EventLog) -> list[tuple]:
+    """The log's (student, time, location, kind, amount) rows, in log order."""
+    return [
+        (log.students[s], t, log.locations[loc], "spend" if spend else "recharge", amount)
+        for s, t, loc, spend, amount in zip(
+            log.student.tolist(), log.time.tolist(), log.location.tolist(),
+            log.spend.tolist(), log.amount.tolist())
+    ]
+
+
+def reference_parse(stream) -> list[tuple]:
+    """parse_events one row at a time: the (student, time, location, kind,
+    amount) rows, stably sorted by (location, time); ParseError naming the
+    first physical line of the first faulty row."""
+    reader = csv.reader(stream)
+    rows = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, "missing header")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise ParseError(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        end = reader.line_num
+        for row in reader:
+            line, end = end + 1, reader.line_num
+            if row:
+                rows.append(_reference_row(row, line))
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, str(exc)) from None
+    return sorted(rows, key=lambda row: (row[2], row[1]))
+
+
+def _reference_row(row, line: int) -> tuple:
+    if len(row) != len(CSV_HEADER):
+        raise ParseError(line, f"expected {len(CSV_HEADER)} columns, got {len(row)}")
+    student, raw_ts, location, kind, raw_amount = (field.strip() for field in row)
+    for column, value in (("student_id", student), ("location_id", location)):
+        if not value:
+            raise ParseError(line, f"empty {column}")
+        if "\t" in value or "\r" in value or "\n" in value:
+            raise ParseError(line, f"{column} {value!r} contains a tab or line break")
+    if kind not in KINDS:
+        raise ParseError(line, f"unknown kind {kind!r}")
+    try:
+        timestamp = parse_time(raw_ts)
+    except ValueError as exc:
+        raise ParseError(line, f"bad timestamp: {exc}") from None
+    try:
+        amount = float(raw_amount)
+    except ValueError:
+        raise ParseError(line, f"unparsable amount {raw_amount!r}") from None
+    if not math.isfinite(amount):
+        raise ParseError(line, f"non-finite amount {raw_amount!r}")
+    if amount < 0:
+        raise ParseError(line, f"negative amount {raw_amount!r}")
+    return (student, timestamp, location, kind, amount)
 
 
 # ---------------------------------------------------------------- snapshots
@@ -39,6 +123,54 @@ def dense_weights(snapshot) -> np.ndarray:
 
 
 # ---------------------------------------------------------------- matching
+
+
+def cooccurrences_at_location(events_m, events_n, window: int) -> list[int]:
+    """Greedy one-to-one matching of two students' full sorted timestamp
+    lists at one location.
+
+    Walks both lists in order, pairing the earliest compatible events
+    (|t_m - t_n| <= window, boundary inclusive); each event participates in
+    at most one pair. Returns min(t_m, t_n) for every matched pair.
+    """
+    if window <= 0:
+        raise ValueError("window must be positive")
+    i = j = 0
+    matches: list[int] = []
+    while i < len(events_m) and j < len(events_n):
+        tm, tn = events_m[i], events_n[j]
+        if abs(tm - tn) <= window:
+            matches.append(tm if tm < tn else tn)
+            i += 1
+            j += 1
+        elif tm < tn:
+            i += 1
+        else:
+            j += 1
+    return matches
+
+
+def per_location_lists(log) -> dict:
+    """location -> student -> that student's timestamps there, in log order."""
+    by_location: dict = {}
+    for student, timestamp, location, _, _ in log_rows(log):
+        by_location.setdefault(location, {}).setdefault(student, []).append(timestamp)
+    return by_location
+
+
+def make_cooccurrence(nodes, edges: dict) -> CooccurrenceGraph:
+    """The co-occurrence graph of {(a, b): times} edges (a < b) over nodes."""
+    nodes = tuple(sorted(nodes))
+    index = {node: i for i, node in enumerate(nodes)}
+    keys = sorted(edges)
+    counts = [len(edges[key]) for key in keys]
+    return CooccurrenceGraph(
+        nodes,
+        np.array([index[a] for a, _ in keys], dtype=np.int64),
+        np.array([index[b] for _, b in keys], dtype=np.int64),
+        np.cumsum([0, *counts], dtype=np.int64),
+        np.array([t for key in keys for t in sorted(edges[key])], dtype=np.int64),
+    )
 
 
 def enumerate_max_matching(events_a, events_b, window) -> int:
@@ -89,9 +221,7 @@ def all_pairs_cooccurrence_counts(log, window) -> dict:
     Enumerates every event pair per location to build the compatibility
     structure, then scores it with augmenting-path matching.
     """
-    by_location: dict = {}
-    for r in log.records:
-        by_location.setdefault(r.location_id, {}).setdefault(r.student_id, []).append(r.timestamp)
+    by_location = per_location_lists(log)
     counts: dict = {}
     for location in sorted(by_location):
         per_student = by_location[location]

@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from tieflow.cooccur import build_cooccurrence_graph, cooccurrences_at_location
-from tieflow.events import EventLog, EventRecord, TimeRange
+from tieflow.cooccur import build_cooccurrence_graph
+from tieflow.events import TimeRange
 from tieflow.ifs import (
     CommunityAssignment,
     FlowParams,
@@ -36,6 +36,8 @@ from oracles import (
     all_pairs_cooccurrence_counts,
     dense_pagerank,
     double_sum_modularity,
+    make_cooccurrence,
+    make_log,
     make_snapshot,
     ode_edge_weight,
     rank_priority_bfs,
@@ -118,9 +120,7 @@ def test_criterion_3_orientation_rules_on_1000_graphs():
                 continue
             a, b = sorted((names[i], names[j]))
             edges.setdefault((a, b), (rng.randrange(1_000),))
-        from tieflow.cooccur import CooccurrenceGraph
-
-        g = CooccurrenceGraph(nodes=frozenset(names), edges=edges)
+        g = make_cooccurrence(names, edges)
         tie = orient_edges(g)
         degrees = node_degrees(g)
         recovered = {}
@@ -144,8 +144,8 @@ def test_criterion_4_cooccurrence_vs_enumeration_oracle():
     logs = 0
     for _ in range(40):
         n_events = rng.randrange(0, 201)
-        records = [
-            EventRecord(
+        rows = [
+            (
                 f"s{rng.randrange(10)}",
                 rng.randrange(0, 6_000),
                 f"loc{rng.randrange(4)}",
@@ -154,13 +154,14 @@ def test_criterion_4_cooccurrence_vs_enumeration_oracle():
             )
             for _ in range(n_events)
         ]
-        log = EventLog.from_records(records)
+        log = make_log(rows)
         g = build_cooccurrence_graph(log, window=120)
         counts = {pair: len(times) for pair, times in g.edges.items()}
         assert counts == all_pairs_cooccurrence_counts(log, 120)
         logs += 1
-    assert cooccurrences_at_location([0], [120], 120) == [0]
-    assert cooccurrences_at_location([0], [121], 120) == []
+    for gap, expected in ((120, {("s0", "s1"): (0,)}), (121, {})):
+        log = make_log([("s0", 0, "loc0"), ("s1", gap, "loc0")])
+        assert build_cooccurrence_graph(log, window=120).edges == expected
     report(4, "greedy matcher vs exhaustive oracle", True,
            f"{logs} random logs (<=200 events), boundary inclusive at 120 s")
 

@@ -349,6 +349,7 @@ def edit_json(edit):
 
 EVALUATE = ["evaluate", "--graph", GRAPH, "--communities", "communities.json", "--output", "e.json"]
 SNAPSHOT = ["snapshot", "--graph", GRAPH, "--output", "s.tsv"]
+BUILD = ["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]
 # case -> (artifact, mutation of its text, command that reads it, fault named in the message)
 MALFORMED = {
     "graph-non-integer-time": (
@@ -379,6 +380,13 @@ MALFORMED = {
     "evaluation-nested-too-deep": (
         "report.json", lambda text: "[" * 100000,
         ["report", "--evaluation", "report.json", "--output", "t.txt"], "recursion"),
+    "events-id-with-tab": (
+        "canonical.csv", lambda text: text.replace("s2,1060", "s\t2,1060"),
+        BUILD, "line 3: student_id 's\\t2' contains a tab or line break"),
+    "events-fault-after-multiline-field": (
+        "canonical.csv",
+        lambda text: text.replace("s1,1000", 's1,"1000\n"').replace("caf,spend,2", "caf,spent,2"),
+        BUILD, "line 6: unknown kind 'spent'"),
     "categories-missing-location": (
         "categories.json", edit_json(lambda doc: doc.pop("shop")),
         EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"],

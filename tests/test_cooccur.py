@@ -2,26 +2,40 @@ import random
 
 import pytest
 
-from tieflow.cooccur import build_cooccurrence_graph, cooccurrences_at_location
-from tieflow.events import EventLog, EventRecord
+from tieflow import cooccur
+from tieflow.cooccur import build_cooccurrence_graph
+from tieflow.events import EventLog
 
-from oracles import all_pairs_cooccurrence_counts, enumerate_max_matching, kuhn_max_matching
+from oracles import (
+    all_pairs_cooccurrence_counts,
+    cooccurrences_at_location,
+    enumerate_max_matching,
+    kuhn_max_matching,
+    log_rows,
+    make_log,
+    per_location_lists,
+)
 
 
 def spend(student, ts, location="caf"):
-    return EventRecord(student, ts, location, "spend", 1.0)
+    return (student, ts, location)
 
 
 def random_log(rng, n_events, n_students=8, n_locations=4, horizon=5_000) -> EventLog:
-    records = [
+    return make_log(
         spend(
             f"s{rng.randrange(n_students)}",
             rng.randrange(horizon),
             f"loc{rng.randrange(n_locations)}",
         )
         for _ in range(n_events)
-    ]
-    return EventLog.from_records(records)
+    )
+
+
+def pair_count(a, b, window) -> int:
+    """Production's count for students "a" and "b" with these times at one place."""
+    log = make_log([("a", t, "x") for t in a] + [("b", t, "x") for t in b])
+    return build_cooccurrence_graph(log, window).count("a", "b")
 
 
 # ------------------------------------------------- single-pair matching
@@ -29,25 +43,32 @@ def random_log(rng, n_events, n_students=8, n_locations=4, horizon=5_000) -> Eve
 
 def test_boundary_is_inclusive_at_exactly_window():
     assert cooccurrences_at_location([100], [220], 120) == [100]
+    assert pair_count([100], [220], 120) == 1
 
 
 def test_just_outside_window_is_excluded():
     assert cooccurrences_at_location([100], [221], 120) == []
+    assert pair_count([100], [221], 120) == 0
 
 
 def test_multi_event_burst_matches_once():
     # Greedy must agree with the exhaustively enumerated maximum matching.
     assert enumerate_max_matching([100, 105], [110], 120) == 1
     assert cooccurrences_at_location([100, 105], [110], 120) == [100]
+    assert pair_count([100, 105], [110], 120) == 1
 
 
 def test_reported_time_is_earlier_of_pair():
     assert cooccurrences_at_location([150], [100], 120) == [100]
+    log = make_log([("a", 150, "x"), ("b", 100, "x")])
+    assert build_cooccurrence_graph(log, 120).edges == {("a", "b"): (100,)}
 
 
 def test_window_must_be_positive():
     with pytest.raises(ValueError):
         cooccurrences_at_location([1], [2], 0)
+    with pytest.raises(ValueError):
+        build_cooccurrence_graph(make_log([("a", 1, "x"), ("b", 2, "x")]), 0)
 
 
 def test_greedy_equals_enumerated_maximum_on_small_lists():
@@ -58,6 +79,7 @@ def test_greedy_equals_enumerated_maximum_on_small_lists():
         window = rng.choice([60, 120, 250])
         expected = enumerate_max_matching(a, b, window)
         assert len(cooccurrences_at_location(a, b, window)) == expected, (a, b, window)
+        assert pair_count(a, b, window) == expected, (a, b, window)
 
 
 def test_kuhn_oracle_agrees_with_enumeration():
@@ -72,16 +94,16 @@ def test_kuhn_oracle_agrees_with_enumeration():
 
 
 def test_two_students_one_edge():
-    log = EventLog.from_records([spend("s1", 100), spend("s2", 160)])
+    log = make_log([spend("s1", 100), spend("s2", 160)])
     g = build_cooccurrence_graph(log, window=120)
     assert g.count("s1", "s2") == 1
     assert g.edges[("s1", "s2")] == (100,)
 
 
 def test_single_student_no_edges():
-    log = EventLog.from_records([spend("s1", 100), spend("s1", 200)])
+    log = make_log([spend("s1", 100), spend("s1", 200)])
     g = build_cooccurrence_graph(log, window=120)
-    assert g.nodes == frozenset({"s1"})
+    assert g.nodes == ("s1",)
     assert g.edges == {}
 
 
@@ -92,7 +114,7 @@ def test_hand_built_schedule_matches_oracle():
         spend("a", 1000, "y"), spend("b", 1030, "y"), spend("b", 1100, "y"),
         spend("c", 5000, "y"), spend("d", 5119, "y"), spend("d", 5121, "y"),
     ]
-    log = EventLog.from_records(records)
+    log = make_log(records)
     g = build_cooccurrence_graph(log, window=120)
     assert dict(g.edges) != {}
     counts = {pair: len(times) for pair, times in g.edges.items()}
@@ -108,8 +130,54 @@ def test_counts_match_oracle_on_random_logs():
         assert counts == all_pairs_cooccurrence_counts(log, 120)
 
 
+def hard_log(rng, window):
+    """A small log full of the cases a sweep can get wrong: bursts of one
+    student, equal timestamps, duplicate rows, and gaps of exactly window
+    and window + 1."""
+    rows = []
+    for _ in range(rng.randrange(1, 12)):
+        student, location = f"s{rng.randrange(5)}", f"loc{rng.randrange(3)}"
+        t = rng.randrange(0, 3_000)
+        shape = rng.randrange(5)
+        if shape == 0:  # a burst
+            rows += [(student, t + rng.randrange(0, window), location)
+                     for _ in range(rng.randrange(2, 6))]
+        elif shape == 1:  # several students at one instant
+            rows += [(f"s{rng.randrange(5)}", t, location) for _ in range(rng.randrange(2, 5))]
+        elif shape == 2:  # the same row more than once
+            rows += [(student, t, location)] * rng.randrange(2, 4)
+        elif shape == 3:  # a gap of exactly window, then one past it
+            other = f"s{rng.randrange(5)}"
+            rows += [(student, t, location), (other, t + window, location),
+                     (student, t + 2 * window + 1, location)]
+        else:
+            rows.append((student, t, location))
+    rng.shuffle(rows)
+    return make_log(rows)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_times_match_full_list_oracle_on_every_pair(monkeypatch, block):
+    if block is not None:  # expand a location's event pairs a few at a time
+        monkeypatch.setattr(cooccur, "_PAIR_BLOCK", block)
+    rng = random.Random(77)
+    for _ in range(400):
+        window = rng.choice([1, 30, 120])
+        log = hard_log(rng, window)
+        expected: dict = {}
+        for per_student in per_location_lists(log).values():
+            students = sorted(per_student)
+            for x, a in enumerate(students):
+                for b in students[x + 1:]:
+                    times = cooccurrences_at_location(per_student[a], per_student[b], window)
+                    if times:
+                        expected[(a, b)] = tuple(sorted(expected.get((a, b), ()) + tuple(times)))
+        g = build_cooccurrence_graph(log, window)
+        assert dict(g.edges) == expected, log_rows(log)
+
+
 def test_symmetry_of_count_lookup():
-    log = EventLog.from_records([spend("s1", 100), spend("s2", 160)])
+    log = make_log([spend("s1", 100), spend("s2", 160)])
     g = build_cooccurrence_graph(log)
     assert g.count("s1", "s2") == g.count("s2", "s1") == 1
 
@@ -129,9 +197,7 @@ def test_location_additivity():
     whole = build_cooccurrence_graph(log, window=120)
     summed: dict = {}
     for location in sorted(log.locations):
-        partial = EventLog.from_records(
-            [r for r in log.records if r.location_id == location]
-        )
+        partial = make_log(row[:3] for row in log_rows(log) if row[2] == location)
         partial_graph = build_cooccurrence_graph(partial, window=120)
         for pair, times in partial_graph.edges.items():
             summed[pair] = tuple(sorted(summed.get(pair, ()) + times))
@@ -149,9 +215,7 @@ def test_merged_times_are_sorted_and_counts_positive():
 
 
 def test_export_tsv_sorted_pairs(tmp_path):
-    log = EventLog.from_records(
-        [spend("s2", 100), spend("s3", 150), spend("s1", 140)]
-    )
+    log = make_log([spend("s2", 100), spend("s3", 150), spend("s1", 140)])
     g = build_cooccurrence_graph(log, window=120)
     path = tmp_path / "pairs.tsv"
     from tieflow.cooccur import write_pair_counts_tsv

@@ -2,16 +2,19 @@ import io
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tieflow.events import (
     EventLog,
-    EventRecord,
     ParseError,
     TimeRange,
     filter_events,
     parse_events,
     serialize_events,
 )
+
+from oracles import log_rows, reference_parse
 
 HEADER = "student_id,timestamp,location_id,kind,amount\n"
 
@@ -23,15 +26,14 @@ def parse(text: str) -> EventLog:
 def test_empty_body_gives_empty_log():
     log = parse(HEADER)
     assert len(log) == 0
-    assert log.students == frozenset()
-    assert log.locations == frozenset()
+    assert log.students == ()
+    assert log.locations == ()
 
 
 def test_single_well_formed_row():
     log = parse(HEADER + "s1,1000,caf3,spend,12.50\n")
     assert len(log) == 1
-    record = log.records[0]
-    assert record == EventRecord("s1", 1000, "caf3", "spend", 12.5)
+    assert log_rows(log) == [("s1", 1000, "caf3", "spend", 12.5)]
 
 
 def test_unknown_kind_names_line_two():
@@ -73,7 +75,7 @@ def test_negative_amount_rejected():
 
 def test_iso_timestamp_parsed_as_utc():
     log = parse(HEADER + "s1,1970-01-01T00:16:40,caf3,spend,1\n")
-    assert log.records[0].timestamp == 1000
+    assert log.time.tolist() == [1000]
 
 
 def test_crlf_line_endings_accepted():
@@ -88,7 +90,7 @@ def test_records_sorted_by_location_then_time():
         + "s2,900,aaa,spend,1\n"
         + "s3,100,aaa,spend,1\n"
     )
-    keys = [(r.location_id, r.timestamp) for r in log.records]
+    keys = [(location, timestamp) for _, timestamp, location, _, _ in log_rows(log)]
     assert keys == sorted(keys)
 
 
@@ -104,12 +106,12 @@ def test_filter_drops_recharge():
     )
     filtered = filter_events(log, {"caf3"})
     assert len(filtered) == 1
-    assert filtered.records[0].kind == "spend"
+    assert log_rows(filtered)[0][3] == "spend"
 
 
 def test_filter_empty_keep_set_is_identity_on_spend_log():
     log = parse(HEADER + "s1,1000,caf3,spend,1\ns2,50,shop1,spend,2\n")
-    assert filter_events(log, frozenset()) == log
+    assert log_rows(filter_events(log, frozenset())) == log_rows(log)
 
 
 def test_filter_keeps_named_venues_only():
@@ -117,7 +119,7 @@ def test_filter_keeps_named_venues_only():
     log = parse(HEADER + "".join(rows))
     keep = {f"loc{i}" for i in range(4)}
     filtered = filter_events(log, keep)
-    assert filtered.locations == frozenset(keep)
+    assert set(filtered.locations) == keep
     assert len(filtered) == 4
 
 
@@ -132,7 +134,7 @@ def test_filter_is_idempotent_and_never_grows():
     keep = {"loc0", "loc2"}
     once = filter_events(log, keep)
     twice = filter_events(once, keep)
-    assert once == twice
+    assert log_rows(once) == log_rows(twice)
     assert len(once) <= len(log)
 
 
@@ -144,7 +146,7 @@ def test_serialize_round_trip_identity():
         for _ in range(300)
     ]
     log = parse(HEADER + "".join(rows))
-    assert parse(serialize_events(log)) == log
+    assert log_rows(parse(serialize_events(log))) == log_rows(log)
 
 
 def test_time_range_covers_events():
@@ -157,3 +159,103 @@ def test_time_range_covers_events():
 def test_time_range_rejects_empty_interval():
     with pytest.raises(ValueError):
         TimeRange(5, 5)
+
+
+@pytest.mark.parametrize("field", ["s\t1", "s\r1", "s\n1"])
+def test_ids_with_tab_or_line_break_rejected(field):
+    with pytest.raises(ParseError, match="line 2: student_id .* contains a tab or line break"):
+        parse(HEADER + f'"{field}",1000,caf,spend,1\n')
+    with pytest.raises(ParseError, match="line 2: location_id .* contains a tab or line break"):
+        parse(HEADER + f's1,1000,"{field}",spend,1\n')
+
+
+def test_fault_after_multiline_field_names_physical_line():
+    # The quoted timestamp spans lines 2-3 and is valid; the bad row is line 4.
+    with pytest.raises(ParseError, match="^line 4: unknown kind 'topup'$"):
+        parse(HEADER + 's1,"1000\n",caf,spend,1\n' + "s2,1000,caf,topup,1\n")
+
+
+def test_equal_keys_keep_input_order():
+    rows = "".join(f"s{k % 3},1000,caf,spend,{k}\n" for k in range(6))
+    log = parse(HEADER + "s9,999,zzz,spend,1\n" + rows + rows)
+    assert [row[4] for row in log_rows(log)] == [*range(6), *range(6), 1.0]
+
+
+def test_ids_needing_quotes_round_trip():
+    log = parse(HEADER + '"s,1",1000,"caf ""3""",spend,1\n')
+    assert log_rows(log) == [("s,1", 1000, 'caf "3"', "spend", 1.0)]
+    assert log_rows(parse(serialize_events(log))) == log_rows(log)
+
+
+# ------------------------------------------------ oracle: row-by-row parser
+
+ROWS = [["s1", "1000", "caf", "spend", "1.5"],
+        ["s2", "1970-01-01T00:16:40", "caf", "recharge", "20"],
+        ["s1", "1000", "shop", "spend", "1_000"],
+        ['s"3', "2000", "caf", " spend ", "0"]]
+# Pieces that move a row between valid and faulty: quotes, line breaks,
+# separators, whitespace, signs, digits, ISO and underscore times, and kinds.
+PIECES = st.sampled_from(['"', "\n", "\r\n", "\r", ",", " ", "\t", "-", "_", "1", "0", "\x00",
+                          "-1", "253402300800", "1e400", "1_000", "1970-01-01T00:00:00", "T",
+                          ":", "nan", "inf", "spend", "recharge", "topup", "", "\n\n"])
+ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=500)
+
+
+@st.composite
+def mutated_body(draw) -> str:
+    """ROWS with pieces put in or in place of some fields, each field quoted or not,
+    and maybe one more piece spliced anywhere into the text."""
+    rows = [list(fields) for fields in ROWS]
+    for _ in range(draw(st.integers(1, 3))):
+        fields, k = draw(st.sampled_from(rows)), draw(st.integers(0, 4))
+        pieces = "".join(draw(st.lists(PIECES | st.characters(codec="utf-8"), max_size=3)))
+        if draw(st.booleans()):
+            fields[k] = pieces
+        else:
+            start = draw(st.integers(0, len(fields[k])))
+            stop = draw(st.integers(start, len(fields[k])))
+            fields[k] = fields[k][:start] + pieces + fields[k][stop:]
+    text = "".join(
+        ",".join('"' + f.replace('"', '""') + '"' if draw(st.booleans()) else f for f in fields)
+        + "\n" for fields in rows)
+    if draw(st.integers(0, 3)) == 0:
+        start = draw(st.integers(0, len(text)))
+        text = text[:start] + draw(PIECES) + text[start + draw(st.integers(0, 3)):]
+    return text
+
+
+def outcome(parser, text):
+    try:
+        return "rows", parser(io.StringIO(text, newline=""))
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@ORACLE
+@given(mutated_body())
+def test_parse_matches_row_by_row_reference(body):
+    got = outcome(lambda stream: log_rows(parse_events(stream)), HEADER + body)
+    assert got == outcome(reference_parse, HEADER + body)
+
+
+def test_fault_on_line_40001_is_reported_there():
+    # One row spans two physical lines, so rows and lines differ by one.
+    rows = ['s1,"1000\n",caf,spend,1\n'] + [f"s{k % 7},{k},caf,spend,1\n" for k in range(39_997)]
+    text = HEADER + "".join(rows) + "s1,1000,caf,spend,lots\n"
+    assert text.count("\n") == 40_001
+    with pytest.raises(ParseError, match="^line 40001: unparsable amount 'lots'$"):
+        parse(text)
+
+
+def test_first_of_two_faulty_rows_wins():
+    good = "s1,1000,caf,spend,1\n"
+    cases = [
+        (good + "s1,1000,caf,spend,-1\n" + good + "s1,1000,caf,topup,1\n", "line 3: negative"),
+        (good + "s1,noon,caf,spend,1\n" + "s1,1000,caf\n", "line 3: bad timestamp"),
+        (good + "s1,1000,caf,spend,1,2\n" + "s1,1000,caf,topup,1\n", "line 3: expected 5"),
+        (good + "s1,1000,,spend,1\n" + 's1,1000,caf,spend,"' + "x" * 200_000, "line 3: empty"),
+    ]
+    for body, fault in cases:
+        with pytest.raises(ParseError, match=f"^{fault}"):
+            parse(HEADER + body)
+        assert outcome(reference_parse, HEADER + body)[1].startswith(fault)

@@ -5,7 +5,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from tieflow.events import EventLog, EventRecord, TimeRange
+from tieflow.events import TimeRange
 from tieflow.ifs import CommunityAssignment
 from tieflow.metrics import (
     BehaviorProfile,
@@ -18,7 +18,7 @@ from tieflow.metrics import (
 )
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import double_sum_modularity, make_snapshot
+from oracles import double_sum_modularity, make_log, make_snapshot
 
 
 def assignment(labels: dict, isolated=()) -> CommunityAssignment:
@@ -188,12 +188,12 @@ SEMESTER = TimeRange(0, 12 * 7 * 86400)
 
 
 def spend(student, ts, location, amount=5.0):
-    return EventRecord(student, ts, location, "spend", amount)
+    return (student, ts, location, "spend", amount)
 
 
 def test_profiles_basic_aggregates():
     day = 86400
-    log = EventLog.from_records(
+    log = make_log(
         [
             spend("s1", 6 * 3600, "caf", 4.0),  # breakfast, day 0
             spend("s1", day + 6 * 3600, "caf", 6.0),  # breakfast, day 1
@@ -214,7 +214,7 @@ def test_profiles_basic_aggregates():
 
 
 def test_breakfast_spread_over_slots_gives_positive_entropy():
-    log = EventLog.from_records(
+    log = make_log(
         [spend("s1", d * 86400 + h * 3600, "caf") for d, h in [(0, 5), (1, 6), (2, 7), (3, 8)]]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
@@ -223,7 +223,7 @@ def test_breakfast_spread_over_slots_gives_positive_entropy():
 
 def test_bath_entropy_uses_weekday_slots():
     # Jan 1 1970 was a Thursday; add days to place events on distinct weekdays.
-    log = EventLog.from_records(
+    log = make_log(
         [spend("s1", d * 86400 + 12 * 3600, "bath1") for d in range(7)]
     )
     profiles = behavior_profiles(log, {"bath1": "bath"}, SEMESTER)
@@ -231,7 +231,7 @@ def test_bath_entropy_uses_weekday_slots():
 
 
 def test_missing_category_rejected():
-    log = EventLog.from_records([spend("s1", 100, "caf")])
+    log = make_log([spend("s1", 100, "caf")])
     with pytest.raises(ValueError, match="missing locations"):
         behavior_profiles(log, {}, SEMESTER)
     with pytest.raises(ValueError, match="unknown location categories"):
@@ -239,7 +239,7 @@ def test_missing_category_rejected():
 
 
 def test_events_outside_semester_ignored():
-    log = EventLog.from_records(
+    log = make_log(
         [spend("s1", 100, "caf"), spend("s1", SEMESTER.end + 50, "caf")]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
@@ -247,10 +247,10 @@ def test_events_outside_semester_ignored():
 
 
 def test_recharge_events_ignored():
-    log = EventLog.from_records(
+    log = make_log(
         [
             spend("s1", 100, "caf"),
-            EventRecord("s1", 200, "caf", "recharge", 50.0),
+            ("s1", 200, "caf", "recharge", 50.0),
         ]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
@@ -259,7 +259,7 @@ def test_recharge_events_ignored():
 
 
 def test_active_days_bounded_by_semester_span():
-    log = EventLog.from_records(
+    log = make_log(
         [spend("s1", d * 86400 + 3600, "caf") for d in range(30)]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)

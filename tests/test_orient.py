@@ -3,6 +3,8 @@ import random
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.orient import node_degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
 
+from oracles import make_cooccurrence
+
 
 def undirected(edge_list) -> CooccurrenceGraph:
     nodes = set()
@@ -11,7 +13,7 @@ def undirected(edge_list) -> CooccurrenceGraph:
         nodes.update((a, b))
         key = (a, b) if a < b else (b, a)
         edges[key] = (100,)
-    return CooccurrenceGraph(nodes=frozenset(nodes), edges=edges)
+    return make_cooccurrence(nodes, edges)
 
 
 def random_undirected(rng, max_nodes=200) -> CooccurrenceGraph:
@@ -23,7 +25,7 @@ def random_undirected(rng, max_nodes=200) -> CooccurrenceGraph:
             if rng.random() < min(1.0, 4.0 / n):
                 times = tuple(sorted(rng.randrange(10_000) for _ in range(rng.randrange(1, 4))))
                 edges[(names[i], names[j])] = times
-    return CooccurrenceGraph(nodes=frozenset(names), edges=edges)
+    return make_cooccurrence(names, edges)
 
 
 def test_star_degrees():
@@ -34,7 +36,7 @@ def test_star_degrees():
 
 
 def test_empty_graph_degrees():
-    g = CooccurrenceGraph(nodes=frozenset(), edges={})
+    g = make_cooccurrence((), {})
     assert node_degrees(g) == {}
 
 
@@ -113,6 +115,6 @@ def test_json_round_trip(tmp_path):
 
 def test_end_time_is_latest_event(tmp_path):
     g = undirected([("a", "b")])
-    g = CooccurrenceGraph(nodes=g.nodes, edges={("a", "b"): (100, 900)})
+    g = make_cooccurrence(g.nodes, {("a", "b"): (100, 900)})
     tie = orient_edges(g)
     assert tie.end_time() == 900

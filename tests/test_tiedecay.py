@@ -4,7 +4,6 @@ import random
 import numpy as np
 import pytest
 
-from tieflow.cooccur import CooccurrenceGraph
 from tieflow.orient import orient_edges
 from tieflow.tiedecay import (
     SNAPSHOT_FLOOR,
@@ -15,14 +14,14 @@ from tieflow.tiedecay import (
     write_snapshot_tsv,
 )
 
-from oracles import dense_weights, ode_edge_weight
+from oracles import dense_weights, make_cooccurrence, ode_edge_weight
 
 
 def toy_graph(edges: dict) -> "orient_edges":
     nodes = set()
     for a, b in edges:
         nodes.update((a, b))
-    return orient_edges(CooccurrenceGraph(nodes=frozenset(nodes), edges=edges))
+    return orient_edges(make_cooccurrence(nodes, edges))
 
 
 # ------------------------------------------------------------ weights
