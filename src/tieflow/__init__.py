@@ -11,7 +11,6 @@ from .events import EventLog, TimeRange, filter_events, parse_events
 from .ifs import (
     CommunityAssignment,
     FlowParams,
-    OriginSet,
     detect_communities,
     propagation_probability,
     select_origins,
@@ -20,7 +19,6 @@ from .ifs import (
 from .metrics import (
     BehaviorProfile,
     PartitionReport,
-    SlotScheme,
     behavior_profiles,
     modularity,
     partition_report,
@@ -48,10 +46,8 @@ __all__ = [
     "EventLog",
     "FlowParams",
     "NetworkSnapshot",
-    "OriginSet",
     "PageRankVector",
     "PartitionReport",
-    "SlotScheme",
     "SyntheticConfig",
     "TimeRange",
     "WalkParams",

@@ -257,7 +257,7 @@ def _handle_evaluate(args) -> int:
         raise UsageError("--events requires --categories")
     snapshot, params = _snapshot(args)
     assignment = read_assignment_json(args.communities)
-    unknown = set(assignment.labels) - set(snapshot.nodes)
+    unknown = (set(assignment.labels) | assignment.isolated) - set(snapshot.nodes)
     if unknown:
         raise DataError(f"communities file {args.communities} names nodes missing from the graph: "
                         f"{sorted(unknown)[:5]}")

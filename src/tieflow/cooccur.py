@@ -54,10 +54,6 @@ class CooccurrenceGraph(TimedEdges):
     count is len(times); zero-count pairs are never stored.
     """
 
-    def count(self, a: str, b: str) -> int:
-        key = (a, b) if a < b else (b, a)
-        return len(self.edges.get(key, ()))
-
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated index ranges starts[k] .. starts[k] + counts[k] - 1."""

@@ -43,16 +43,9 @@ class TimeRange:
         if self.end <= self.start:
             raise ValueError("time range must have end > start")
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t < self.end
-
     @property
     def span_seconds(self) -> int:
         return self.end - self.start
-
-    @property
-    def span_days(self) -> float:
-        return self.span_seconds / 86400.0
 
 
 def _compact(names, codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
@@ -239,7 +232,7 @@ def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
 
 
 def parse_events_path(path) -> EventLog:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         return parse_events(handle)
 
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -39,16 +41,6 @@ class FlowParams:
 
 
 @dataclass(frozen=True)
-class OriginSet:
-    origins: tuple[str, ...]  # descending PageRank
-    epsilon: float
-    labels: dict[str, int]  # origin -> 1-based rank label
-
-    def __len__(self) -> int:
-        return len(self.origins)
-
-
-@dataclass(frozen=True)
 class CommunityAssignment:
     """Final labeling; labels and isolated partition the node set.
 
@@ -70,19 +62,15 @@ class CommunityAssignment:
         return {label: sorted(nodes) for label, nodes in members.items()}
 
 
-def select_origins(pr: PageRankVector, epsilon: float) -> OriginSet:
-    """Take the top floor(epsilon * S) ranked nodes (at least one) as origins."""
+def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
+    """The top floor(epsilon * S) ranked nodes (at least one), in descending
+    PageRank; origin k seeds label k + 1."""
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if len(pr) == 0:
         raise ValueError("PageRank vector is empty")
     count = max(1, math.floor(epsilon * len(pr)))
-    origins = tuple(rank_nodes(pr)[:count])
-    return OriginSet(
-        origins=origins,
-        epsilon=epsilon,
-        labels={origin: i for i, origin in enumerate(origins, start=1)},
-    )
+    return tuple(rank_nodes(pr)[:count])
 
 
 def propagation_probability(w, out_strength, beta: float):
@@ -115,8 +103,7 @@ def detect_communities(
     """
     if set(pr.scores) != set(s.nodes):
         raise ValueError("snapshot and PageRank cover different node sets")
-    origin_set = select_origins(pr, epsilon)
-    origin_label = origin_set.labels
+    origin_label = {origin: k for k, origin in enumerate(select_origins(pr, epsilon), start=1)}
 
     edge_probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta)
     offsets = s.row_offsets
@@ -132,7 +119,7 @@ def detect_communities(
     labels: dict[str, int] = {}
     transmitters: dict[int, list[str]] = {label: [origin] for origin, label in origin_label.items()}
     trace: list[tuple[int, str, int]] = []
-    non_origin_count = len(s.nodes) - len(origin_set)
+    non_origin_count = len(s.nodes) - len(origin_label)
     rounds_run = 0
 
     for round_no in range(1, params.max_rounds + 1):
@@ -238,19 +225,27 @@ def write_assignment_json(doc: dict, path) -> None:
 
 
 def read_assignment_json(path) -> CommunityAssignment:
-    """The assignment in a document of assignment_to_doc's shape. Rounds
-    and the trace are not stored, so they come back as 0 and empty."""
+    """The assignment in a document of assignment_to_doc's shape, rejecting
+    one whose members or isolated are not lists of string ids or that lists
+    a node twice. Rounds and the trace are not stored, so they come back as
+    0 and empty."""
     what = "communities file"
     doc = read_json(path, what)
-    labels: dict[str, int] = {}
-    origin_of: dict[int, str] = {}
     with decoding(path, what):
-        for community in doc["communities"]:
-            label = int(community["label"])
-            origin_of[label] = community["origin"]
-            for member in community["members"]:
-                labels[member] = label
-        isolated = frozenset(doc["isolated"])
-    if not all(isinstance(node, str) for node in [*labels, *isolated, *origin_of.values()]):
+        groups = [(int(c["label"]), c["origin"], c["members"]) for c in doc["communities"]]
+        isolated = doc["isolated"]
+    lists = [members for _, _, members in groups] + [isolated]
+    if not all(isinstance(ids, list) for ids in lists):
+        raise DataError(f"malformed {what} {path}: members and isolated must be lists")
+    nodes = list(chain.from_iterable(lists))
+    if not all(isinstance(node, str) for node in [*nodes, *(origin for _, origin, _ in groups)]):
         raise DataError(f"malformed {what} {path}: node ids must be strings")
-    return CommunityAssignment(labels=labels, isolated=isolated, origin_of=origin_of, rounds=0)
+    if len(set(nodes)) < len(nodes):
+        twice = min(node for node, n in Counter(nodes).items() if n > 1)
+        raise DataError(f"malformed {what} {path}: node {twice!r} is listed twice")
+    return CommunityAssignment(
+        labels={node: label for label, _, members in groups for node in members},
+        isolated=frozenset(isolated),
+        origin_of={label: origin for label, origin, _ in groups},
+        rounds=0,
+    )

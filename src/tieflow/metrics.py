@@ -9,7 +9,7 @@ with undirected baselines.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -33,6 +33,7 @@ INDICATORS = (
 )
 
 LOCATION_CATEGORIES = ("dining", "bath", "shop", "other")
+MEALS = {"breakfast": (5, 10), "lunch": (10, 15), "dinner": (15, 22)}  # half-open UTC hours
 
 
 @dataclass(frozen=True)
@@ -45,44 +46,15 @@ class PartitionReport:
 
 @dataclass(frozen=True)
 class BehaviorProfile:
-    total_amount: float
-    event_count: int
-    active_days: int
+    """One student's indicators, named as in INDICATORS."""
+
+    amount: float
+    times: int
+    days: int
     bath_entropy: float
     breakfast_entropy: float
     lunch_entropy: float
     dinner_entropy: float
-    shop_entropy: float
-
-    def indicator(self, name: str) -> float:
-        if name == "amount":
-            return self.total_amount
-        if name == "times":
-            return float(self.event_count)
-        if name == "days":
-            return float(self.active_days)
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
-class SlotScheme:
-    """Day-slot binning for behavioral entropy.
-
-    Meal windows are half-open hour ranges of the UTC day; a meal's entropy
-    is taken over the hourly slots inside its window. Bath and shop entropy
-    use day-of-week slots (7 bins).
-    """
-
-    breakfast: tuple[int, int] = (5, 10)
-    lunch: tuple[int, int] = (10, 15)
-    dinner: tuple[int, int] = (15, 22)
-
-    def meal_of(self, hour: int) -> str | None:
-        for name in ("breakfast", "lunch", "dinner"):
-            start, end = getattr(self, name)
-            if start <= hour < end:
-                return name
-        return None
 
 
 def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = True) -> float:
@@ -132,7 +104,7 @@ def partition_report(
     )
 
 
-def shannon_entropy(counts: Mapping | Counter) -> float:
+def shannon_entropy(counts: Mapping) -> float:
     """Natural-log entropy of an empirical count distribution."""
     total = sum(counts.values())
     if total == 0:
@@ -149,12 +121,11 @@ def behavior_profiles(
     log: EventLog,
     category_map: Mapping[str, str],
     semester: TimeRange,
-    scheme: SlotScheme = SlotScheme(),
 ) -> dict[str, BehaviorProfile]:
     """Aggregate spend behavior per student over the semester.
 
     Meal entropies bin a student's dining events by hour-of-day inside each
-    meal window; bath and shop entropies bin by day of week. Point-mass
+    meal window; bath entropy bins by day of week. Point-mass
     distributions give entropy 0 (perfectly regular behavior).
     """
     missing = set(log.locations) - set(category_map)
@@ -173,10 +144,12 @@ def behavior_profiles(
     days = np.bincount(_distinct(student * per_day + day) // per_day, minlength=n).tolist()
 
     # Slots: the hour of a dining event inside a meal window, the weekday
-    # (1970-01-01 was a Thursday) of a bath or shop event.
-    groups = ("breakfast", "lunch", "dinner", "bath", "shop")
+    # (1970-01-01 was a Thursday) of a bath event.
+    groups = ("breakfast", "lunch", "dinner", "bath")
     hour = log.time[keep] // 3600 % 24
-    meal = np.array([groups.index(m) if (m := scheme.meal_of(h)) else -1 for h in range(24)])
+    meal = np.full(24, -1)
+    for name, (start, end) in MEALS.items():
+        meal[start:end] = groups.index(name)
     categories = [category_map[name] for name in log.locations]
     dining = np.array([c == "dining" for c in categories])[location]
     other = np.array([groups.index(c) if c in groups else -1 for c in categories])[location]
@@ -195,25 +168,10 @@ def behavior_profiles(
         entropy.flat[owner[lo]] = shannon_entropy(dict(enumerate(tally[lo:hi])))
     entropy = entropy.tolist()
 
-    profiles = {}
-    for k, student_id in enumerate(log.students):
-        breakfast, lunch, dinner, bath, shop = entropy[k]
-        profiles[student_id] = BehaviorProfile(
-            total_amount=amounts[k],
-            event_count=counts[k],
-            active_days=days[k],
-            bath_entropy=bath,
-            breakfast_entropy=breakfast,
-            lunch_entropy=lunch,
-            dinner_entropy=dinner,
-            shop_entropy=shop,
-        )
-    return profiles
-
-
-def _population_variance(values: list[float]) -> float:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.var())  # ddof=0: population variance
+    return {
+        student_id: BehaviorProfile(amounts[k], counts[k], days[k], bath, breakfast, lunch, dinner)
+        for k, (student_id, (breakfast, lunch, dinner, bath)) in enumerate(zip(log.students, entropy))
+    }
 
 
 def variance_comparison(
@@ -232,13 +190,10 @@ def variance_comparison(
 
     table = {}
     for name in INDICATORS:
-        everyone = [profile.indicator(name) for profile in profiles.values()]
-        variance_all = _population_variance(everyone)
+        value = {node: float(getattr(profile, name)) for node, profile in profiles.items()}
+        variance_all = float(np.var(list(value.values())))  # ddof=0: population variance
         if eligible:
-            within = [
-                _population_variance([profiles[node].indicator(name) for node in nodes])
-                for nodes in eligible
-            ]
+            within = [np.var([value[node] for node in nodes]) for nodes in eligible]
             mean_within = float(np.mean(within))
         else:
             mean_within = float("nan")

@@ -23,8 +23,6 @@ class DirectedTieGraph(TimedEdges):
     in the columnar form of TimedEdges: edge e runs from nodes[src[e]] to
     nodes[dst[e]]."""
 
-    degree: np.ndarray  # undirected degree of the source graph, per node
-
     def start_time(self) -> int:
         """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
         return int(self.times.min())
@@ -34,27 +32,24 @@ class DirectedTieGraph(TimedEdges):
         return int(self.times.max())
 
 
-def _assemble(nodes, degree, src, dst, starts, counts, times) -> DirectedTieGraph:
+def _assemble(nodes, src, dst, starts, counts, times) -> DirectedTieGraph:
     """The tie graph of the edges src[k] -> dst[k] with ascending times
     times[starts[k] : starts[k] + counts[k]], put in (src, dst) order."""
     order = np.lexsort((dst, src))
     counts = counts[order]
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     times = times[_ragged(starts[order], counts)]
-    return DirectedTieGraph(nodes, src[order], dst[order], offsets, times, degree)
+    return DirectedTieGraph(nodes, src[order], dst[order], offsets, times)
 
 
-def _endpoints(g: CooccurrenceGraph):
-    """Sorted node ids, the node indices of each edge's two ends in edge
-    order, and each node's degree."""
-    degree = np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.nodes))
-    return g.nodes, g.src, g.dst, degree
+def _degrees(g: CooccurrenceGraph) -> np.ndarray:
+    """Number of distinct neighbors per node index."""
+    return np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.nodes))
 
 
 def node_degrees(g: CooccurrenceGraph) -> dict[str, int]:
     """Number of distinct neighbors per node; isolated nodes have degree 0."""
-    nodes, _, _, degree = _endpoints(g)
-    return dict(zip(nodes, degree.tolist()))
+    return dict(zip(g.nodes, _degrees(g).tolist()))
 
 
 def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
@@ -64,12 +59,12 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
     without splitting the weight. Degrees are computed once on the full
     undirected graph.
     """
-    nodes, a, b, degree = _endpoints(g)
+    a, b, degree = g.src, g.dst, _degrees(g)
     forward, backward = degree[a] >= degree[b], degree[a] <= degree[b]
     src = np.concatenate([a[forward], b[backward]])
     dst = np.concatenate([b[forward], a[backward]])
     edge = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])
-    return _assemble(nodes, degree, src, dst, g.offsets[edge], np.diff(g.offsets)[edge], g.times)
+    return _assemble(g.nodes, src, dst, g.offsets[edge], np.diff(g.offsets)[edge], g.times)
 
 
 def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
@@ -82,7 +77,6 @@ def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) 
     doc = {
         "params": params or {},
         "nodes": list(g.nodes),
-        "degree": dict(zip(g.nodes, g.degree.tolist())),
         "edges": [{"src": s, "dst": d, "times": times} for s, d, times in g._rows()],
     }
     write_json(path, doc)
@@ -100,7 +94,6 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
             raise DataError(f"malformed {what} {path}: node ids must be strings")
         nodes = tuple(sorted(set(names)))
         index = {node: i for i, node in enumerate(nodes)}
-        degree = np.array([int(doc["degree"][node]) for node in nodes], dtype=np.int64)
         edges = doc["edges"]
         src = np.array([index.get(e["src"], -1) for e in edges], dtype=np.int64)
         dst = np.array([index.get(e["dst"], -1) for e in edges], dtype=np.int64)
@@ -124,4 +117,4 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
         if len(bad):
             e = edges[bad[0]]
             raise DataError(f"malformed {what} {path}: edge {e['src']!r} -> {e['dst']!r} {fault}")
-    return _assemble(nodes, degree, src, dst, np.cumsum(counts) - counts, counts, times)
+    return _assemble(nodes, src, dst, np.cumsum(counts) - counts, counts, times)

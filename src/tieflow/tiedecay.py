@@ -78,10 +78,6 @@ class NetworkSnapshot:
         n = len(self.nodes)
         return sparse.csr_matrix((self.weights, self.dst, self.row_offsets), shape=(n, n), copy=True)
 
-    def weight(self, src: str, dst: str) -> float:
-        hit = (self.src == self.index[src]) & (self.dst == self.index[dst])
-        return float(self.weights[hit].sum())
-
     def edges(self) -> Iterator[tuple[str, str, float]]:
         for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
             yield self.nodes[i], self.nodes[j], w
@@ -184,5 +180,5 @@ def write_snapshot_tsv(s: NetworkSnapshot, params: DecayParams, path,
     write_lines(
         path,
         [f"t = {s.time:.12g}", f"alpha = {params.alpha:.12g}", *comments],
-        (f"{src}\t{dst}\t{w:.12g}" for src, dst, w in sorted(s.edges())),
+        (f"{src}\t{dst}\t{w:.12g}" for src, dst, w in s.edges()),
     )

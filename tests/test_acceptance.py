@@ -257,10 +257,10 @@ def test_criterion_6_detection_invariants():
         out_edges = {}
         for src, dst, _ in snap.edges():
             out_edges.setdefault(src, []).append(dst)
-        expected = rank_priority_bfs(nodes, out_edges, origins.origins)
+        expected = rank_priority_bfs(nodes, out_edges, origins)
         mine = {
             node: label for node, label in assignment.labels.items()
-            if node not in origins.labels
+            if node not in origins
         }
         assert mine == expected
     report(6, "detection invariants + BFS oracle", True,

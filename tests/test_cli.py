@@ -370,6 +370,19 @@ MALFORMED = {
     "communities-without-communities": (
         "communities.json", edit_json(lambda doc: doc.pop("communities")),
         EVALUATE, "missing field 'communities'"),
+    "communities-isolated-string": (
+        "communities.json", edit_json(lambda doc: doc.update(isolated="s0001zzz")),
+        EVALUATE, "members and isolated must be lists"),
+    "communities-isolated-unknown-node": (
+        "communities.json", edit_json(lambda doc: doc.update(isolated=["ghost"])),
+        EVALUATE, "names nodes missing from the graph: ['ghost']"),
+    "communities-member-also-isolated": (
+        "communities.json", edit_json(lambda doc: doc.update(isolated=["s2"])),
+        EVALUATE, "node 's2' is listed twice"),
+    "communities-member-of-two": (
+        "communities.json",
+        edit_json(lambda doc: doc["communities"].append({"label": 2, "origin": "s1", "members": ["s1"]})),
+        EVALUATE, "node 's1' is listed twice"),
     "sweep-non-numeric-cell": (
         "sweep.tsv", lambda text: text + "0.5\tlots\t1\t3\n",
         ["report", "--sweep", "sweep.tsv", "--output", "t.txt"], "line 11"),

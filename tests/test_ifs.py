@@ -37,9 +37,7 @@ def uniform_scores(nodes, top=()) -> PageRankVector:
 
 def test_top_fraction_selected():
     pr = uniform_scores([f"n{i}" for i in range(10)], top=["n3", "n7"])
-    origins = select_origins(pr, 0.2)
-    assert origins.origins == ("n3", "n7")
-    assert origins.labels == {"n3": 1, "n7": 2}
+    assert select_origins(pr, 0.2) == ("n3", "n7")
 
 
 def test_full_selection():
@@ -201,8 +199,7 @@ def test_no_node_labeled_twice_and_origins_keep_own_labels():
         assignment = detect_communities(snap, pr, 0.3, FlowParams(seed=rng.randrange(1000)))
         seen = [node for _, node, _ in assignment.trace]
         assert len(seen) == len(set(seen))
-        origins = select_origins(pr, 0.3)
-        for origin, label in origins.labels.items():
+        for label, origin in enumerate(select_origins(pr, 0.3), start=1):
             if origin in assignment.labels:
                 assert assignment.labels[origin] == label
 
@@ -275,11 +272,11 @@ def test_deterministic_probabilities_match_bfs_oracle():
         out_edges: dict = {}
         for src, dst, _ in snap.edges():
             out_edges.setdefault(src, []).append(dst)
-        expected = rank_priority_bfs(snap.nodes, out_edges, origins.origins)
+        expected = rank_priority_bfs(snap.nodes, out_edges, origins)
         mine = {
             node: label
             for node, label in assignment.labels.items()
-            if node not in origins.labels
+            if node not in origins
         }
         assert mine == expected, f"trial {trial}, n {n}"
 

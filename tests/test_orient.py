@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.orient import node_degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
@@ -109,8 +110,16 @@ def test_json_round_trip(tmp_path):
     write_tie_graph_json(tie, path, params={"window": 120})
     loaded = read_tie_graph_json(path)
     assert loaded.nodes == tie.nodes
-    assert loaded.degree.tolist() == tie.degree.tolist()
     assert dict(loaded.edges) == dict(tie.edges)
+
+
+def test_old_format_with_degree_loads_to_same_arrays():
+    golden = Path(__file__).parent / "golden"
+    old = read_tie_graph_json(golden / "tie_graph_with_degree.json")
+    new = read_tie_graph_json(golden / "chain" / "graph" / "tie_graph.json")
+    assert old.nodes == new.nodes
+    for name in ("src", "dst", "offsets", "times"):
+        assert getattr(old, name).tolist() == getattr(new, name).tolist(), name
 
 
 def test_end_time_is_latest_event(tmp_path):

@@ -127,8 +127,7 @@ def test_snapshot_before_events_is_empty():
 def test_snapshot_at_single_event_weight_is_one():
     tie = toy_graph({("a", "b"): (1_000,)})
     snap = snapshot_at(tie, DecayParams(alpha=0.01), 1_000)
-    assert snap.weight("a", "b") == pytest.approx(1.0)
-    assert snap.weight("b", "a") == pytest.approx(1.0)
+    assert list(snap.edges()) == [("a", "b", pytest.approx(1.0)), ("b", "a", pytest.approx(1.0))]
 
 
 def test_three_edge_toy_scales_by_decay_factor():
@@ -140,8 +139,8 @@ def test_three_edge_toy_scales_by_decay_factor():
     first = snapshot_at(tie, params, t1)
     second = snapshot_at(tie, params, t2)
     factor = math.exp(-params.alpha * (t2 - t1))
-    for src, dst, w in first.edges():
-        assert second.weight(src, dst) == pytest.approx(w * factor, rel=1e-12)
+    assert second.src.tolist() == first.src.tolist() and second.dst.tolist() == first.dst.tolist()
+    assert second.weights == pytest.approx(first.weights * factor, rel=1e-12)
 
 
 def test_entries_in_csr_order_and_scipy_view_agree():
