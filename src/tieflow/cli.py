@@ -115,7 +115,7 @@ def _graph_at(args):
     graph = read_tie_graph_json(args.graph)
     if not len(graph.src):
         raise DataError(f"tie graph file {args.graph} has no edges")
-    t = float(graph.end_time() if args.time == "end" else args.time)
+    t = float(graph.end_time() if args.time in ("end", None) else args.time)
     return graph, t, {"graph": str(args.graph), "alpha": args.decay.alpha}
 
 
@@ -256,11 +256,7 @@ def _handle_evaluate(args) -> int:
     if args.events and not args.categories:
         raise UsageError("--events requires --categories")
     snapshot, params = _snapshot(args)
-    assignment = read_assignment_json(args.communities)
-    unknown = (set(assignment.labels) | assignment.isolated) - set(snapshot.nodes)
-    if unknown:
-        raise DataError(f"communities file {args.communities} names nodes missing from the graph: "
-                        f"{sorted(unknown)[:5]}")
+    assignment = read_assignment_json(args.communities, snapshot.nodes)
     report = metrics.partition_report(snapshot, assignment, directed=not args.undirected)
     doc = {
         "params": dict(
@@ -342,23 +338,24 @@ def _handle_synth(args) -> int:
 
 
 def _curve(args) -> int:
-    if args.n_points < 2:
+    n_points = 1000 if args.n_points is None else args.n_points
+    if n_points < 2:
         raise UsageError("--n-points must be at least 2")
     graph, t_end, params = _graph_at(args)
     t_start = float(graph.start_time() if args.start_time is None else args.start_time)
     if t_start >= t_end:
         raise UsageError("curve start time must be earlier than snapshot time")
-    params.update(t_start=t_start, t_end=t_end, n_points=args.n_points)
+    params.update(t_start=t_start, t_end=t_end, n_points=n_points)
 
     def rows():
         yield "time,active_edges,total_weight,mean_weight"
-        for snapshot in sample_snapshots(graph, args.decay, t_start, t_end, args.n_points):
+        for snapshot in sample_snapshots(graph, args.decay, t_start, t_end, n_points):
             total, count = snapshot.total_weight, snapshot.edge_count
             mean = total / count if count else 0.0
             yield f"{snapshot.time:.12g},{count},{total:.12g},{mean:.12g}"
 
     write_lines(args.output, _param_comments(params), rows())
-    print(f"wrote {args.output} ({args.n_points} curve points)")
+    print(f"wrote {args.output} ({n_points} curve points)")
     return EXIT_OK
 
 
@@ -407,6 +404,11 @@ def _evaluation_table(path) -> list[str]:
 def _handle_report(args) -> int:
     if args.graph is not None:
         return _curve(args)
+    curve_only = {"--time": args.time, "--alpha": args.alpha, "--half-life": args.half_life,
+                  "--start-time": args.start_time, "--n-points": args.n_points}
+    given = [option for option, value in curve_only.items() if value is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} apply only to a --graph curve")
     if args.sweep is not None:
         lines = _sweep_table(args.sweep)
     else:
@@ -562,9 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="format an evaluate JSON as a text table")
     p.add_argument("--start-time", type=_time, default=None,
                    help="curve start (default: first event)")
-    p.add_argument("--n-points", type=int, default=1000,
+    p.add_argument("--n-points", type=int, default=None,
                    help="number of curve samples (default 1000)")
-    p.set_defaults(handler=_handle_report)
+    p.set_defaults(handler=_handle_report, time=None)  # curve options left out stay None
 
     return parser
 

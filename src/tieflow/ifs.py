@@ -10,9 +10,9 @@ the round budget) terminates the run.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -103,63 +103,40 @@ def detect_communities(
     """
     if set(pr.scores) != set(s.nodes):
         raise ValueError("snapshot and PageRank cover different node sets")
-    origin_label = {origin: k for k, origin in enumerate(select_origins(pr, epsilon), start=1)}
-
-    edge_probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta)
-    offsets = s.row_offsets
-
-    @functools.cache
-    def attempts_from(node: str) -> list[tuple[str, float]]:
-        """(destination, probability) per out-edge, in ascending node id."""
-        start, stop = offsets[s.index[node]], offsets[s.index[node] + 1]
-        return list(zip([s.nodes[j] for j in s.dst[start:stop].tolist()],
-                        edge_probability[start:stop].tolist()))
+    origins = [s.index[origin] for origin in select_origins(pr, epsilon)]
+    label = [0] * len(s.nodes)  # by node index; 0 while unlabeled
+    for k, i in enumerate(origins, start=1):
+        label[i] = k
+    offsets, dst = s.row_offsets.tolist(), s.dst.tolist()
+    probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta).tolist()
+    transmitters = [[i] for i in origins]  # label k's, ascending, at k - 1
 
     rng = random.Random(params.seed)
-    labels: dict[str, int] = {}
-    transmitters: dict[int, list[str]] = {label: [origin] for origin, label in origin_label.items()}
-    trace: list[tuple[int, str, int]] = []
-    non_origin_count = len(s.nodes) - len(origin_label)
-    rounds_run = 0
-
+    trace: list[tuple[int, int, int]] = []
     for round_no in range(1, params.max_rounds + 1):
-        rounds_run = round_no
-        newly_labeled: dict[int, list[str]] = {}
-        new_count = 0
-        for label in sorted(transmitters):  # ascending label = descending origin rank
-            for src in transmitters[label]:
-                for dst, probability in attempts_from(src):
-                    if dst in origin_label or dst in labels:
-                        continue
-                    if rng.random() < probability:
-                        labels[dst] = label
-                        trace.append((round_no, dst, label))
-                        newly_labeled.setdefault(label, []).append(dst)
-                        new_count += 1
+        round_start = len(trace)
+        for k, senders in enumerate(transmitters, start=1):
+            for i in senders:
+                for e in range(offsets[i], offsets[i + 1]):
+                    j = dst[e]
+                    if label[j] == 0 and rng.random() < probability[e]:
+                        label[j] = k
+                        trace.append((round_no, j, k))
         if params.relay:
-            for label, fresh in newly_labeled.items():
-                transmitters[label] = sorted(transmitters[label] + fresh)
-        if new_count == 0 or len(labels) == non_origin_count:
+            for _, j, k in trace[round_start:]:
+                insort(transmitters[k - 1], j)
+        if len(trace) == round_start or len(trace) == len(s.nodes) - len(origins):
             break
 
-    member_counts = {label: 0 for label in origin_label.values()}
-    for label in labels.values():
-        member_counts[label] += 1
-    isolated = set()
-    origin_of: dict[int, str] = {}
-    for origin, label in origin_label.items():
-        if member_counts[label] > 0:
-            labels[origin] = label
-            origin_of[label] = origin
-        else:
-            isolated.add(origin)
-    isolated.update(node for node in s.nodes if node not in labels)
+    labels = {s.nodes[j]: k for _, j, k in trace}
+    origin_of = {k: s.nodes[origins[k - 1]] for k in sorted(set(labels.values()))}
+    labels.update((origin, k) for k, origin in origin_of.items())
     return CommunityAssignment(
         labels=labels,
-        isolated=frozenset(isolated),
+        isolated=frozenset(s.nodes).difference(labels),
         origin_of=origin_of,
-        rounds=rounds_run,
-        trace=tuple(trace),
+        rounds=round_no,
+        trace=tuple((r, s.nodes[j], k) for r, j, k in trace),
     )
 
 
@@ -224,11 +201,12 @@ def write_assignment_json(doc: dict, path) -> None:
     write_json(path, doc)
 
 
-def read_assignment_json(path) -> CommunityAssignment:
+def read_assignment_json(path, nodes: Sequence[str]) -> CommunityAssignment:
     """The assignment in a document of assignment_to_doc's shape, rejecting
-    one whose members or isolated are not lists of string ids or that lists
-    a node twice. Rounds and the trace are not stored, so they come back as
-    0 and empty."""
+    one whose members or isolated are not lists of string ids, that lists a
+    node or a label twice, or whose members and isolated do not partition
+    the snapshot's nodes. Rounds and the trace are not stored, so they come
+    back as 0 and empty."""
     what = "communities file"
     doc = read_json(path, what)
     with decoding(path, what):
@@ -237,12 +215,20 @@ def read_assignment_json(path) -> CommunityAssignment:
     lists = [members for _, _, members in groups] + [isolated]
     if not all(isinstance(ids, list) for ids in lists):
         raise DataError(f"malformed {what} {path}: members and isolated must be lists")
-    nodes = list(chain.from_iterable(lists))
-    if not all(isinstance(node, str) for node in [*nodes, *(origin for _, origin, _ in groups)]):
+    listed = list(chain.from_iterable(lists))
+    if not all(isinstance(node, str) for node in [*listed, *(origin for _, origin, _ in groups)]):
         raise DataError(f"malformed {what} {path}: node ids must be strings")
-    if len(set(nodes)) < len(nodes):
-        twice = min(node for node, n in Counter(nodes).items() if n > 1)
-        raise DataError(f"malformed {what} {path}: node {twice!r} is listed twice")
+    for kind, items in (("node", listed), ("label", [label for label, _, _ in groups])):
+        if len(set(items)) < len(items):
+            twice = min(item for item, n in Counter(items).items() if n > 1)
+            raise DataError(f"malformed {what} {path}: {kind} {twice!r} is listed twice")
+    unknown = set(listed).difference(nodes)
+    if unknown:
+        raise DataError(f"{what} {path} names nodes missing from the graph: {sorted(unknown)[:5]}")
+    if len(listed) < len(nodes):
+        missing = min(set(nodes).difference(listed))
+        raise DataError(f"malformed {what} {path}: node {missing!r} is in neither members "
+                        "nor isolated")
     return CommunityAssignment(
         labels={node: label for label, _, members in groups for node in members},
         isolated=frozenset(isolated),

@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .artifacts import write_json
-from .events import EventLog, TimeRange
+from .events import TIME_LIMIT, EventLog, TimeRange
 
 WEEK_SECONDS = 7 * 86400
 
@@ -57,6 +57,8 @@ class SyntheticConfig:
             raise ValueError("need at least one student")
         if not 1 <= self.n_communities <= self.n_students:
             raise ValueError("community count must lie in [1, n_students]")
+        if min(self.locations_per_category.values(), default=0) < 0:
+            raise ValueError("location counts must be non-negative")
         if sum(self.locations_per_category.values()) < 1:
             raise ValueError("need at least one location")
         if not self.intra_rate > self.inter_rate >= 0:
@@ -65,6 +67,8 @@ class SyntheticConfig:
             raise ValueError("jitter must be non-negative")
         if self.semester.span_seconds <= self.jitter:
             raise ValueError("semester too short for the jitter")
+        if self.semester.end > TIME_LIMIT:
+            raise ValueError("the semester ends after 9999-12-31, the last day of event times")
 
 
 def _community_blocks(n_students: int, n_communities: int) -> np.ndarray:

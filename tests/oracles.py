@@ -2,9 +2,11 @@
 
 Everything here favors directness over speed: a row-by-row CSV parser,
 full-list greedy matching, exhaustive enumeration, augmenting-path
-matching, dense eigensolves, explicit ODE integration, and literal double
-sums. None of it shares code with the package, except that the reference
-parser uses its time parser and error type; the package classes used are
+matching, dense eigensolves, explicit ODE integration, literal double sums,
+and the cascade keyed by node name. None of it shares code with the
+package, except that the reference parser uses its time parser and error
+type, and the reference cascade its origin selection, propagation
+probabilities and CommunityAssignment; the other package classes used are
 EventLog, CooccurrenceGraph and NetworkSnapshot, which `make_log`,
 `make_cooccurrence` and `make_snapshot` build for the tests through the
 constructors production uses, and which the oracles read only through
@@ -14,13 +16,16 @@ their arrays.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import random
 
 import numpy as np
 from scipy.integrate import odeint
 
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
+from tieflow.ifs import CommunityAssignment, propagation_probability, select_origins
 from tieflow.tiedecay import NetworkSnapshot
 
 
@@ -314,6 +319,76 @@ def double_sum_modularity(snapshot, labels: dict, directed: bool = True) -> floa
             i, j = index[node_a], index[node_b]
             q += weights[i, j] - out[i] * incoming[j] / total
     return q / total
+
+
+# ----------------------------------------------------------------- cascade
+
+
+def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:
+    """detect_communities keyed by node name: the same contract, with each
+    node's (destination, probability) out-edges rebuilt from the snapshot's
+    rows, dict membership tests for origins and labeled nodes, and each
+    round's new relays merged into re-sorted transmitter lists."""
+    if set(pr.scores) != set(s.nodes):
+        raise ValueError("snapshot and PageRank cover different node sets")
+    origin_label = {origin: k for k, origin in enumerate(select_origins(pr, epsilon), start=1)}
+
+    edge_probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta)
+    offsets = s.row_offsets
+
+    @functools.cache
+    def attempts_from(node: str) -> list[tuple[str, float]]:
+        """(destination, probability) per out-edge, in ascending node id."""
+        start, stop = offsets[s.index[node]], offsets[s.index[node] + 1]
+        return list(zip([s.nodes[j] for j in s.dst[start:stop].tolist()],
+                        edge_probability[start:stop].tolist()))
+
+    rng = random.Random(params.seed)
+    labels: dict[str, int] = {}
+    transmitters: dict[int, list[str]] = {label: [origin] for origin, label in origin_label.items()}
+    trace: list[tuple[int, str, int]] = []
+    non_origin_count = len(s.nodes) - len(origin_label)
+    rounds_run = 0
+
+    for round_no in range(1, params.max_rounds + 1):
+        rounds_run = round_no
+        newly_labeled: dict[int, list[str]] = {}
+        new_count = 0
+        for label in sorted(transmitters):  # ascending label = descending origin rank
+            for src in transmitters[label]:
+                for dst, probability in attempts_from(src):
+                    if dst in origin_label or dst in labels:
+                        continue
+                    if rng.random() < probability:
+                        labels[dst] = label
+                        trace.append((round_no, dst, label))
+                        newly_labeled.setdefault(label, []).append(dst)
+                        new_count += 1
+        if params.relay:
+            for label, fresh in newly_labeled.items():
+                transmitters[label] = sorted(transmitters[label] + fresh)
+        if new_count == 0 or len(labels) == non_origin_count:
+            break
+
+    member_counts = {label: 0 for label in origin_label.values()}
+    for label in labels.values():
+        member_counts[label] += 1
+    isolated = set()
+    origin_of: dict[int, str] = {}
+    for origin, label in origin_label.items():
+        if member_counts[label] > 0:
+            labels[origin] = label
+            origin_of[label] = origin
+        else:
+            isolated.add(origin)
+    isolated.update(node for node in s.nodes if node not in labels)
+    return CommunityAssignment(
+        labels=labels,
+        isolated=frozenset(isolated),
+        origin_of=origin_of,
+        rounds=rounds_run,
+        trace=tuple(trace),
+    )
 
 
 # --------------------------------------------------------------------- BFS

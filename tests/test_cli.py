@@ -249,6 +249,17 @@ def test_synth_rejects_infeasible_config(tmp_path, capsys):
     ) == 1
 
 
+@pytest.mark.parametrize("argv, fault", [
+    (["--start", "253402000000", "--weeks", "1"], "ends after 9999-12-31"),
+    (["--locations", "dining=-3,bath=5"], "location counts must be non-negative"),
+], ids=["past-time-limit", "negative-locations"])
+def test_synth_rejects_config_it_cannot_write(tmp_path, capsys, argv, fault):
+    assert main(["synth", "--students", "6", "--communities", "2", *argv,
+                 "--output-dir", str(tmp_path / "x")]) == 1
+    assert fault in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_rejects_config_asking_for_too_many_covisits(tmp_path, capsys):
     # About 1.2e9 co-visits: rejected before any random draw or allocation.
     assert main(
@@ -383,6 +394,15 @@ MALFORMED = {
         "communities.json",
         edit_json(lambda doc: doc["communities"].append({"label": 2, "origin": "s1", "members": ["s1"]})),
         EVALUATE, "node 's1' is listed twice"),
+    "communities-label-used-twice": (
+        "communities.json",
+        edit_json(lambda doc: doc.update(communities=[
+            {"label": 1, "origin": "s3", "members": ["s1", "s3"]},
+            {"label": 1, "origin": "s2", "members": ["s2"]}])),
+        EVALUATE, "label 1 is listed twice"),
+    "communities-node-left-out": (
+        "communities.json", edit_json(lambda doc: doc["communities"][0]["members"].remove("s1")),
+        EVALUATE, "node 's1' is in neither members nor isolated"),
     "sweep-non-numeric-cell": (
         "sweep.tsv", lambda text: text + "0.5\tlots\t1\t3\n",
         ["report", "--sweep", "sweep.tsv", "--output", "t.txt"], "line 11"),
@@ -432,8 +452,11 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
      "unrecognized arguments: --eps 0.3"),
     (["report", "--graph", GRAPH, "--n", "3", "--output", "c.csv"],
      "unrecognized arguments: --n 3"),
+    (["report", "--sweep", "sweep.tsv", "--output", "t.txt", "--alpha", "5", "--time", "3",
+      "--n-points", "1", "--start-time", "7"],
+     "--time, --alpha, --start-time, --n-points apply only to a --graph curve"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
-        "sweep-epsilon", "detect-prefix", "report-prefix"])
+        "sweep-epsilon", "detect-prefix", "report-prefix", "report-sweep-curve-options"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

@@ -15,7 +15,7 @@ from tieflow.ifs import (
 from tieflow.pagerank import PageRankVector, pagerank
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import make_snapshot, rank_priority_bfs
+from oracles import make_snapshot, rank_priority_bfs, reference_cascade
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:
@@ -279,6 +279,37 @@ def test_deterministic_probabilities_match_bfs_oracle():
             if node not in origins
         }
         assert mine == expected, f"trial {trial}, n {n}"
+
+
+@pytest.fixture(scope="module")
+def cascade_graphs(planted_pipeline):
+    """The planted snapshot, and a sparse random one where about a fifth of
+    the nodes have no out-edge, so some origins end up isolated."""
+    sparse = random_weighted_snapshot(random.Random(50), 80, density=0.02)
+    return {
+        "planted": (planted_pipeline["snapshot"], planted_pipeline["ranking"]),
+        "sparse": (sparse, pagerank(sparse)),
+    }
+
+
+@pytest.mark.parametrize("relay", [True, False], ids=["relay", "single-hop"])
+@pytest.mark.parametrize("graph", ["planted", "sparse"])
+def test_cascade_matches_name_keyed_reference(cascade_graphs, graph, relay):
+    snap, pr = cascade_graphs[graph]
+    isolated_origins = 0
+    for seed in (0, 1, 7):
+        for epsilon in (0.05, 0.2, 0.5):
+            params = FlowParams(seed=seed, relay=relay)
+            mine = detect_communities(snap, pr, epsilon, params)
+            reference = reference_cascade(snap, pr, epsilon, params)
+            case = f"seed {seed}, epsilon {epsilon}"
+            assert list(mine.labels.items()) == list(reference.labels.items()), case
+            assert list(mine.origin_of.items()) == list(reference.origin_of.items()), case
+            assert mine.isolated == reference.isolated, case
+            assert mine.rounds == reference.rounds, case
+            assert mine.trace == reference.trace, case
+            isolated_origins += len(mine.isolated.intersection(select_origins(pr, epsilon)))
+    assert graph == "planted" or isolated_origins > 0
 
 
 def test_single_hop_only_labels_direct_neighbors():
