@@ -100,6 +100,19 @@ def _build_params(args) -> None:
         raise UsageError(str(exc)) from None
 
 
+def _reject_given(options: dict, reason: str) -> None:
+    """Usage error naming each of `options` whose value is not None."""
+    given = [option for option, value in options.items() if value is not None]
+    if given:
+        raise UsageError(f"{', '.join(given)} {reason}")
+
+
+def _check_order(start, end, what: str) -> None:
+    """Usage error if both bounds are known and start is not before end."""
+    if start is not None and end is not None and start >= end:
+        raise UsageError(f"{what} must start before it ends")
+
+
 def _load_events(path):
     try:
         return parse_events_path(path)
@@ -234,13 +247,10 @@ def _behavior(args, assignment) -> dict:
     if not len(log):
         raise DataError(f"events file {args.events} has no records")
     span = log.time_range()
-    try:
-        semester = TimeRange(
-            span.start if args.semester_start is None else args.semester_start,
-            span.end if args.semester_end is None else args.semester_end,
-        )
-    except ValueError:
-        raise UsageError("the semester must start before it ends") from None
+    start = span.start if args.semester_start is None else args.semester_start
+    end = span.end if args.semester_end is None else args.semester_end
+    _check_order(start, end, "the semester")
+    semester = TimeRange(start, end)
     try:
         profiles = metrics.behavior_profiles(log, category_map, semester)
     except ValueError as exc:
@@ -253,8 +263,12 @@ def _behavior(args, assignment) -> dict:
 
 
 def _handle_evaluate(args) -> int:
-    if args.events and not args.categories:
+    if args.events is None:
+        _reject_given({"--categories": args.categories, "--semester-start": args.semester_start,
+                       "--semester-end": args.semester_end}, "apply only with --events")
+    elif args.categories is None:
         raise UsageError("--events requires --categories")
+    _check_order(args.semester_start, args.semester_end, "the semester")
     snapshot, params = _snapshot(args)
     assignment = read_assignment_json(args.communities, snapshot.nodes)
     report = metrics.partition_report(snapshot, assignment, directed=not args.undirected)
@@ -266,7 +280,7 @@ def _handle_evaluate(args) -> int:
         ),
         "partition": asdict(report),
     }
-    if args.events:
+    if args.events is not None:
         doc["behavior"] = _behavior(args, assignment)
     write_json(args.output, doc)
     print(f"wrote {args.output} (modularity={report.modularity:.6f})")
@@ -341,10 +355,10 @@ def _curve(args) -> int:
     n_points = 1000 if args.n_points is None else args.n_points
     if n_points < 2:
         raise UsageError("--n-points must be at least 2")
+    _check_order(args.start_time, None if args.time == "end" else args.time, "the curve")
     graph, t_end, params = _graph_at(args)
     t_start = float(graph.start_time() if args.start_time is None else args.start_time)
-    if t_start >= t_end:
-        raise UsageError("curve start time must be earlier than snapshot time")
+    _check_order(t_start, t_end, "the curve")
     params.update(t_start=t_start, t_end=t_end, n_points=n_points)
 
     def rows():
@@ -404,11 +418,9 @@ def _evaluation_table(path) -> list[str]:
 def _handle_report(args) -> int:
     if args.graph is not None:
         return _curve(args)
-    curve_only = {"--time": args.time, "--alpha": args.alpha, "--half-life": args.half_life,
-                  "--start-time": args.start_time, "--n-points": args.n_points}
-    given = [option for option, value in curve_only.items() if value is not None]
-    if given:
-        raise UsageError(f"{', '.join(given)} apply only to a --graph curve")
+    _reject_given({"--time": args.time, "--alpha": args.alpha, "--half-life": args.half_life,
+                   "--start-time": args.start_time, "--n-points": args.n_points},
+                  "apply only to a --graph curve")
     if args.sweep is not None:
         lines = _sweep_table(args.sweep)
     else:
@@ -580,8 +592,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    except SystemExit:  # --help; every other parse fault raises UsageError
+        return EXIT_OK
     except UsageError as exc:
         return _fail(exc, EXIT_USAGE)
     if args.handler is None:

@@ -204,9 +204,9 @@ def write_assignment_json(doc: dict, path) -> None:
 def read_assignment_json(path, nodes: Sequence[str]) -> CommunityAssignment:
     """The assignment in a document of assignment_to_doc's shape, rejecting
     one whose members or isolated are not lists of string ids, that lists a
-    node or a label twice, or whose members and isolated do not partition
-    the snapshot's nodes. Rounds and the trace are not stored, so they come
-    back as 0 and empty."""
+    node or a label twice, whose members and isolated do not partition the
+    snapshot's nodes, or whose community origin is not among its members.
+    Rounds and the trace are not stored, so they come back as 0 and empty."""
     what = "communities file"
     doc = read_json(path, what)
     with decoding(path, what):
@@ -229,6 +229,10 @@ def read_assignment_json(path, nodes: Sequence[str]) -> CommunityAssignment:
         missing = min(set(nodes).difference(listed))
         raise DataError(f"malformed {what} {path}: node {missing!r} is in neither members "
                         "nor isolated")
+    for label, origin, members in groups:
+        if origin not in members:
+            raise DataError(f"malformed {what} {path}: origin {origin!r} of label {label} "
+                            "is not one of its members")
     return CommunityAssignment(
         labels={node: label for label, _, members in groups for node in members},
         isolated=frozenset(isolated),

@@ -65,7 +65,6 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     x = np.full(n, v)
     residuals: list[float] = []
     converged = False
-    iterations = 0
     for iterations in range(1, params.max_iterations + 1):
         dangling_mass = float(x[dangling].sum())
         walked = np.bincount(dst, weights=normalized * x[src], minlength=n)
@@ -80,7 +79,7 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     return PageRankVector(
         scores=scores,
         iterations=iterations,
-        residual=residuals[-1] if residuals else 0.0,
+        residual=residuals[-1],
         converged=converged,
         residuals=tuple(residuals),
     )

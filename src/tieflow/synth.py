@@ -13,6 +13,7 @@ on generated data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -20,16 +21,12 @@ from typing import Mapping
 import numpy as np
 
 from .artifacts import write_json
+from .cooccur import DEFAULT_WINDOW
 from .events import TIME_LIMIT, EventLog, TimeRange
 
 WEEK_SECONDS = 7 * 86400
 
 DEFAULT_LOCATIONS = {"dining": 33, "bath": 6, "boiler": 6, "shop": 4}
-
-# Cross-community co-visits at one location are kept at least this far apart
-# (plus jitter) so chance collisions cannot fake a cross-community tie. The
-# value matches the default co-occurrence window.
-DEFAULT_SEPARATION_WINDOW = 120
 
 # Most co-visits (the sum of the Poisson means) a configuration may ask for:
 # about 24 times the 253k of the 5,000-student scale configuration.
@@ -119,32 +116,25 @@ def _place_covisit_times(
     the planted inter-community co-visits; chance collisions cannot occur.
     Same-community co-visits may coincide freely.
     """
-    from bisect import bisect_left, insort
-
-    placed: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    # Per location, the placed times in ascending order and their tags.
+    placed: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
     times = np.empty(len(location_ids), dtype=np.int64)
     for k in range(len(location_ids)):
-        location = int(location_ids[k])
+        placed_times, placed_tags = placed[int(location_ids[k])]
         tag = int(tags[k])
-        timeline = placed[location]
         for _ in range(_PLACEMENT_RETRIES):
             t0 = int(rng.integers(start, end))
-            left = bisect_left(timeline, (t0 - separation, _MIXED - 1))
-            conflict = False
-            for existing_t, existing_tag in timeline[left:]:
-                if existing_t > t0 + separation:
-                    break
-                if existing_tag == _MIXED or tag == _MIXED or existing_tag != tag:
-                    conflict = True
-                    break
-            if not conflict:
+            window = placed_tags[bisect_left(placed_times, t0 - separation):
+                                 bisect_right(placed_times, t0 + separation)]
+            # A mixed co-visit needs an empty window, any other only its own tag.
+            if all(other == tag != _MIXED for other in window):
                 break
         else:
-            raise ValueError(
-                "could not separate cross-community co-visits; "
-                "the configuration is too dense for the semester"
-            )
-        insort(timeline, (t0, tag))
+            raise ValueError("could not separate cross-community co-visits; "
+                             "the configuration is too dense for the semester")
+        at = bisect_right(placed_times, t0)
+        placed_times.insert(at, t0)
+        placed_tags.insert(at, tag)
         times[k] = t0
     return times
 
@@ -158,11 +148,7 @@ def generate(config: SyntheticConfig) -> tuple[EventLog, dict[str, int]]:
     community = _community_blocks(config.n_students, config.n_communities)
     ground_truth = {students[i]: int(community[i]) for i in range(config.n_students)}
 
-    locations = [
-        f"{category}{i:02d}"
-        for category in sorted(config.locations_per_category)
-        for i in range(config.locations_per_category[category])
-    ]
+    locations = list(default_category_map(config))
 
     weeks = config.semester.span_seconds / WEEK_SECONDS
     community_sizes = Counter(int(c) for c in community)
@@ -182,13 +168,13 @@ def generate(config: SyntheticConfig) -> tuple[EventLog, dict[str, int]]:
     first, second = np.concatenate([intra[0], cross[0]]), np.concatenate([intra[1], cross[1]])
 
     total = len(first)
-    start = config.semester.start
-    end = config.semester.end
     location_ids = rng.integers(0, len(locations), size=total)
     tags = np.where(community[first] == community[second], community[first], _MIXED)
     base_times = _place_covisit_times(
-        rng, location_ids, tags, start, end - config.jitter,
-        separation=DEFAULT_SEPARATION_WINDOW + config.jitter,
+        rng, location_ids, tags, config.semester.start, config.semester.end - config.jitter,
+        # Cross-community co-visits at one location stay a co-occurrence
+        # window (plus jitter) apart, so chance collisions cannot fake a tie.
+        separation=DEFAULT_WINDOW + config.jitter,
     )
     offsets = rng.integers(0, config.jitter + 1, size=total)
     means = config.base_amount + config.amount_step * community
@@ -242,7 +228,4 @@ def nmi(a: Mapping[str, int], b: Mapping[str, int]) -> float:
         info += p * math.log(p * n * n / (count_a[label_a] * count_b[label_b]))
     if h_a == 0.0 and h_b == 0.0:
         return 1.0  # both trivial partitions: identical up to relabeling
-    mean_entropy = (h_a + h_b) / 2.0
-    if mean_entropy == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, info / mean_entropy))
+    return min(1.0, max(0.0, info / ((h_a + h_b) / 2.0)))

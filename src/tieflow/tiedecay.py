@@ -3,10 +3,11 @@
 Each co-occurrence bumps an edge's weight by 1; between interactions the
 weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, evaluates
 the closed-form impulse-response sum over stored event times: a single
-edge's weight (`edge_weight_at`), a snapshot (`snapshot_at`), the first
-point of a sampled curve and the impulses each later point adds all call
-it. Between points the curve decays by the semigroup law. ODE integration
-exists only as a test oracle.
+edge's weight (`edge_weight_at`), a snapshot (`snapshot_at`) and the
+impulses each point of a sampled curve adds all call it. A curve starts
+from zero weights, and every point, the first included, decays the
+previous weights by the semigroup law and adds the impulses since. ODE
+integration exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -160,11 +161,8 @@ def sample_snapshots(
     order = np.argsort(g.times, kind="stable")
     sorted_times, sorted_edges = g.times[order], edge_of[order]
 
-    weights = decay_sums(g.times, edge_of, len(g.src), params.alpha, t_start)
-    yield _snapshot(g, t_start, weights)
-    cursor = int(np.searchsorted(sorted_times, t_start, side="right"))
-    prev_t = t_start
-    for k in range(1, n_points):
+    weights, cursor, prev_t = np.zeros(len(g.src)), 0, t_start
+    for k in range(n_points):
         t = t_start + k * spacing if k < n_points - 1 else t_end
         upto = int(np.searchsorted(sorted_times, t, side="right"))
         weights = weights * math.exp(-params.alpha * (t - prev_t)) + decay_sums(

@@ -3,14 +3,15 @@
 Everything here favors directness over speed: a row-by-row CSV parser,
 full-list greedy matching, exhaustive enumeration, augmenting-path
 matching, dense eigensolves, explicit ODE integration, literal double sums,
-and the cascade keyed by node name. None of it shares code with the
-package, except that the reference parser uses its time parser and error
-type, and the reference cascade its origin selection, propagation
-probabilities and CommunityAssignment; the other package classes used are
-EventLog, CooccurrenceGraph and NetworkSnapshot, which `make_log`,
-`make_cooccurrence` and `make_snapshot` build for the tests through the
-constructors production uses, and which the oracles read only through
-their arrays.
+the cascade keyed by node name and co-visit placement by a scan of
+(time, tag) tuples. None of it shares code with the package, except that
+the reference parser uses its time parser and error type, the reference
+cascade its origin selection, propagation probabilities and
+CommunityAssignment, and the reference placement its mixed tag and retry
+budget; the other package classes used are EventLog, CooccurrenceGraph and
+NetworkSnapshot, which `make_log`, `make_cooccurrence` and `make_snapshot`
+build for the tests through the constructors production uses, and which
+the oracles read only through their arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import csv
 import functools
 import math
 import random
+from collections import defaultdict
 
 import numpy as np
 from scipy.integrate import odeint
@@ -26,6 +28,7 @@ from scipy.integrate import odeint
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.ifs import CommunityAssignment, propagation_probability, select_origins
+from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
 from tieflow.tiedecay import NetworkSnapshot
 
 
@@ -421,6 +424,50 @@ def rank_priority_bfs(nodes, out_edges, origins) -> dict:
         if new_count == 0:
             break
     return labels
+
+
+# --------------------------------------------------------------- placement
+
+
+def reference_placement(
+    rng: np.random.Generator,
+    location_ids: np.ndarray,
+    tags: np.ndarray,
+    start: int,
+    end: int,
+    separation: int,
+) -> np.ndarray:
+    """synth._place_covisit_times as a scan of sorted (time, tag) tuples:
+    each draw walks its location's timeline from the window's left edge
+    until a conflict or a time past the window."""
+    from bisect import bisect_left, insort
+
+    placed: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    times = np.empty(len(location_ids), dtype=np.int64)
+    for k in range(len(location_ids)):
+        location = int(location_ids[k])
+        tag = int(tags[k])
+        timeline = placed[location]
+        for _ in range(_PLACEMENT_RETRIES):
+            t0 = int(rng.integers(start, end))
+            left = bisect_left(timeline, (t0 - separation, _MIXED - 1))
+            conflict = False
+            for existing_t, existing_tag in timeline[left:]:
+                if existing_t > t0 + separation:
+                    break
+                if existing_tag == _MIXED or tag == _MIXED or existing_tag != tag:
+                    conflict = True
+                    break
+            if not conflict:
+                break
+        else:
+            raise ValueError(
+                "could not separate cross-community co-visits; "
+                "the configuration is too dense for the semester"
+            )
+        insort(timeline, (t0, tag))
+        times[k] = t0
+    return times
 
 
 # --------------------------------------------------------------------- NMI

@@ -7,6 +7,7 @@ check each algorithmic component against an independent oracle at its
 stated tolerance.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from tieflow.cooccur import build_cooccurrence_graph
-from tieflow.events import TimeRange
+from tieflow.events import TimeRange, serialize_events
 from tieflow.ifs import (
     CommunityAssignment,
     FlowParams,
@@ -389,3 +390,6 @@ def test_criterion_10_scale_pipeline_under_ten_minutes():
            f"{len(log)} events, {len(tie_graph.edges)} edges, 1000 snapshots, "
            f"{len(assignment.origin_of)} communities in {elapsed:.0f}s (< 600s)")
     assert elapsed < 600.0
+    # The same log as `synth` writes it, pinned like the planted one.
+    assert hashlib.sha256(serialize_events(log).encode("utf-8")).hexdigest() == (
+        "ffa6900b9445e0b67e64d7b4f4717ee7d3288054870a45b527ac9bcdbddd0345")

@@ -252,7 +252,11 @@ def test_synth_rejects_infeasible_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv, fault", [
     (["--start", "253402000000", "--weeks", "1"], "ends after 9999-12-31"),
     (["--locations", "dining=-3,bath=5"], "location counts must be non-negative"),
-], ids=["past-time-limit", "negative-locations"])
+    (["--locations", "dining"], "bad --locations entry 'dining' (want category=count)"),
+    (["--locations", "dining=x"], "bad --locations count in 'dining=x'"),
+    (["--jitter", "-1"], "jitter must be non-negative"),
+], ids=["past-time-limit", "negative-locations", "locations-without-count",
+        "locations-non-integer-count", "negative-jitter"])
 def test_synth_rejects_config_it_cannot_write(tmp_path, capsys, argv, fault):
     assert main(["synth", "--students", "6", "--communities", "2", *argv,
                  "--output-dir", str(tmp_path / "x")]) == 1
@@ -361,7 +365,8 @@ def edit_json(edit):
 EVALUATE = ["evaluate", "--graph", GRAPH, "--communities", "communities.json", "--output", "e.json"]
 SNAPSHOT = ["snapshot", "--graph", GRAPH, "--output", "s.tsv"]
 BUILD = ["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]
-# case -> (artifact, mutation of its text, command that reads it, fault named in the message)
+# case -> (artifact, mutation of its text to text or bytes, command that reads it,
+# fault named in the message)
 MALFORMED = {
     "graph-non-integer-time": (
         GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[1000.5])),
@@ -375,6 +380,8 @@ MALFORMED = {
     "graph-unknown-node": (
         GRAPH, edit_json(lambda doc: doc["edges"][0].update(dst="ghost")),
         SNAPSHOT, "missing from 'nodes'"),
+    "graph-without-edges": (
+        GRAPH, edit_json(lambda doc: doc.update(edges=[])), SNAPSHOT, "has no edges"),
     "graph-duplicate-edge": (
         GRAPH, edit_json(lambda doc: doc["edges"].append(dict(doc["edges"][0], times=[5000]))),
         SNAPSHOT, "edge 's1' -> 's2' is listed twice"),
@@ -400,6 +407,17 @@ MALFORMED = {
             {"label": 1, "origin": "s3", "members": ["s1", "s3"]},
             {"label": 1, "origin": "s2", "members": ["s2"]}])),
         EVALUATE, "label 1 is listed twice"),
+    "communities-origin-not-a-node": (
+        "communities.json", edit_json(lambda doc: doc["communities"][0].update(origin="ghost")),
+        EVALUATE, "origin 'ghost' of label 1 is not one of its members"),
+    "communities-origin-isolated": (
+        "communities.json",
+        edit_json(lambda doc: (doc["communities"][0]["members"].remove("s3"),
+                               doc.update(isolated=["s3"]))),
+        EVALUATE, "origin 's3' of label 1 is not one of its members"),
+    "communities-not-utf8": (
+        "communities.json", lambda text: b"\xff" + text.encode("utf-8"),
+        EVALUATE, "'utf-8' codec can't decode byte 0xff"),
     "communities-node-left-out": (
         "communities.json", edit_json(lambda doc: doc["communities"][0]["members"].remove("s1")),
         EVALUATE, "node 's1' is in neither members nor isolated"),
@@ -420,6 +438,10 @@ MALFORMED = {
         "canonical.csv",
         lambda text: text.replace("s1,1000", 's1,"1000\n"').replace("caf,spend,2", "caf,spent,2"),
         BUILD, "line 6: unknown kind 'spent'"),
+    "events-header-only": (
+        "canonical.csv", lambda text: text.splitlines(keepends=True)[0],
+        EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"],
+        "has no records"),
     "categories-missing-location": (
         "categories.json", edit_json(lambda doc: doc.pop("shop")),
         EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"],
@@ -431,7 +453,8 @@ MALFORMED = {
 def test_malformed_artifact_is_data_error(chain, capsys, case):
     artifact, mutate, argv, fault = MALFORMED[case]
     path = chain / artifact
-    path.write_text(mutate(path.read_text(encoding="utf-8")), encoding="utf-8")
+    content = mutate(path.read_text(encoding="utf-8"))
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -455,8 +478,28 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     (["report", "--sweep", "sweep.tsv", "--output", "t.txt", "--alpha", "5", "--time", "3",
       "--n-points", "1", "--start-time", "7"],
      "--time, --alpha, --start-time, --n-points apply only to a --graph curve"),
+    (EVALUATE + ["--semester-start", "5000", "--semester-end", "4000"],
+     "--semester-start, --semester-end apply only with --events"),
+    (EVALUATE + ["--categories", "categories.json"], "--categories apply only with --events"),
+    (EVALUATE + ["--events", "canonical.csv"], "--events requires --categories"),
+    (["evaluate", "--graph", "missing.json", "--communities", "missing.json", "--output", "e.json",
+      "--events", "missing.csv", "--categories", "missing.json",
+      "--semester-start", "5000", "--semester-end", "4000"],
+     "the semester must start before it ends"),
+    (EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json",
+                 "--semester-start", "6000"], "the semester must start before it ends"),
+    (["report", "--graph", "missing.json", "--start-time", "5000", "--time", "4000",
+      "--output", "c.csv"], "the curve must start before it ends"),
+    (["sweep", "--graph", GRAPH, "--output", "s.tsv", "--epsilons", ","],
+     "list at least one epsilon"),
+    (["detect", "--graph", GRAPH, "--output", "d.json", "--max-rounds", "0"],
+     "max_rounds must be positive"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
-        "sweep-epsilon", "detect-prefix", "report-prefix", "report-sweep-curve-options"])
+        "sweep-epsilon", "detect-prefix", "report-prefix", "report-sweep-curve-options",
+        "evaluate-semester-without-events", "evaluate-categories-without-events",
+        "evaluate-events-without-categories", "evaluate-inverted-semester-before-read",
+        "evaluate-semester-start-after-data", "report-inverted-curve-before-read",
+        "sweep-no-epsilons", "detect-no-rounds"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

@@ -9,10 +9,17 @@ from tieflow.events import TimeRange, serialize_events
 from tieflow.ifs import FlowParams, detect_communities
 from tieflow.orient import orient_edges
 from tieflow.pagerank import pagerank
-from tieflow.synth import SyntheticConfig, default_category_map, generate, nmi
+from tieflow.synth import (
+    _MIXED,
+    SyntheticConfig,
+    _place_covisit_times,
+    default_category_map,
+    generate,
+    nmi,
+)
 from tieflow.tiedecay import DecayParams, snapshot_at
 
-from oracles import contingency_nmi
+from oracles import contingency_nmi, reference_placement
 
 WEEK = 7 * 86400
 
@@ -51,6 +58,50 @@ def test_planted_events_csv_digest_is_pinned(planted_pipeline):
     text = serialize_events(planted_pipeline["log"])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "55d409ed6374456e36d9525f29f873fd556b7dfb2bb2df3e304be5069d5687bf")
+
+
+class CountingRng:
+    """Draws integers from a seeded generator and counts the draws."""
+
+    def __init__(self, seed: int):
+        self.generator = np.random.default_rng(seed)
+        self.draws = 0
+
+    def integers(self, low, high):
+        self.draws += 1
+        return self.generator.integers(low, high)
+
+
+# case -> (co-visits, locations, tags drawn from, end of the draw range,
+# separation, whether some draw must be retried, whether the retries run out)
+PLACEMENTS = {
+    "same-community-loose": (300, 4, [0, 1, 2], 10**6, 100, False, False),
+    "mixed-loose": (300, 4, [_MIXED, 0, 1], 10**6, 100, False, False),
+    "mixed-tight": (200, 2, [_MIXED, 0, 1, 2], 10_000, 25, True, False),
+    "same-community-tight": (400, 1, [0, 1], 3_000, 10, True, False),
+    "retries-run-out": (5, 1, [_MIXED], 100, 1_000, True, True),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", sorted(PLACEMENTS))
+def test_placement_matches_tuple_scan_reference(case, seed):
+    n, n_locations, tag_values, end, separation, retried, runs_out = PLACEMENTS[case]
+    inputs = np.random.default_rng(100 + seed)
+    location_ids = inputs.integers(0, n_locations, size=n)
+    tags = inputs.choice(tag_values, size=n)
+    outcomes = []
+    for place in (_place_covisit_times, reference_placement):
+        rng = CountingRng(seed)
+        try:
+            result = place(rng, location_ids, tags, 0, end, separation).tolist()
+        except ValueError as exc:
+            result = str(exc)
+        outcomes.append((result, rng.draws, rng.generator.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+    result, draws, _ = outcomes[0]
+    assert isinstance(result, str) == runs_out
+    assert draws > n or not retried
 
 
 def test_different_seeds_differ():

@@ -201,6 +201,10 @@ def test_incremental_sampling_matches_direct_evaluation():
                 edges[(a, b)] = tuple(sorted(rng.randrange(0, 5_000) for _ in range(rng.randrange(1, 6))))
     tie = toy_graph(edges)
     params = DecayParams(alpha=0.0004)
+    # The first point takes the same impulse step as every later one, and
+    # sums each edge's impulses in the order snapshot_at does.
+    first = next(sample_snapshots(tie, params, 2_500, 6_000, 23))
+    assert first.weights.tobytes() == snapshot_at(tie, params, 2_500).weights.tobytes()
     for snap in sample_snapshots(tie, params, 0, 6_000, 23):
         direct = snapshot_at(tie, params, snap.time)
         sampled = {(s, d): w for s, d, w in snap.edges()}
