@@ -84,6 +84,24 @@ def _origin_fractions(text: str) -> list[float]:
     return values
 
 
+def _location_counts(text: str) -> dict[str, int]:
+    """Type of synth --locations: category=count entries, each category
+    named once; empty text means the default counts."""
+    counts: dict[str, int] = {}
+    for part in text.split(",") if text else ():
+        category, equals, count = part.partition("=")
+        category = category.strip()
+        if not equals or not category:
+            raise argparse.ArgumentTypeError(f"bad --locations entry {part!r} (want category=count)")
+        if category in counts:
+            raise argparse.ArgumentTypeError(f"category {category!r} is listed twice")
+        try:
+            counts[category] = int(count)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad --locations count in {part!r}") from None
+    return counts
+
+
 def _build_params(args) -> None:
     """Build the command's decay, walk and flow parameters before any file
     is read; their classes check every bound."""
@@ -304,17 +322,7 @@ def _handle_sweep(args) -> int:
 def _handle_synth(args) -> int:
     if not 0 < args.weeks < math.inf:
         raise UsageError("--weeks must be positive and finite")
-    locations = dict(synth.DEFAULT_LOCATIONS)
-    if args.locations:
-        locations = {}
-        for part in args.locations.split(","):
-            if "=" not in part:
-                raise UsageError(f"bad --locations entry {part!r} (want category=count)")
-            category, _, count = part.partition("=")
-            try:
-                locations[category.strip()] = int(count)
-            except ValueError:
-                raise UsageError(f"bad --locations count in {part!r}")
+    locations = args.locations or dict(synth.DEFAULT_LOCATIONS)
     try:
         semester = TimeRange(args.start, args.start + int(args.weeks * synth.WEEK_SECONDS))
         config = synth.SyntheticConfig(
@@ -563,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", type=_time, default="2019-09-02T00:00:00",
                    help="semester start (epoch seconds or ISO, default 2019-09-02T00:00:00)")
-    p.add_argument("--locations", default="",
+    p.add_argument("--locations", type=_location_counts, default="",
                    help="category=count list (default dining=33,bath=6,boiler=6,shop=4)")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(handler=_handle_synth)

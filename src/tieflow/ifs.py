@@ -6,6 +6,11 @@ runs in rounds: every labeled node re-attempts each of its out-edges once
 per round, newly labeled nodes start relaying the following round, and the
 first label to reach a node is final. A full round with no new labels (or
 the round budget) terminates the run.
+
+A try into a labeled node is skipped without a draw, and labels are final,
+so the loop keeps only the edges that can still draw: edges into origins
+are dropped before the first round, and each sender drops an edge once its
+destination is labeled.
 """
 
 from __future__ import annotations
@@ -107,24 +112,38 @@ def detect_communities(
     label = [0] * len(s.nodes)  # by node index; 0 while unlabeled
     for k, i in enumerate(origins, start=1):
         label[i] = k
-    offsets, dst = s.row_offsets.tolist(), s.dst.tolist()
-    probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta).tolist()
-    transmitters = [[i] for i in origins]  # label k's, ascending, at k - 1
+    # Origins never take a label, so edges into them are dropped up front.
+    keep = ~np.isin(s.dst, origins)
+    offsets = np.searchsorted(s.src[keep], np.arange(len(s.nodes) + 1)).tolist()
+    dst = s.dst[keep].tolist()
+    probability = propagation_probability(
+        s.weights, s.out_strength()[s.src], params.beta)[keep].tolist()
+    # Each sender's edges whose destination was unlabeled when last tried;
+    # senders with any such edge, in (label, node index) order.
+    pending = {i: range(offsets[i], offsets[i + 1]) for i in origins}
+    senders = [(k, i) for k, i in enumerate(origins, start=1) if pending[i]]
 
     rng = random.Random(params.seed)
     trace: list[tuple[int, int, int]] = []
     for round_no in range(1, params.max_rounds + 1):
         round_start = len(trace)
-        for k, senders in enumerate(transmitters, start=1):
-            for i in senders:
-                for e in range(offsets[i], offsets[i + 1]):
-                    j = dst[e]
-                    if label[j] == 0 and rng.random() < probability[e]:
+        for k, i in senders:
+            still_open = []
+            for e in pending[i]:
+                j = dst[e]
+                if label[j] == 0:
+                    if rng.random() < probability[e]:
                         label[j] = k
                         trace.append((round_no, j, k))
+                    else:
+                        still_open.append(e)
+            pending[i] = still_open
+        senders = [(k, i) for k, i in senders if pending[i]]
         if params.relay:
             for _, j, k in trace[round_start:]:
-                insort(transmitters[k - 1], j)
+                pending[j] = range(offsets[j], offsets[j + 1])
+                if pending[j]:
+                    insort(senders, (k, j))
         if len(trace) == round_start or len(trace) == len(s.nodes) - len(origins):
             break
 
@@ -203,15 +222,19 @@ def write_assignment_json(doc: dict, path) -> None:
 
 def read_assignment_json(path, nodes: Sequence[str]) -> CommunityAssignment:
     """The assignment in a document of assignment_to_doc's shape, rejecting
-    one whose members or isolated are not lists of string ids, that lists a
-    node or a label twice, whose members and isolated do not partition the
-    snapshot's nodes, or whose community origin is not among its members.
+    one with a label that is not an integer, whose members or isolated are
+    not lists of string ids, that lists a node or a label twice, whose
+    members and isolated do not partition the snapshot's nodes, or whose
+    community origin is not among its members.
     Rounds and the trace are not stored, so they come back as 0 and empty."""
     what = "communities file"
     doc = read_json(path, what)
     with decoding(path, what):
-        groups = [(int(c["label"]), c["origin"], c["members"]) for c in doc["communities"]]
+        groups = [(c["label"], c["origin"], c["members"]) for c in doc["communities"]]
         isolated = doc["isolated"]
+    for label, _, _ in groups:
+        if type(label) is not int:  # a JSON integer; bool is a subclass of int
+            raise DataError(f"malformed {what} {path}: label {label!r} is not an integer")
     lists = [members for _, _, members in groups] + [isolated]
     if not all(isinstance(ids, list) for ids in lists):
         raise DataError(f"malformed {what} {path}: members and isolated must be lists")

@@ -87,7 +87,9 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
 
 def rank_nodes(pr: PageRankVector) -> list[str]:
     """Nodes in descending score order; ties broken by ascending node id."""
-    return sorted(pr.scores, key=lambda node: (-pr.scores[node], node))
+    nodes = sorted(pr.scores)
+    order = np.argsort(-np.array([pr.scores[node] for node in nodes]), kind="stable")
+    return [nodes[i] for i in order.tolist()]
 
 
 def write_scores_tsv(pr: PageRankVector, path, comments: Sequence[str] = ()) -> None:

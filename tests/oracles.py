@@ -3,8 +3,8 @@
 Everything here favors directness over speed: a row-by-row CSV parser,
 full-list greedy matching, exhaustive enumeration, augmenting-path
 matching, dense eigensolves, explicit ODE integration, literal double sums,
-the cascade keyed by node name and co-visit placement by a scan of
-(time, tag) tuples. None of it shares code with the package, except that
+the cascade keyed by node name, co-visit placement by a scan of
+(time, tag) tuples and node ranking by a key sort. None of it shares code with the package, except that
 the reference parser uses its time parser and error type, the reference
 cascade its origin selection, propagation probabilities and
 CommunityAssignment, and the reference placement its mixed tag and retry
@@ -300,6 +300,14 @@ def dense_pagerank(snapshot, damping: float) -> np.ndarray:
     if vector.sum() < 0:
         vector = -vector
     return vector / vector.sum()
+
+
+# ----------------------------------------------------------------- ranking
+
+
+def reference_rank_nodes(pr) -> list[str]:
+    """rank_nodes as one key sort: descending score, then ascending node id."""
+    return sorted(pr.scores, key=lambda node: (-pr.scores[node], node))
 
 
 # -------------------------------------------------------------- modularity

@@ -407,6 +407,15 @@ MALFORMED = {
             {"label": 1, "origin": "s3", "members": ["s1", "s3"]},
             {"label": 1, "origin": "s2", "members": ["s2"]}])),
         EVALUATE, "label 1 is listed twice"),
+    "communities-float-label": (
+        "communities.json", edit_json(lambda doc: doc["communities"][0].update(label=1.5)),
+        EVALUATE, "label 1.5 is not an integer"),
+    "communities-bool-label": (
+        "communities.json", edit_json(lambda doc: doc["communities"][0].update(label=True)),
+        EVALUATE, "label True is not an integer"),
+    "communities-string-label": (
+        "communities.json", edit_json(lambda doc: doc["communities"][0].update(label="1")),
+        EVALUATE, "label '1' is not an integer"),
     "communities-origin-not-a-node": (
         "communities.json", edit_json(lambda doc: doc["communities"][0].update(origin="ghost")),
         EVALUATE, "origin 'ghost' of label 1 is not one of its members"),
@@ -494,12 +503,18 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
      "list at least one epsilon"),
     (["detect", "--graph", GRAPH, "--output", "d.json", "--max-rounds", "0"],
      "max_rounds must be positive"),
+    (["synth", "--locations", "dining=3,dining=1", "--output-dir", "x"],
+     "category 'dining' is listed twice"),
+    (["synth", "--locations", "=2", "--output-dir", "x"],
+     "bad --locations entry '=2' (want category=count)"),
+    (["synth", "--locations", "dining=0", "--output-dir", "x"], "need at least one location"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
         "sweep-epsilon", "detect-prefix", "report-prefix", "report-sweep-curve-options",
         "evaluate-semester-without-events", "evaluate-categories-without-events",
         "evaluate-events-without-categories", "evaluate-inverted-semester-before-read",
         "evaluate-semester-start-after-data", "report-inverted-curve-before-read",
-        "sweep-no-epsilons", "detect-no-rounds"])
+        "sweep-no-epsilons", "detect-no-rounds", "synth-repeated-category",
+        "synth-empty-category", "synth-zero-locations"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

@@ -1,9 +1,11 @@
 import math
 import random
+import types
 
 import numpy as np
 import pytest
 
+from tieflow import ifs
 from tieflow.ifs import (
     CommunityAssignment,
     FlowParams,
@@ -15,7 +17,8 @@ from tieflow.ifs import (
 from tieflow.pagerank import PageRankVector, pagerank
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import make_snapshot, rank_priority_bfs, reference_cascade
+import oracles
+from oracles import make_snapshot, rank_priority_bfs
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:
@@ -292,24 +295,53 @@ def cascade_graphs(planted_pipeline):
     }
 
 
+def counting_rngs(monkeypatch, module) -> list:
+    """Patch `module`'s random.Random with a subclass that counts its
+    random() draws; returns the instances it makes, in order."""
+    made = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.draws = 0
+            made.append(self)
+
+        def random(self):
+            self.draws += 1
+            return super().random()
+
+    monkeypatch.setattr(module, "random", types.SimpleNamespace(Random=CountingRandom))
+    return made
+
+
 @pytest.mark.parametrize("relay", [True, False], ids=["relay", "single-hop"])
 @pytest.mark.parametrize("graph", ["planted", "sparse"])
-def test_cascade_matches_name_keyed_reference(cascade_graphs, graph, relay):
+def test_cascade_matches_name_keyed_reference(monkeypatch, cascade_graphs, graph, relay):
     snap, pr = cascade_graphs[graph]
-    isolated_origins = 0
+    mine_rngs, reference_rngs = counting_rngs(monkeypatch, ifs), counting_rngs(monkeypatch, oracles)
+    isolated_origins = cut_while_running = 0
     for seed in (0, 1, 7):
-        for epsilon in (0.05, 0.2, 0.5):
-            params = FlowParams(seed=seed, relay=relay)
-            mine = detect_communities(snap, pr, epsilon, params)
-            reference = reference_cascade(snap, pr, epsilon, params)
-            case = f"seed {seed}, epsilon {epsilon}"
-            assert list(mine.labels.items()) == list(reference.labels.items()), case
-            assert list(mine.origin_of.items()) == list(reference.origin_of.items()), case
-            assert mine.isolated == reference.isolated, case
-            assert mine.rounds == reference.rounds, case
-            assert mine.trace == reference.trace, case
-            isolated_origins += len(mine.isolated.intersection(select_origins(pr, epsilon)))
+        # 0.0002 leaves one origin; at 1.0 every node is an origin and nothing draws.
+        for epsilon in (0.0002, 0.05, 0.2, 0.5, 1.0):
+            for max_rounds in (100, 2):
+                params = FlowParams(seed=seed, relay=relay, max_rounds=max_rounds)
+                mine = detect_communities(snap, pr, epsilon, params)
+                reference = oracles.reference_cascade(snap, pr, epsilon, params)
+                case = f"seed {seed}, epsilon {epsilon}, max_rounds {max_rounds}"
+                assert list(mine.labels.items()) == list(reference.labels.items()), case
+                assert list(mine.origin_of.items()) == list(reference.origin_of.items()), case
+                assert mine.isolated == reference.isolated, case
+                assert mine.rounds == reference.rounds, case
+                assert mine.trace == reference.trace, case
+                assert mine_rngs[-1].draws == reference_rngs[-1].draws, case
+                assert (mine_rngs[-1].draws == 0) == (epsilon == 1.0), case
+                if max_rounds == 100:
+                    full_rounds = mine.rounds
+                    isolated_origins += len(mine.isolated.intersection(select_origins(pr, epsilon)))
+                else:
+                    cut_while_running += full_rounds > 2
     assert graph == "planted" or isolated_origins > 0
+    assert cut_while_running > 0
 
 
 def test_single_hop_only_labels_direct_neighbors():

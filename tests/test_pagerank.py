@@ -3,11 +3,13 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tieflow.pagerank import WalkParams, pagerank, rank_nodes, write_scores_tsv
+from tieflow.pagerank import PageRankVector, WalkParams, pagerank, rank_nodes, write_scores_tsv
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import dense_pagerank, dense_rate_matrix, make_snapshot
+from oracles import dense_pagerank, dense_rate_matrix, make_snapshot, reference_rank_nodes
 
 
 def snapshot_from_weights(weights: dict, n: int) -> NetworkSnapshot:
@@ -174,15 +176,11 @@ def test_rank_by_score_descending():
     pr = pagerank(snap)
     scores = dict(pr.scores)
     scores.update({"n00": 0.5, "n01": 0.3, "n02": 0.2})
-    from tieflow.pagerank import PageRankVector
-
     ranked = rank_nodes(PageRankVector(scores, 1, 0.0, True))
     assert ranked == ["n00", "n01", "n02"]
 
 
 def test_ties_break_by_node_id():
-    from tieflow.pagerank import PageRankVector
-
     ranked = rank_nodes(PageRankVector({"b": 0.5, "a": 0.5}, 1, 0.0, True))
     assert ranked == ["a", "b"]
 
@@ -192,6 +190,19 @@ def test_ranking_is_permutation_of_nodes():
     snap = random_snapshot(rng, 30)
     pr = pagerank(snap)
     assert sorted(rank_nodes(pr)) == sorted(snap.nodes)
+
+
+# Few distinct scores, so most nodes tie with several others.
+SCORES = st.sampled_from([0.0, 1e-300, 0.125, 1 / 3, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.text(max_size=3), SCORES), unique_by=lambda item: item[0]),
+       st.randoms(use_true_random=False))
+def test_ranking_matches_key_sort(items, rng):
+    rng.shuffle(items)  # dict insertion order must not matter
+    pr = PageRankVector(dict(items), 1, 0.0, True)
+    assert rank_nodes(pr) == reference_rank_nodes(pr)
 
 
 def test_scores_tsv_format(tmp_path):
