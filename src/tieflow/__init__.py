@@ -24,13 +24,12 @@ from .metrics import (
     partition_report,
     variance_comparison,
 )
-from .orient import DirectedTieGraph, node_degrees, orient_edges
-from .pagerank import PageRankVector, WalkParams, pagerank, rank_nodes
+from .orient import DirectedTieGraph, orient_edges
+from .pagerank import PageRankVector, WalkParams, pagerank
 from .synth import SyntheticConfig, generate, nmi
 from .tiedecay import (
     DecayParams,
     NetworkSnapshot,
-    edge_weight_at,
     sample_snapshots,
     snapshot_at,
 )
@@ -54,18 +53,15 @@ __all__ = [
     "behavior_profiles",
     "build_cooccurrence_graph",
     "detect_communities",
-    "edge_weight_at",
     "filter_events",
     "generate",
     "modularity",
     "nmi",
-    "node_degrees",
     "orient_edges",
     "pagerank",
     "parse_events",
     "partition_report",
     "propagation_probability",
-    "rank_nodes",
     "sample_snapshots",
     "select_origins",
     "snapshot_at",

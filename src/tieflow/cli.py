@@ -171,7 +171,10 @@ def _param_comments(params: dict) -> list[str]:
 
 def _handle_ingest(args) -> int:
     log = _load_events(args.input)
-    keep = frozenset(s for s in args.keep_locations.split(",") if s)
+    keep = frozenset(map(str.strip, args.keep_locations.split(","))) - {""}
+    unknown = keep.difference(log.locations)
+    if unknown:
+        raise UsageError(f"--keep-locations entry {min(unknown)!r} names no location of {args.input}")
     filtered = filter_events(log, keep)
     out = Path(args.output)
     write_events_csv(filtered, out)
@@ -353,7 +356,7 @@ def _handle_synth(args) -> int:
         "semester_end": semester.end,
         "locations": locations,
     }
-    synth.write_ground_truth(truth, out_dir / "ground_truth.json", params)
+    write_json(out_dir / "ground_truth.json", {"params": params, "labels": truth})
     write_json(out_dir / "categories.json", synth.default_category_map(config))
     print(f"wrote {out_dir}/events.csv ({len(log)} events)")
     return EXIT_OK

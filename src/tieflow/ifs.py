@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics
 from .artifacts import DataError, decoding, read_json, write_json
-from .pagerank import PageRankVector, rank_nodes
+from .pagerank import PageRankVector
 from .tiedecay import NetworkSnapshot
 
 
@@ -75,7 +75,7 @@ def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
     if len(pr) == 0:
         raise ValueError("PageRank vector is empty")
     count = max(1, math.floor(epsilon * len(pr)))
-    return tuple(rank_nodes(pr)[:count])
+    return pr.ranking[:count]
 
 
 def propagation_probability(w, out_strength, beta: float):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -21,16 +21,6 @@ from .events import TIME_LIMIT, EventLog, TimeRange
 if TYPE_CHECKING:  # circular at runtime only
     from .ifs import CommunityAssignment
     from .tiedecay import NetworkSnapshot
-
-INDICATORS = (
-    "amount",
-    "times",
-    "days",
-    "bath_entropy",
-    "breakfast_entropy",
-    "lunch_entropy",
-    "dinner_entropy",
-)
 
 LOCATION_CATEGORIES = ("dining", "bath", "shop", "other")
 MEALS = {"breakfast": (5, 10), "lunch": (10, 15), "dinner": (15, 22)}  # half-open UTC hours
@@ -46,7 +36,7 @@ class PartitionReport:
 
 @dataclass(frozen=True)
 class BehaviorProfile:
-    """One student's indicators, named as in INDICATORS."""
+    """One student's indicators; INDICATORS lists their names in field order."""
 
     amount: float
     times: int
@@ -55,6 +45,9 @@ class BehaviorProfile:
     breakfast_entropy: float
     lunch_entropy: float
     dinner_entropy: float
+
+
+INDICATORS = tuple(f.name for f in fields(BehaviorProfile))
 
 
 def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = True) -> float:

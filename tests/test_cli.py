@@ -89,6 +89,15 @@ def test_ingest_keep_locations(tmp_path, events_csv):
     assert "shop" not in out.read_text()
 
 
+def test_ingest_keep_locations_strips_entries(tmp_path, events_csv):
+    out = tmp_path / "events.csv"
+    assert main(["ingest", "--input", str(events_csv), "--output", str(out),
+                 "--keep-locations", "caf, shop "]) == 0
+    meta = json.loads((tmp_path / "events.csv.meta.json").read_text())
+    assert meta["keep_locations"] == ["caf", "shop"]
+    assert meta["records_out"] == 6
+
+
 def test_build_writes_three_artifacts(tmp_path, built):
     out_dir = built.parent
     assert (out_dir / "cooccurrence.tsv").exists()
@@ -382,6 +391,15 @@ MALFORMED = {
         SNAPSHOT, "missing from 'nodes'"),
     "graph-without-edges": (
         GRAPH, edit_json(lambda doc: doc.update(edges=[])), SNAPSHOT, "has no edges"),
+    "graph-nodes-string": (
+        GRAPH, edit_json(lambda doc: doc.update(nodes="".join(doc["nodes"]))),
+        SNAPSHOT, "'nodes' must be a list of string ids"),
+    "graph-nodes-object": (
+        GRAPH, edit_json(lambda doc: doc.update(nodes={node: 1 for node in doc["nodes"]})),
+        SNAPSHOT, "'nodes' must be a list of string ids"),
+    "graph-node-listed-twice": (
+        GRAPH, edit_json(lambda doc: doc["nodes"].append("s2")),
+        SNAPSHOT, "node 's2' is listed twice"),
     "graph-duplicate-edge": (
         GRAPH, edit_json(lambda doc: doc["edges"].append(dict(doc["edges"][0], times=[5000]))),
         SNAPSHOT, "edge 's1' -> 's2' is listed twice"),
@@ -508,13 +526,15 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     (["synth", "--locations", "=2", "--output-dir", "x"],
      "bad --locations entry '=2' (want category=count)"),
     (["synth", "--locations", "dining=0", "--output-dir", "x"], "need at least one location"),
+    (["ingest", "--input", "raw.csv", "--output", "k.csv", "--keep-locations", "caf,nosuch"],
+     "--keep-locations entry 'nosuch' names no location of raw.csv"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
         "sweep-epsilon", "detect-prefix", "report-prefix", "report-sweep-curve-options",
         "evaluate-semester-without-events", "evaluate-categories-without-events",
         "evaluate-events-without-categories", "evaluate-inverted-semester-before-read",
         "evaluate-semester-start-after-data", "report-inverted-curve-before-read",
         "sweep-no-epsilons", "detect-no-rounds", "synth-repeated-category",
-        "synth-empty-category", "synth-zero-locations"])
+        "synth-empty-category", "synth-zero-locations", "ingest-unknown-location"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

@@ -30,7 +30,6 @@ def uniform_scores(nodes, top=()) -> PageRankVector:
     return PageRankVector(
         scores={node: value / total for node, value in scores.items()},
         iterations=1,
-        residual=0.0,
         converged=True,
     )
 

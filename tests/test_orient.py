@@ -2,9 +2,9 @@ import random
 from pathlib import Path
 
 from tieflow.cooccur import CooccurrenceGraph
-from tieflow.orient import node_degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
+from tieflow.orient import _degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
 
-from oracles import make_cooccurrence
+from oracles import make_cooccurrence, reference_degrees
 
 
 def undirected(edge_list) -> CooccurrenceGraph:
@@ -29,21 +29,28 @@ def random_undirected(rng, max_nodes=200) -> CooccurrenceGraph:
     return make_cooccurrence(names, edges)
 
 
+def checked_degrees(g) -> dict:
+    """The oracle's degrees, after checking that orient_edges counts the same."""
+    degrees = reference_degrees(g)
+    assert _degrees(g).tolist() == [degrees[node] for node in g.nodes]
+    return degrees
+
+
 def test_star_degrees():
     g = undirected([("c", "l1"), ("c", "l2"), ("c", "l3")])
-    degrees = node_degrees(g)
+    degrees = checked_degrees(g)
     assert degrees["c"] == 3
     assert degrees["l1"] == degrees["l2"] == degrees["l3"] == 1
 
 
 def test_empty_graph_degrees():
     g = make_cooccurrence((), {})
-    assert node_degrees(g) == {}
+    assert checked_degrees(g) == {}
 
 
 def test_triangle_degrees():
     g = undirected([("a", "b"), ("b", "c"), ("a", "c")])
-    assert set(node_degrees(g).values()) == {2}
+    assert set(checked_degrees(g).values()) == {2}
 
 
 def test_higher_degree_points_to_lower():
@@ -82,7 +89,7 @@ def test_rules_and_collapse_on_random_graphs():
     for _ in range(60):
         g = random_undirected(rng)
         tie = orient_edges(g)
-        degrees = node_degrees(g)
+        degrees = checked_degrees(g)
         equal_degree_edges = 0
         for (a, b), times in g.edges.items():
             forward = (a, b) in tie.edges

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tieflow.pagerank import PageRankVector, WalkParams, pagerank, rank_nodes, write_scores_tsv
+from tieflow.pagerank import PageRankVector, WalkParams, pagerank, write_scores_tsv
 from tieflow.tiedecay import NetworkSnapshot
 
 from oracles import dense_pagerank, dense_rate_matrix, make_snapshot, reference_rank_nodes
@@ -176,20 +176,20 @@ def test_rank_by_score_descending():
     pr = pagerank(snap)
     scores = dict(pr.scores)
     scores.update({"n00": 0.5, "n01": 0.3, "n02": 0.2})
-    ranked = rank_nodes(PageRankVector(scores, 1, 0.0, True))
-    assert ranked == ["n00", "n01", "n02"]
+    ranked = PageRankVector(scores, 1, True).ranking
+    assert ranked == ("n00", "n01", "n02")
 
 
 def test_ties_break_by_node_id():
-    ranked = rank_nodes(PageRankVector({"b": 0.5, "a": 0.5}, 1, 0.0, True))
-    assert ranked == ["a", "b"]
+    ranked = PageRankVector({"b": 0.5, "a": 0.5}, 1, True).ranking
+    assert ranked == ("a", "b")
 
 
 def test_ranking_is_permutation_of_nodes():
     rng = random.Random(8)
     snap = random_snapshot(rng, 30)
     pr = pagerank(snap)
-    assert sorted(rank_nodes(pr)) == sorted(snap.nodes)
+    assert sorted(pr.ranking) == sorted(snap.nodes)
 
 
 # Few distinct scores, so most nodes tie with several others.
@@ -201,8 +201,8 @@ SCORES = st.sampled_from([0.0, 1e-300, 0.125, 1 / 3, 0.5, 1.0]) | st.floats(0.0,
        st.randoms(use_true_random=False))
 def test_ranking_matches_key_sort(items, rng):
     rng.shuffle(items)  # dict insertion order must not matter
-    pr = PageRankVector(dict(items), 1, 0.0, True)
-    assert rank_nodes(pr) == reference_rank_nodes(pr)
+    pr = PageRankVector(dict(items), 1, True)
+    assert list(pr.ranking) == reference_rank_nodes(pr)
 
 
 def test_scores_tsv_format(tmp_path):

@@ -1,0 +1,47 @@
+"""What readers outside the package run against it: the README's library
+snippet, and the names and attributes the benchmark in perfbench/ reads."""
+
+import importlib
+import importlib.util
+import re
+import shutil
+from pathlib import Path
+
+from tieflow.cooccur import build_cooccurrence_graph
+from tieflow.events import parse_events_path
+from tieflow.orient import orient_edges
+from tieflow.tiedecay import DecayParams, snapshot_at
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "chain"
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    shutil.copy(GOLDEN / "canonical.csv", tmp_path / "canonical.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("PartitionReport(modularity=")
+
+
+def load_measure():
+    spec = importlib.util.spec_from_file_location("measure", ROOT / "perfbench" / "measure.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_layer_calls_resolve():
+    for name, (module, attr, _) in load_measure().LAYER_CALLS.items():
+        assert callable(getattr(importlib.import_module(f"tieflow.{module}"), attr, None)), name
+
+
+def test_benchmark_counts_read_graph_edges_and_snapshot_matrix():
+    calls = load_measure().LAYER_CALLS
+    pairs = build_cooccurrence_graph(parse_events_path(GOLDEN / "canonical.csv"), window=120)
+    graph = orient_edges(pairs)
+    snapshot = snapshot_at(graph, DecayParams(alpha=1e-6), graph.end_time())
+    assert calls["cooccur.build"][2]((), pairs) == {"pairs": 3, "matches": 3}
+    assert calls["orient.orient"][2]((), graph) == {"edges": 6, "tied_pairs": 3}
+    assert calls["tiedecay.snapshot"][2]((), snapshot) == {"snapshots": 1, "snapshot_nnz": 6}

