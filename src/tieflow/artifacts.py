@@ -1,9 +1,10 @@
 """Artifact files: the one JSON writer and reader, and the one table writer.
 
-JSON artifacts are written with sorted keys, two-space indent and a
-trailing newline. Table artifacts (TSV/CSV) are ``# comment`` lines holding
-the parameters that produced them, then one line per row. Readers raise
-DataError with a message that names the file and the fault.
+JSON artifacts are written with sorted keys, two-space indent (or compact
+separators, for the large tie graph) and a trailing newline. Table
+artifacts (TSV/CSV) are ``# comment`` lines holding the parameters that
+produced them, then one line per row. Readers raise DataError with a
+message that names the file and the fault.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ class DataError(Exception):
     """A missing or malformed input file."""
 
 
-def write_json(path, doc) -> None:
+def write_json(path, doc, indent: int | None = 2) -> None:
+    text = json.dumps(doc, indent=indent, separators=(",", ": " if indent else ":"), sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def read_text(path, what: str) -> str:

@@ -369,6 +369,9 @@ def _curve(args) -> int:
     _check_order(args.start_time, None if args.time == "end" else args.time, "the curve")
     graph, t_end, params = _graph_at(args)
     t_start = float(graph.start_time() if args.start_time is None else args.start_time)
+    if args.start_time is None and t_start == graph.end_time() == t_end:
+        raise DataError(f"every co-occurrence in tie graph file {args.graph} is at {t_end:.12g}; "
+                        "give an earlier --start-time to draw a curve")
     _check_order(t_start, t_end, "the curve")
     params.update(t_start=t_start, t_end=t_end, n_points=n_points)
 

@@ -34,17 +34,19 @@ class TimedEdges:
     offsets: np.ndarray
     times: np.ndarray
 
-    def _rows(self):
-        """(src id, dst id, list of times) per edge, in edge order."""
-        names = np.array(self.nodes, dtype=object)
-        bounds = zip(self.offsets[:-1], self.offsets[1:])
-        for s, d, (start, stop) in zip(names[self.src], names[self.dst], bounds):
-            yield s, d, self.times[start:stop].tolist()
-
     @cached_property
     def edges(self) -> Mapping[tuple[str, str], tuple[int, ...]]:
         """Read-only (src, dst) -> times view, built on first use."""
-        return MappingProxyType({(s, d): tuple(times) for s, d, times in self._rows()})
+        names, times = np.array(self.nodes, dtype=object), self.times.tolist()
+        bounds = self.offsets.tolist()
+        return MappingProxyType({(s, d): tuple(times[start:stop]) for s, d, start, stop
+                                 in zip(names[self.src], names[self.dst], bounds, bounds[1:])})
+
+    def _count_lines(self):
+        """src id<TAB>dst id<TAB>number of times, per edge in edge order."""
+        names = np.array(self.nodes, dtype=object)
+        counts = np.diff(self.offsets).tolist()
+        return map("{}\t{}\t{}".format, names[self.src], names[self.dst], counts)
 
 
 class CooccurrenceGraph(TimedEdges):
@@ -156,4 +158,4 @@ def build_cooccurrence_graph(log: EventLog, window: int = DEFAULT_WINDOW) -> Coo
 
 def write_pair_counts_tsv(g: CooccurrenceGraph, path, comments: Sequence[str] = ()) -> None:
     """TSV export: student_a<TAB>student_b<TAB>count, student_a < student_b."""
-    write_lines(path, comments, (f"{a}\t{b}\t{len(times)}" for a, b, times in g._rows()))
+    write_lines(path, comments, g._count_lines())

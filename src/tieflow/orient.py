@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
@@ -65,55 +65,68 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
 
 def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
     """TSV export: src<TAB>dst<TAB>count."""
-    write_lines(path, comments, (f"{s}\t{d}\t{len(times)}" for s, d, times in g._rows()))
+    write_lines(path, comments, g._count_lines())
 
 
 def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) -> None:
-    """Lossless JSON persistence (keeps per-edge times for later snapshots)."""
-    doc = {
-        "params": params or {},
-        "nodes": list(g.nodes),
-        "edges": [{"src": s, "dst": d, "times": times} for s, d, times in g._rows()],
-    }
-    write_json(path, doc)
+    """Lossless compact JSON of the graph's columns (keeps per-edge times for
+    later snapshots): edge e runs from nodes[edges[2e]] to
+    nodes[edges[2e + 1]] with times[offsets[e] : offsets[e + 1]]."""
+    write_json(path, {"params": params or {}, "nodes": list(g.nodes),
+                      "edges": np.column_stack([g.src, g.dst]).ravel().tolist(),
+                      "offsets": g.offsets.tolist(), "times": g.times.tolist()}, indent=None)
 
 
 def read_tie_graph_json(path) -> DirectedTieGraph:
-    """Load a tie graph, rejecting one whose nodes are not a list of distinct
-    string ids, or whose edges name unknown nodes, carry times that are not
-    a nonempty ascending list of integer timestamps, or appear twice."""
+    """Load a tie graph (either layout), rejecting one whose nodes are not
+    distinct string ids, whose columns are not int64 lists with 2 indices
+    per edge and offsets rising from 0 to len(times), or whose edges name
+    unknown nodes, join a node to itself, carry times that are not a
+    nonempty ascending list of timestamps, or appear twice."""
     what = "tie graph file"
     doc = read_json(path, what)
     with decoding(path, what):
         names = doc["nodes"]
         if not (isinstance(names, list) and all(isinstance(node, str) for node in names)):
-            raise DataError(f"malformed {what} {path}: 'nodes' must be a list of string ids")
+            raise ValueError("'nodes' must be a list of string ids")
         nodes = tuple(sorted(set(names)))
         if len(nodes) < len(names):
-            twice = min(node for node, n in Counter(names).items() if n > 1)
-            raise DataError(f"malformed {what} {path}: node {twice!r} is listed twice")
-        index = {node: i for i, node in enumerate(nodes)}
-        edges = doc["edges"]
-        src = np.array([index.get(e["src"], -1) for e in edges], dtype=np.int64)
-        dst = np.array([index.get(e["dst"], -1) for e in edges], dtype=np.int64)
-        lists = [e["times"] for e in edges]
-        counts = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-    flat = list(chain.from_iterable(lists))
-    if set(map(type, flat)) - {int}:
-        raise DataError(f"malformed {what} {path}: edge times must be integers")
-    if flat and not (0 <= min(flat) and max(flat) < TIME_LIMIT):
-        flat = [tau if 0 <= tau < TIME_LIMIT else -1 for tau in flat]  # -1 marks the outliers
-    times = np.array(flat, dtype=np.int64)
-    edge_of = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((dst, src))
-    for fault, bad in (
-        ("names a node missing from 'nodes'", np.flatnonzero((src < 0) | (dst < 0))),
-        ("has no times", np.flatnonzero(counts == 0)),
-        ("has times outside 1970-01-01 .. 9999-12-31", edge_of[times < 0]),
-        ("has unsorted times", edge_of[1:][(np.diff(times) < 0) & (np.diff(edge_of) == 0)]),
-        ("is listed twice", order[1:][(np.diff(src[order]) == 0) & (np.diff(dst[order]) == 0)]),
-    ):
-        if len(bad):
-            e = edges[bad[0]]
-            raise DataError(f"malformed {what} {path}: edge {e['src']!r} -> {e['dst']!r} {fault}")
-    return _assemble(nodes, src, dst, np.cumsum(counts) - counts, counts, times)
+            raise ValueError(f"node {min(n for n, k in Counter(names).items() if k > 1)!r} "
+                             "is listed twice")
+        if "offsets" not in doc:  # the edge-object layout of earlier versions
+            index, objects = {node: i for i, node in enumerate(names)}, doc["edges"]
+            doc = {"edges": [index.get(e[end], -1) for e in objects for end in ("src", "dst")],
+                   "offsets": [0, *accumulate(len(e["times"]) for e in objects)],
+                   "times": list(chain.from_iterable(e["times"] for e in objects))}
+        ends, offsets, times = doc["edges"], doc["offsets"], doc["times"]
+        for kind, values in (("endpoints", ends), ("offsets", offsets), ("times", times)):
+            if not isinstance(values, list) or set(map(type, values)) - {int}:
+                raise ValueError(f"edge {kind} must be integers")
+        if len(ends) % 2 or len(offsets) != len(ends) // 2 + 1:
+            raise ValueError(f"want 2 'edges' indices per edge and 1 'offsets' entry more than "
+                             f"the edges, not {len(ends)} and {len(offsets)}")
+        ends, offsets = np.array(ends, dtype=np.int64), np.array(offsets, dtype=np.int64)
+        counts = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != len(times) or (counts < 0).any():
+            raise ValueError(f"'offsets' must rise from 0 to {len(times)}")
+        outside = np.flatnonzero((ends < 0) | (ends >= len(names)))
+        if len(outside):
+            raise ValueError(f"edge {outside[0] // 2} names a node missing from 'nodes'")
+        if times and not (0 <= min(times) and max(times) < TIME_LIMIT):
+            times = [tau if 0 <= tau < TIME_LIMIT else -1 for tau in times]  # -1 marks the outliers
+        rank = {node: i for i, node in enumerate(nodes)}
+        ends = np.array([rank[name] for name in names], dtype=np.int64)[ends]
+        g = _assemble(nodes, ends[0::2], ends[1::2], offsets[:-1], counts,
+                      np.array(times, dtype=np.int64))
+        edge_of = np.repeat(np.arange(len(g.src)), np.diff(g.offsets))
+        for fault, bad in (
+            ("joins a node to itself", np.flatnonzero(g.src == g.dst)),
+            ("has no times", np.flatnonzero(np.diff(g.offsets) == 0)),
+            ("has times outside 1970-01-01 .. 9999-12-31", edge_of[g.times < 0]),
+            ("has unsorted times", edge_of[1:][(np.diff(g.times) < 0) & (np.diff(edge_of) == 0)]),
+            ("is listed twice", np.flatnonzero((np.diff(g.src) == 0) & (np.diff(g.dst) == 0))),
+        ):
+            if len(bad):
+                s, d = g.nodes[g.src[bad[0]]], g.nodes[g.dst[bad[0]]]
+                raise ValueError(f"edge {s!r} -> {d!r} {fault}")
+    return g

@@ -293,6 +293,17 @@ def test_report_curve_points(tmp_path, built):
     assert len(body) == 5
 
 
+def test_report_curve_on_one_instant_takes_start_time(tmp_path, built):
+    doc = json.loads(built.read_text(encoding="utf-8"))
+    doc["times"] = [1000] * len(doc["times"])
+    built.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "curve.csv"
+    argv = ["report", "--graph", str(built), "--n-points", "2", "--output", str(out)]
+    assert main(argv) == 2
+    assert main(argv + ["--start-time", "0"]) == 0
+    assert out.read_text().splitlines()[-2:] == ["0,0,0,0", "1000,6,6,1"]
+
+
 def test_report_formats_sweep_table(tmp_path, built):
     sweep_path = tmp_path / "sweep.tsv"
     main(["sweep", "--graph", str(built), "--epsilons", "1.0,0.5", "--output", str(sweep_path)])
@@ -371,6 +382,23 @@ def edit_json(edit):
     return apply
 
 
+def old_layout(edit):
+    """edit_json(edit) on the tie graph rewritten in the edge-object layout
+    of earlier versions."""
+    def apply(doc):
+        ends, offsets, times = doc.pop("edges"), doc.pop("offsets"), doc.pop("times")
+        nodes = doc["nodes"]
+        doc["edges"] = [{"src": nodes[s], "dst": nodes[d], "times": times[lo:hi]}
+                        for s, d, lo, hi in zip(ends[::2], ends[1::2], offsets, offsets[1:])]
+        edit(doc)
+    return edit_json(apply)
+
+
+def set_item(key, position, value):
+    """edit_json that sets doc[key][position] to value."""
+    return edit_json(lambda doc: doc[key].__setitem__(position, value))
+
+
 EVALUATE = ["evaluate", "--graph", GRAPH, "--communities", "communities.json", "--output", "e.json"]
 SNAPSHOT = ["snapshot", "--graph", GRAPH, "--output", "s.tsv"]
 BUILD = ["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]
@@ -378,19 +406,19 @@ BUILD = ["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]
 # fault named in the message)
 MALFORMED = {
     "graph-non-integer-time": (
-        GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[1000.5])),
+        GRAPH, old_layout(lambda doc: doc["edges"][0].update(times=[1000.5])),
         SNAPSHOT, "edge times must be integers"),
     "graph-unsorted-times": (
-        GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[2000, 1000])),
+        GRAPH, old_layout(lambda doc: doc["edges"][0].update(times=[2000, 1000])),
         SNAPSHOT, "unsorted times"),
     "graph-time-out-of-range": (
-        GRAPH, edit_json(lambda doc: doc["edges"][0].update(times=[10**400])),
+        GRAPH, old_layout(lambda doc: doc["edges"][0].update(times=[10**400])),
         SNAPSHOT, "outside 1970-01-01 .. 9999-12-31"),
     "graph-unknown-node": (
-        GRAPH, edit_json(lambda doc: doc["edges"][0].update(dst="ghost")),
+        GRAPH, old_layout(lambda doc: doc["edges"][0].update(dst="ghost")),
         SNAPSHOT, "missing from 'nodes'"),
     "graph-without-edges": (
-        GRAPH, edit_json(lambda doc: doc.update(edges=[])), SNAPSHOT, "has no edges"),
+        GRAPH, old_layout(lambda doc: doc.update(edges=[])), SNAPSHOT, "has no edges"),
     "graph-nodes-string": (
         GRAPH, edit_json(lambda doc: doc.update(nodes="".join(doc["nodes"]))),
         SNAPSHOT, "'nodes' must be a list of string ids"),
@@ -401,8 +429,48 @@ MALFORMED = {
         GRAPH, edit_json(lambda doc: doc["nodes"].append("s2")),
         SNAPSHOT, "node 's2' is listed twice"),
     "graph-duplicate-edge": (
-        GRAPH, edit_json(lambda doc: doc["edges"].append(dict(doc["edges"][0], times=[5000]))),
+        GRAPH, old_layout(lambda doc: doc["edges"].append(dict(doc["edges"][0], times=[5000]))),
         SNAPSHOT, "edge 's1' -> 's2' is listed twice"),
+    "graph-self-loop": (
+        GRAPH, set_item("edges", 1, 0), SNAPSHOT, "edge 's1' -> 's1' joins a node to itself"),
+    "graph-self-loop-old-layout": (
+        GRAPH, old_layout(lambda doc: doc["edges"][0].update(dst="s1")),
+        SNAPSHOT, "edge 's1' -> 's1' joins a node to itself"),
+    "graph-edges-odd-length": (
+        GRAPH, edit_json(lambda doc: doc["edges"].pop()),
+        SNAPSHOT, "want 2 'edges' indices per edge and 1 'offsets' entry more than the edges, "
+                  "not 11 and 7"),
+    "graph-negative-index": (
+        GRAPH, set_item("edges", 2, -1), SNAPSHOT, "edge 1 names a node missing from 'nodes'"),
+    "graph-index-past-nodes": (
+        GRAPH, set_item("edges", 5, 3), SNAPSHOT, "edge 2 names a node missing from 'nodes'"),
+    "graph-offsets-not-from-zero": (
+        GRAPH, set_item("offsets", 0, 1), SNAPSHOT, "'offsets' must rise from 0 to 6"),
+    "graph-offsets-short-of-times": (
+        GRAPH, set_item("offsets", -1, 5), SNAPSHOT, "'offsets' must rise from 0 to 6"),
+    "graph-offsets-decrease": (
+        GRAPH, set_item("offsets", 2, 0), SNAPSHOT, "'offsets' must rise from 0 to 6"),
+    "graph-offsets-huge": (
+        GRAPH, edit_json(lambda doc: doc.update(edges=doc["edges"][:2], offsets=[0, 10**15])),
+        SNAPSHOT, "'offsets' must rise from 0 to 6"),
+    "graph-bool-index": (
+        GRAPH, set_item("edges", 0, False), SNAPSHOT, "edge endpoints must be integers"),
+    "graph-float-offset": (
+        GRAPH, set_item("offsets", 1, 1.0), SNAPSHOT, "edge offsets must be integers"),
+    "graph-bool-time": (
+        GRAPH, set_item("times", 0, True), SNAPSHOT, "edge times must be integers"),
+    "graph-index-beyond-int64": (
+        GRAPH, set_item("edges", 0, 2**63), SNAPSHOT, "int too large"),
+    "graph-offset-beyond-int64": (
+        GRAPH, set_item("offsets", 3, -2**64), SNAPSHOT, "int too large"),
+    "graph-time-beyond-int64": (
+        GRAPH, set_item("times", 4, 2**64), SNAPSHOT,
+        "edge 's3' -> 's1' has times outside 1970-01-01 .. 9999-12-31"),
+    "graph-co-occurrences-at-one-instant": (
+        GRAPH, edit_json(lambda doc: doc.update(times=[1000] * 6)),
+        ["report", "--graph", GRAPH, "--output", "c.csv"],
+        "every co-occurrence in tie graph file graph/tie_graph.json is at 1000; "
+        "give an earlier --start-time"),
     "communities-without-communities": (
         "communities.json", edit_json(lambda doc: doc.pop("communities")),
         EVALUATE, "missing field 'communities'"),

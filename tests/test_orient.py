@@ -1,5 +1,8 @@
+import json
 import random
 from pathlib import Path
+
+import numpy as np
 
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.orient import _degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
@@ -109,15 +112,38 @@ def test_rules_and_collapse_on_random_graphs():
             assert src != dst
 
 
+COLUMNS = ("src", "dst", "offsets", "times")
+
+
 def test_json_round_trip(tmp_path):
     rng = random.Random(5)
-    g = random_undirected(rng, max_nodes=30)
-    tie = orient_edges(g)
     path = tmp_path / "tie.json"
-    write_tie_graph_json(tie, path, params={"window": 120})
+    for _ in range(20):
+        tie = orient_edges(random_undirected(rng, max_nodes=30))
+        write_tie_graph_json(tie, path, params={"window": 120})
+        loaded = read_tie_graph_json(path)
+        assert loaded.nodes == tie.nodes
+        for name in COLUMNS:
+            got, want = getattr(loaded, name), getattr(tie, name)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist(), name
+        assert dict(loaded.edges) == dict(tie.edges)
+
+
+def test_file_node_order_is_remapped_to_sorted_index(tmp_path):
+    tie = orient_edges(random_undirected(random.Random(6), max_nodes=30))
+    path = tmp_path / "tie.json"
+    write_tie_graph_json(tie, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    order = list(range(len(tie.nodes)))
+    random.Random(7).shuffle(order)
+    position = {old: new for new, old in enumerate(order)}
+    doc["nodes"] = [tie.nodes[old] for old in order]
+    doc["edges"] = [position[i] for i in doc["edges"]]
+    path.write_text(json.dumps(doc), encoding="utf-8")
     loaded = read_tie_graph_json(path)
     assert loaded.nodes == tie.nodes
-    assert dict(loaded.edges) == dict(tie.edges)
+    for name in COLUMNS:
+        assert getattr(loaded, name).tolist() == getattr(tie, name).tolist(), name
 
 
 def test_old_format_with_degree_loads_to_same_arrays():
@@ -125,7 +151,7 @@ def test_old_format_with_degree_loads_to_same_arrays():
     old = read_tie_graph_json(golden / "tie_graph_with_degree.json")
     new = read_tie_graph_json(golden / "chain" / "graph" / "tie_graph.json")
     assert old.nodes == new.nodes
-    for name in ("src", "dst", "offsets", "times"):
+    for name in COLUMNS:
         assert getattr(old, name).tolist() == getattr(new, name).tolist(), name
 
 
