@@ -372,6 +372,10 @@ def _curve(args) -> int:
     if args.start_time is None and t_start == graph.end_time() == t_end:
         raise DataError(f"every co-occurrence in tie graph file {args.graph} is at {t_end:.12g}; "
                         "give an earlier --start-time to draw a curve")
+    if args.start_time is None and t_start >= t_end:
+        raise UsageError(f"the curve starts by default at the graph's first co-occurrence, "
+                         f"t={t_start:.12g}, which is not before --time {t_end:.12g}; "
+                         "give an earlier --start-time")
     _check_order(t_start, t_end, "the curve")
     params.update(t_start=t_start, t_end=t_end, n_points=n_points)
 

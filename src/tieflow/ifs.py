@@ -7,10 +7,15 @@ per round, newly labeled nodes start relaying the following round, and the
 first label to reach a node is final. A full round with no new labels (or
 the round budget) terminates the run.
 
-A try into a labeled node is skipped without a draw, and labels are final,
-so the loop keeps only the edges that can still draw: edges into origins
-are dropped before the first round, and each sender drops an edge once its
-destination is labeled.
+A try into a labeled node (an origin included) is skipped without a draw,
+and labels are final, so each sender drops an edge once its destination is
+labeled and the loop keeps only the edges that can still draw.
+
+The cascade runs on node indices. Its set-up (`_flow_lists`: the check that
+the snapshot and ranking share their nodes, the snapshot's CSR arrays and
+propagation probabilities, and the node indices in descending PageRank)
+is kept for the last snapshot, ranking and beta, so the origin fractions
+of `sweep_epsilon` share one build; the sweep drops it when it ends.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import random
 from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -106,18 +112,11 @@ def detect_communities(
     for a node is resolved by origin rank since earlier communities act
     first. Origins that never transmit successfully end up isolated.
     """
-    if set(pr.scores) != set(s.nodes):
-        raise ValueError("snapshot and PageRank cover different node sets")
-    origins = [s.index[origin] for origin in select_origins(pr, epsilon)]
+    offsets, dst, probability, ranked = _flow_lists(s, pr.ranking, params.beta)
+    origins = ranked[:len(select_origins(pr, epsilon))]
     label = [0] * len(s.nodes)  # by node index; 0 while unlabeled
     for k, i in enumerate(origins, start=1):
         label[i] = k
-    # Origins never take a label, so edges into them are dropped up front.
-    keep = ~np.isin(s.dst, origins)
-    offsets = np.searchsorted(s.src[keep], np.arange(len(s.nodes) + 1)).tolist()
-    dst = s.dst[keep].tolist()
-    probability = propagation_probability(
-        s.weights, s.out_strength()[s.src], params.beta)[keep].tolist()
     # Each sender's edges whose destination was unlabeled when last tried;
     # senders with any such edge, in (label, node index) order.
     pending = {i: range(offsets[i], offsets[i + 1]) for i in origins}
@@ -147,16 +146,31 @@ def detect_communities(
         if len(trace) == round_start or len(trace) == len(s.nodes) - len(origins):
             break
 
-    labels = {s.nodes[j]: k for _, j, k in trace}
-    origin_of = {k: s.nodes[origins[k - 1]] for k in sorted(set(labels.values()))}
+    nodes = s.nodes
+    named = [(r, nodes[j], k) for r, j, k in trace]
+    labels = {node: k for _, node, k in named}
+    origin_of = {k: nodes[origins[k - 1]] for k in sorted(set(labels.values()))}
     labels.update((origin, k) for k, origin in origin_of.items())
     return CommunityAssignment(
         labels=labels,
-        isolated=frozenset(s.nodes).difference(labels),
+        isolated=frozenset(nodes).difference(labels),
         origin_of=origin_of,
         rounds=round_no,
-        trace=tuple((r, s.nodes[j], k) for r, j, k in trace),
+        trace=tuple(named),
     )
+
+
+@lru_cache(maxsize=1)
+def _flow_lists(s: NetworkSnapshot, ranking: tuple[str, ...], beta: float):
+    """What every cascade on the snapshot with this ranking and beta shares:
+    the node-set check, the CSR offsets, destinations and propagation
+    probabilities, and the node indices in descending PageRank, as tuples.
+    The last call's tuples are kept, so the fractions of a sweep share them."""
+    if set(ranking) != set(s.nodes):
+        raise ValueError("snapshot and PageRank cover different node sets")
+    probability = propagation_probability(s.weights, s.out_strength[s.src], beta)
+    return (tuple(s.row_offsets.tolist()), tuple(s.dst.tolist()), tuple(probability.tolist()),
+            tuple([s.index[node] for node in ranking]))
 
 
 @dataclass(frozen=True)
@@ -173,21 +187,26 @@ def sweep_epsilon(
     epsilons: Sequence[float],
     params: FlowParams = FlowParams(),
 ) -> list[SweepRow]:
-    """One detection plus evaluation per origin fraction, same seed each run."""
+    """One detection plus evaluation per origin fraction, same seed each run;
+    the fractions share one `_flow_lists` build, dropped when the sweep ends
+    so that the cache keeps no snapshot alive past it."""
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     rows = []
-    for epsilon in epsilons:
-        assignment = detect_communities(s, pr, epsilon, params)
-        report = metrics.partition_report(s, assignment)
-        rows.append(
-            SweepRow(
-                epsilon=epsilon,
-                modularity=report.modularity,
-                community_count=report.community_count,
-                avg_size=report.avg_size,
+    try:
+        for epsilon in epsilons:
+            assignment = detect_communities(s, pr, epsilon, params)
+            report = metrics.partition_report(s, assignment)
+            rows.append(
+                SweepRow(
+                    epsilon=epsilon,
+                    modularity=report.modularity,
+                    community_count=report.community_count,
+                    avg_size=report.avg_size,
+                )
             )
-        )
+    finally:
+        _flow_lists.cache_clear()
     return rows
 
 

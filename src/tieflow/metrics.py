@@ -60,8 +60,7 @@ def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = 
     total = s.total_weight
     if total <= 0:
         raise ValueError("snapshot has zero total weight")
-    out_strength = s.out_strength()
-    in_strength = np.bincount(s.dst, weights=s.weights, minlength=len(s.nodes))
+    out_strength, in_strength = s.out_strength, s.in_strength
     if not directed:
         out_strength = in_strength = (out_strength + in_strength) / 2
 
@@ -72,16 +71,38 @@ def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = 
     intra = np.where(community[s.src] == community[s.dst], community[s.src], -1)
     # Stable sorts keep each community's entries in (src, dst) order and its
     # members in ascending node id: the orders a submatrix sum adds them in.
-    entries, members = np.argsort(intra, kind="stable"), np.argsort(community, kind="stable")
+    live = np.flatnonzero(intra >= 0)
+    entries = live[np.argsort(intra[live], kind="stable")]
+    members = np.argsort(community, kind="stable")
     entry_bounds = np.searchsorted(intra[entries], np.arange(len(codes) + 1))
     member_bounds = np.searchsorted(community[members], np.arange(len(codes) + 1))
+    inside = _segment_sums(s.weights[entries], entry_bounds).tolist()
+    out_sums = _segment_sums(out_strength[members], member_bounds).tolist()
+    in_sums = _segment_sums(in_strength[members], member_bounds).tolist()
 
     q = 0.0
-    for k in range(len(codes)):
-        idx = members[member_bounds[k]:member_bounds[k + 1]]
-        q += float(np.sum(s.weights[entries[entry_bounds[k]:entry_bounds[k + 1]]])) / total
-        q -= float(out_strength[idx].sum()) * float(in_strength[idx].sum()) / (total * total)
+    for w, out_sum, in_sum in zip(inside, out_sums, in_sums):
+        q += w / total
+        q -= out_sum * in_sum / (total * total)
     return q
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Per k, np.add.reduce(values[bounds[k]:bounds[k + 1]]) bit for bit: the
+    sum a submatrix sum (np.sum) takes, unlike np.add.reduceat.
+
+    np.add.reduce adds fewer than 8 values one at a time, first to last, so
+    short segments are added a column at a time across all segments; only
+    longer ones, which it sums pairwise, are reduced one by one.
+    """
+    start, size = bounds[:-1], np.diff(bounds)
+    sums = np.zeros(len(size))
+    for j in range(7):
+        more = np.flatnonzero(size > j)
+        sums[more] += values[start[more] + j]
+    for k in np.flatnonzero(size >= 8).tolist():
+        sums[k] = np.add.reduce(values[bounds[k]:bounds[k + 1]])
+    return sums
 
 
 def partition_report(

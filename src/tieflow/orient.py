@@ -77,6 +77,15 @@ def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) 
                       "offsets": g.offsets.tolist(), "times": g.times.tolist()}, indent=None)
 
 
+def _int64_column(values: list, column: str) -> np.ndarray:
+    """The int list as int64; ValueError naming the first entry beyond it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        k = next(k for k, value in enumerate(values) if not -2**63 <= value < 2**63)
+        raise ValueError(f"{column!r} entry {k} is beyond int64") from None
+
+
 def read_tie_graph_json(path) -> DirectedTieGraph:
     """Load a tie graph (either layout), rejecting one whose nodes are not
     distinct string ids, whose columns are not int64 lists with 2 indices
@@ -105,7 +114,7 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
         if len(ends) % 2 or len(offsets) != len(ends) // 2 + 1:
             raise ValueError(f"want 2 'edges' indices per edge and 1 'offsets' entry more than "
                              f"the edges, not {len(ends)} and {len(offsets)}")
-        ends, offsets = np.array(ends, dtype=np.int64), np.array(offsets, dtype=np.int64)
+        ends, offsets = _int64_column(ends, "edges"), _int64_column(offsets, "offsets")
         counts = np.diff(offsets)
         if offsets[0] != 0 or offsets[-1] != len(times) or (counts < 0).any():
             raise ValueError(f"'offsets' must rise from 0 to {len(times)}")

@@ -60,7 +60,7 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     n = len(s.nodes)
     if n == 0:
         raise ValueError("snapshot has no nodes")
-    out = s.out_strength()
+    out = s.out_strength
     dangling = out == 0  # rows with no out-strength teleport uniformly
     inv = np.divide(1.0, out, out=np.zeros_like(out), where=~dangling)
     # P^T x is a bincount over the entries in (dst, src) order, the order of a

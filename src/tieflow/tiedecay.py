@@ -47,7 +47,8 @@ class NetworkSnapshot:
 
     ``nodes`` is sorted and defines the index space. Entry k is the edge
     nodes[src[k]] -> nodes[dst[k]] of weight weights[k]; entries are unique
-    and in (src, dst) order, which is CSR order.
+    and in (src, dst) order, which is CSR order. The node index, row offsets,
+    strengths and total weight are computed on first use and kept.
     """
 
     time: float
@@ -79,6 +80,7 @@ class NetworkSnapshot:
         for i, j, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist()):
             yield self.nodes[i], self.nodes[j], w
 
+    @cached_property
     def out_strength(self) -> np.ndarray:
         """Per node, its row's weight sum, added pairwise by np.add.reduceat as
         the pinned artifacts were (np.bincount over src differs in last bits)."""
@@ -87,7 +89,12 @@ class NetworkSnapshot:
         out[rows] = np.add.reduceat(self.weights, self.row_offsets[rows])
         return out
 
-    @property
+    @cached_property
+    def in_strength(self) -> np.ndarray:
+        """Per node, its column's weight sum."""
+        return np.bincount(self.dst, weights=self.weights, minlength=len(self.nodes))
+
+    @cached_property
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
 

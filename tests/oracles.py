@@ -3,12 +3,14 @@
 Everything here favors directness over speed: a row-by-row CSV parser,
 full-list greedy matching, exhaustive enumeration, augmenting-path
 matching, dense eigensolves, explicit ODE integration, literal double sums,
-the cascade keyed by node name, co-visit placement by a scan of
-(time, tag) tuples, node ranking by a key sort and node degrees by
-counting edge endpoints. None of it shares code with the package, except that
-the reference parser uses its time parser and error type, the reference
-cascade its origin selection, propagation probabilities and
-CommunityAssignment, and the reference placement its mixed tag and retry
+modularity from one entry mask per community, the cascade keyed by node
+name, co-visit placement by a scan of (time, tag) tuples, node ranking by a
+key sort and node degrees by counting edge endpoints. None of it shares
+code with the package, except that the reference parser uses its time
+parser and error type, the reference cascade its origin selection,
+propagation probabilities and CommunityAssignment, the reference cascade
+and modularity the snapshot's out-strength (whose summation order the
+pinned artifacts fix), and the reference placement its mixed tag and retry
 budget; the other package classes used are EventLog, CooccurrenceGraph and
 NetworkSnapshot, which `make_log`, `make_cooccurrence` and `make_snapshot`
 build for the tests through the constructors production uses, and which
@@ -349,6 +351,35 @@ def double_sum_modularity(snapshot, labels: dict, directed: bool = True) -> floa
     return q / total
 
 
+def reference_modularity(snapshot, labels: dict, directed: bool = True) -> float:
+    """modularity one community at a time, from an entry mask per community:
+    its intra-community weight over the entries in (src, dst) order, less
+    the product of its members' strength sums in ascending node id, added
+    in the order `labels` first yields each label. These are the orders
+    production sums in, so the two agree bit for bit."""
+    total = float(np.sum(snapshot.weights))
+    if total <= 0:
+        raise ValueError("snapshot has zero total weight")
+    out_strength = snapshot.out_strength
+    in_strength = np.bincount(snapshot.dst, weights=snapshot.weights,
+                              minlength=len(snapshot.nodes))
+    if not directed:
+        out_strength = in_strength = (out_strength + in_strength) / 2
+    index = {node: i for i, node in enumerate(snapshot.nodes)}
+    members: dict = {}
+    for node, label in labels.items():
+        members.setdefault(label, []).append(index[node])
+    q = 0.0
+    for nodes in members.values():
+        inside = np.zeros(len(snapshot.nodes), dtype=bool)
+        inside[nodes] = True
+        idx = np.flatnonzero(inside)
+        entries = np.flatnonzero(inside[snapshot.src] & inside[snapshot.dst])
+        q += float(np.sum(snapshot.weights[entries])) / total
+        q -= float(out_strength[idx].sum()) * float(in_strength[idx].sum()) / (total * total)
+    return q
+
+
 # ----------------------------------------------------------------- cascade
 
 
@@ -361,7 +392,7 @@ def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:
         raise ValueError("snapshot and PageRank cover different node sets")
     origin_label = {origin: k for k, origin in enumerate(select_origins(pr, epsilon), start=1)}
 
-    edge_probability = propagation_probability(s.weights, s.out_strength()[s.src], params.beta)
+    edge_probability = propagation_probability(s.weights, s.out_strength[s.src], params.beta)
     offsets = s.row_offsets
 
     @functools.cache

@@ -460,9 +460,9 @@ MALFORMED = {
     "graph-bool-time": (
         GRAPH, set_item("times", 0, True), SNAPSHOT, "edge times must be integers"),
     "graph-index-beyond-int64": (
-        GRAPH, set_item("edges", 0, 2**63), SNAPSHOT, "int too large"),
+        GRAPH, set_item("edges", 0, 2**63), SNAPSHOT, "'edges' entry 0 is beyond int64"),
     "graph-offset-beyond-int64": (
-        GRAPH, set_item("offsets", 3, -2**64), SNAPSHOT, "int too large"),
+        GRAPH, set_item("offsets", 3, -2**64), SNAPSHOT, "'offsets' entry 3 is beyond int64"),
     "graph-time-beyond-int64": (
         GRAPH, set_item("times", 4, 2**64), SNAPSHOT,
         "edge 's3' -> 's1' has times outside 1970-01-01 .. 9999-12-31"),
@@ -585,6 +585,9 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
                  "--semester-start", "6000"], "the semester must start before it ends"),
     (["report", "--graph", "missing.json", "--start-time", "5000", "--time", "4000",
       "--output", "c.csv"], "the curve must start before it ends"),
+    (["report", "--graph", GRAPH, "--time", "500", "--output", "c.csv"],
+     "the curve starts by default at the graph's first co-occurrence, t=1000, which is not "
+     "before --time 500; give an earlier --start-time"),
     (["sweep", "--graph", GRAPH, "--output", "s.tsv", "--epsilons", ","],
      "list at least one epsilon"),
     (["detect", "--graph", GRAPH, "--output", "d.json", "--max-rounds", "0"],
@@ -601,6 +604,7 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
         "evaluate-semester-without-events", "evaluate-categories-without-events",
         "evaluate-events-without-categories", "evaluate-inverted-semester-before-read",
         "evaluate-semester-start-after-data", "report-inverted-curve-before-read",
+        "report-curve-ends-before-first-cooccurrence",
         "sweep-no-epsilons", "detect-no-rounds", "synth-repeated-category",
         "synth-empty-category", "synth-zero-locations", "ingest-unknown-location"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):

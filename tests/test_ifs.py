@@ -9,11 +9,13 @@ from tieflow import ifs
 from tieflow.ifs import (
     CommunityAssignment,
     FlowParams,
+    SweepRow,
     detect_communities,
     propagation_probability,
     select_origins,
     sweep_epsilon,
 )
+from tieflow.metrics import partition_report
 from tieflow.pagerank import PageRankVector, pagerank
 from tieflow.tiedecay import NetworkSnapshot
 
@@ -393,3 +395,88 @@ def test_sweep_rejects_empty_and_bad_epsilon():
         sweep_epsilon(snap, pr, [], FlowParams())
     with pytest.raises(ValueError):
         sweep_epsilon(snap, pr, [0.2, 0.0], FlowParams())
+
+
+def rows_one_by_one(snap, pr, epsilons, params) -> list[SweepRow]:
+    """The sweep as one detect_communities plus partition_report per
+    fraction, each cascade from freshly built flow lists."""
+    rows = []
+    for epsilon in epsilons:
+        ifs._flow_lists.cache_clear()
+        report = partition_report(snap, detect_communities(snap, pr, epsilon, params))
+        rows.append(SweepRow(epsilon, report.modularity, report.community_count, report.avg_size))
+    return rows
+
+
+@pytest.mark.parametrize("params", [
+    FlowParams(seed=1), FlowParams(seed=2, relay=False), FlowParams(seed=3, max_rounds=1),
+    FlowParams(seed=4, beta=0.75, relay=False, max_rounds=1),
+], ids=["relay", "single-hop", "one-round", "single-hop-one-round"])
+def test_sweep_rows_equal_detection_plus_report_exactly(params):
+    rng = random.Random(64)
+    grid = [1.0, 0.5, 0.45, 0.3, 0.2, 0.1, 0.05, 0.001]
+    for trial in range(12):
+        snap = random_weighted_snapshot(rng, rng.randrange(3, 80),
+                                        density=rng.choice([0.01, 0.04, 0.15, 0.4]))
+        pr = pagerank(snap)
+        assert sweep_epsilon(snap, pr, grid, params) == rows_one_by_one(snap, pr, grid, params)
+
+
+def test_sweep_row_of_fraction_whose_origins_stay_isolated():
+    # The top two nodes have no out-edge, so at 0.4 both origins stay
+    # isolated; at 0.6 the third origin, "m", labels "x" and "y".
+    weights = {("m", "x"): 1.0, ("m", "y"): 2.0, ("x", "a"): 1.0, ("y", "b"): 1.0}
+    snap = make_snapshot(weights, ["a", "b", "m", "x", "y"])
+    pr = uniform_scores(snap.nodes, top=["a", "b", "m"])
+    grid, params = [0.4, 0.6], FlowParams(seed=5)
+    rows = sweep_epsilon(snap, pr, grid, params)
+    assert rows == rows_one_by_one(snap, pr, grid, params)
+    assert rows[0] == SweepRow(0.4, 0.0, 0, 0.0)
+    assert rows[1].community_count == 1 and rows[1].avg_size == 3.0
+
+
+@pytest.mark.parametrize("weights", [{}, {("a", "b"): 0.0}], ids=["no-edges", "zero-weight-edge"])
+def test_sweep_on_zero_weight_snapshot_raises_like_report(weights):
+    snap = make_snapshot(weights, ["a", "b", "c"])
+    pr = pagerank(snap)
+    with pytest.raises(ValueError) as one_by_one:
+        rows_one_by_one(snap, pr, [0.5], FlowParams())
+    with pytest.raises(ValueError) as swept:
+        sweep_epsilon(snap, pr, [0.5], FlowParams())
+    assert str(swept.value) == str(one_by_one.value) == "snapshot has zero total weight"
+
+
+def test_sweep_builds_flow_lists_once_and_drops_them(monkeypatch):
+    rng = random.Random(65)
+    snap = random_weighted_snapshot(rng, 30, density=0.2)
+    pr = pagerank(snap)
+    builds = []
+    monkeypatch.setattr(ifs, "propagation_probability",
+                        lambda *args: builds.append(1) or propagation_probability(*args))
+    sweep_epsilon(snap, pr, [0.5, 0.3, 0.2, 0.1], FlowParams(seed=1))
+    assert len(builds) == 1
+    assert ifs._flow_lists.cache_info().currsize == 0
+    with pytest.raises(ValueError, match="zero total weight"):
+        sweep_epsilon(make_snapshot({("a", "b"): 0.0}, ["a", "b"]),
+                      uniform_scores(["a", "b"]), [0.5], FlowParams())
+    assert ifs._flow_lists.cache_info().currsize == 0
+
+
+def test_kept_flow_lists_are_keyed_by_snapshot_ranking_and_beta():
+    rng = random.Random(66)
+    one, other = (random_weighted_snapshot(rng, 30, density=0.2) for _ in range(2))
+    ranked, reranked = pagerank(one), uniform_scores(one.nodes, top=one.nodes[::-1][:5])
+    # Each call differs from the one before in one key: the lists it gets
+    # must be its own, so it detects as with fresh lists. The first kept call
+    # reuses the last fresh call's lists; every other one rebuilds.
+    calls = [(one, ranked, 0.25), (one, ranked, 0.75), (one, reranked, 0.75),
+             (other, pagerank(other), 0.75), (one, ranked, 0.25)]
+    fresh = []
+    for snap, pr, beta in calls:
+        ifs._flow_lists.cache_clear()
+        fresh.append(detect_communities(snap, pr, 0.2, FlowParams(seed=3, beta=beta)))
+    kept = [detect_communities(snap, pr, 0.2, FlowParams(seed=3, beta=beta))
+            for snap, pr, beta in calls]
+    assert kept == fresh
+    assert ifs._flow_lists.cache_info().misses == len(calls)
+    assert len({a.trace for a in fresh}) > 1

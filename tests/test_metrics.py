@@ -1,10 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from tieflow import metrics
 from tieflow.events import TimeRange
 from tieflow.ifs import CommunityAssignment
 from tieflow.metrics import (
@@ -17,7 +19,7 @@ from tieflow.metrics import (
 )
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import double_sum_modularity, make_log, make_snapshot
+from oracles import double_sum_modularity, make_log, make_snapshot, reference_modularity
 
 
 def assignment(labels: dict, isolated=()) -> CommunityAssignment:
@@ -108,6 +110,34 @@ def test_full_labelings_match_networkx_directed_modularity():
                        for label in set(labels.values())]
         reference = nx.community.modularity(graph, communities, weight="weight")
         assert modularity(snap, assignment(labels)) == pytest.approx(reference, abs=1e-12)
+
+
+def test_segment_sums_equal_np_sum_of_each_segment_exactly():
+    rng = np.random.default_rng(3)
+    sizes = rng.permutation(list(range(20)) * 20 + [40, 128, 129, 300])
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    values = rng.random(bounds[-1]) * 10.0 ** rng.integers(-9, 9, bounds[-1])
+    sums = metrics._segment_sums(values, bounds)
+    assert sums.tolist() == [float(np.sum(values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_modularity_equals_per_community_reference_exactly():
+    rng = random.Random(7)
+    kinds = set()
+    for trial in range(60):
+        snap = random_snapshot(rng, rng.randrange(2, 41), density=rng.choice([0.05, 0.25, 0.6]))
+        nodes = list(snap.nodes)
+        rng.shuffle(nodes)  # label order, and so summation order, differs from node order
+        labels = {node: rng.randrange(1, rng.randrange(2, 9) + 1) for node in nodes}
+        if trial % 3 == 1:  # unlabeled nodes
+            labels = {node: label for node, label in labels.items() if rng.random() < 0.6}
+        if trial % 3 == 2:  # singleton communities beside larger ones
+            labels.update((node, 100 + k) for k, node in enumerate(nodes[: len(nodes) // 3]))
+        kinds.add((len(labels) < len(nodes), 1 in Counter(labels.values()).values()))
+        for directed in (True, False):
+            assert (modularity(snap, assignment(labels), directed)
+                    == reference_modularity(snap, labels, directed))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_random_labels_have_small_modularity_on_average():

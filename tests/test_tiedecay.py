@@ -149,7 +149,7 @@ def test_entries_in_csr_order_and_scipy_view_agree():
     assert keys == sorted(set(keys))
     dense = dense_weights(snap)
     assert (dense.sum(axis=1) == 0).any()  # a node with no out-edges
-    assert np.allclose(snap.out_strength(), dense.sum(axis=1), rtol=1e-15, atol=0)
+    assert np.allclose(snap.out_strength, dense.sum(axis=1), rtol=1e-15, atol=0)
     assert snap.matrix.nnz == snap.edge_count == len(keys)
     assert (snap.matrix.toarray() == dense).all()
 
