@@ -18,6 +18,7 @@ from pathlib import Path
 from . import metrics, synth
 from .artifacts import DataError, decoding, read_json, read_text, write_json, write_lines
 from .events import (
+    TIME_LIMIT,
     ParseError,
     TimeRange,
     filter_events,
@@ -144,8 +145,6 @@ def _graph_at(args):
     """The --graph tie graph, --time resolved against it, and the graph and
     alpha entries of the parameters that its artifacts embed."""
     graph = read_tie_graph_json(args.graph)
-    if not len(graph.src):
-        raise DataError(f"tie graph file {args.graph} has no edges")
     t = float(graph.end_time() if args.time in ("end", None) else args.time)
     return graph, t, {"graph": str(args.graph), "alpha": args.decay.alpha}
 
@@ -327,7 +326,8 @@ def _handle_synth(args) -> int:
         raise UsageError("--weeks must be positive and finite")
     locations = args.locations or dict(synth.DEFAULT_LOCATIONS)
     try:
-        semester = TimeRange(args.start, args.start + int(args.weeks * synth.WEEK_SECONDS))
+        weeks = min(args.weeks, TIME_LIMIT)  # still ends past TIME_LIMIT; seconds stay finite
+        semester = TimeRange(args.start, args.start + int(weeks * synth.WEEK_SECONDS))
         config = synth.SyntheticConfig(
             n_students=args.students,
             n_communities=args.communities,

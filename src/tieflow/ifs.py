@@ -47,6 +47,8 @@ class FlowParams:
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be positive")
 

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
 
-from .artifacts import DataError, decoding, read_json, write_json, write_lines
+from .artifacts import decoding, read_json, write_json, write_lines
 from .cooccur import CooccurrenceGraph, TimedEdges, _ragged
-from .events import TIME_LIMIT
+from .events import TIME_LIMIT, _bad_id
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,16 +30,6 @@ class DirectedTieGraph(TimedEdges):
     def end_time(self) -> int:
         """Latest co-occurrence timestamp over all edges (ValueError if none)."""
         return int(self.times.max())
-
-
-def _assemble(nodes, src, dst, starts, counts, times) -> DirectedTieGraph:
-    """The tie graph of the edges src[k] -> dst[k] with ascending times
-    times[starts[k] : starts[k] + counts[k]], put in (src, dst) order."""
-    order = np.lexsort((dst, src))
-    counts = counts[order]
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    times = times[_ragged(starts[order], counts)]
-    return DirectedTieGraph(nodes, src[order], dst[order], offsets, times)
 
 
 def _degrees(g: CooccurrenceGraph) -> np.ndarray:
@@ -59,8 +48,12 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
     forward, backward = degree[a] >= degree[b], degree[a] <= degree[b]
     src = np.concatenate([a[forward], b[backward]])
     dst = np.concatenate([b[forward], a[backward]])
-    edge = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])
-    return _assemble(g.nodes, src, dst, g.offsets[edge], np.diff(g.offsets)[edge], g.times)
+    order = np.lexsort((dst, src))
+    edge = np.concatenate([np.flatnonzero(forward), np.flatnonzero(backward)])[order]
+    counts = np.diff(g.offsets)[edge]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    times = g.times[_ragged(g.offsets[edge], counts)]
+    return DirectedTieGraph(g.nodes, src[order], dst[order], offsets, times)
 
 
 def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
@@ -87,26 +80,28 @@ def _int64_column(values: list, column: str) -> np.ndarray:
 
 
 def read_tie_graph_json(path) -> DirectedTieGraph:
-    """Load a tie graph (either layout), rejecting one whose nodes are not
-    distinct string ids, whose columns are not int64 lists with 2 indices
-    per edge and offsets rising from 0 to len(times), or whose edges name
-    unknown nodes, join a node to itself, carry times that are not a
-    nonempty ascending list of timestamps, or appear twice."""
+    """Load a tie graph as write_tie_graph_json writes it, checking its order
+    instead of restoring it. Rejects one whose nodes are not distinct,
+    ascending string ids that an event log accepts, whose columns are not
+    int64 lists with 2 indices per edge and offsets rising from 0 to
+    len(times), that has no edges, or whose edges name unknown nodes, join a
+    node to itself, carry times that are not a nonempty ascending list of
+    timestamps, or do not strictly ascend in (src, dst) order."""
     what = "tie graph file"
     doc = read_json(path, what)
     with decoding(path, what):
-        names = doc["nodes"]
-        if not (isinstance(names, list) and all(isinstance(node, str) for node in names)):
+        nodes = doc["nodes"]
+        if not (isinstance(nodes, list) and all(isinstance(node, str) for node in nodes)):
             raise ValueError("'nodes' must be a list of string ids")
-        nodes = tuple(sorted(set(names)))
-        if len(nodes) < len(names):
-            raise ValueError(f"node {min(n for n, k in Counter(names).items() if k > 1)!r} "
+        odd = next((node for node in nodes if _bad_id(node)), None)
+        if odd is not None:
+            raise ValueError(f"node id {odd!r} is empty or holds a tab or line break")
+        if len(set(nodes)) < len(nodes):
+            raise ValueError(f"node {min(n for n, k in Counter(nodes).items() if k > 1)!r} "
                              "is listed twice")
-        if "offsets" not in doc:  # the edge-object layout of earlier versions
-            index, objects = {node: i for i, node in enumerate(names)}, doc["edges"]
-            doc = {"edges": [index.get(e[end], -1) for e in objects for end in ("src", "dst")],
-                   "offsets": [0, *accumulate(len(e["times"]) for e in objects)],
-                   "times": list(chain.from_iterable(e["times"] for e in objects))}
+        late = next((b for a, b in zip(nodes, nodes[1:]) if a > b), None)
+        if late is not None:
+            raise ValueError(f"node {late!r} is out of order; 'nodes' must ascend")
         ends, offsets, times = doc["edges"], doc["offsets"], doc["times"]
         for kind, values in (("endpoints", ends), ("offsets", offsets), ("times", times)):
             if not isinstance(values, list) or set(map(type, values)) - {int}:
@@ -114,26 +109,28 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
         if len(ends) % 2 or len(offsets) != len(ends) // 2 + 1:
             raise ValueError(f"want 2 'edges' indices per edge and 1 'offsets' entry more than "
                              f"the edges, not {len(ends)} and {len(offsets)}")
+        if not ends:
+            raise ValueError("the graph has no edges")
         ends, offsets = _int64_column(ends, "edges"), _int64_column(offsets, "offsets")
         counts = np.diff(offsets)
         if offsets[0] != 0 or offsets[-1] != len(times) or (counts < 0).any():
             raise ValueError(f"'offsets' must rise from 0 to {len(times)}")
-        outside = np.flatnonzero((ends < 0) | (ends >= len(names)))
+        outside = np.flatnonzero((ends < 0) | (ends >= len(nodes)))
         if len(outside):
             raise ValueError(f"edge {outside[0] // 2} names a node missing from 'nodes'")
         if times and not (0 <= min(times) and max(times) < TIME_LIMIT):
             times = [tau if 0 <= tau < TIME_LIMIT else -1 for tau in times]  # -1 marks the outliers
-        rank = {node: i for i, node in enumerate(nodes)}
-        ends = np.array([rank[name] for name in names], dtype=np.int64)[ends]
-        g = _assemble(nodes, ends[0::2], ends[1::2], offsets[:-1], counts,
-                      np.array(times, dtype=np.int64))
-        edge_of = np.repeat(np.arange(len(g.src)), np.diff(g.offsets))
+        src, dst = ends.reshape(-1, 2).T.copy()  # contiguous: snapshots gather them faster
+        g = DirectedTieGraph(tuple(nodes), src, dst, offsets, np.array(times, dtype=np.int64))
+        edge_of = np.repeat(np.arange(len(g.src)), counts)
+        step = np.diff(g.src * len(nodes) + g.dst)  # the (src, dst) order, as one key
         for fault, bad in (
             ("joins a node to itself", np.flatnonzero(g.src == g.dst)),
-            ("has no times", np.flatnonzero(np.diff(g.offsets) == 0)),
+            ("has no times", np.flatnonzero(counts == 0)),
             ("has times outside 1970-01-01 .. 9999-12-31", edge_of[g.times < 0]),
             ("has unsorted times", edge_of[1:][(np.diff(g.times) < 0) & (np.diff(edge_of) == 0)]),
-            ("is listed twice", np.flatnonzero((np.diff(g.src) == 0) & (np.diff(g.dst) == 0))),
+            ("is listed twice", np.flatnonzero(step == 0)),
+            ("is out of (src, dst) order", np.flatnonzero(step < 0) + 1),
         ):
             if len(bad):
                 s, d = g.nodes[g.src[bad[0]]], g.nodes[g.dst[bad[0]]]

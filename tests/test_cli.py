@@ -382,23 +382,23 @@ def edit_json(edit):
     return apply
 
 
-def old_layout(edit):
-    """edit_json(edit) on the tie graph rewritten in the edge-object layout
-    of earlier versions."""
-    def apply(doc):
-        ends, offsets, times = doc.pop("edges"), doc.pop("offsets"), doc.pop("times")
-        nodes = doc["nodes"]
-        doc["edges"] = [{"src": nodes[s], "dst": nodes[d], "times": times[lo:hi]}
-                        for s, d, lo, hi in zip(ends[::2], ends[1::2], offsets, offsets[1:])]
-        edit(doc)
-    return edit_json(apply)
-
-
 def set_item(key, position, value):
     """edit_json that sets doc[key][position] to value."""
     return edit_json(lambda doc: doc[key].__setitem__(position, value))
 
 
+def set_times(edge, times):
+    """edit_json that gives edge `edge` of the tie graph the given times."""
+    def apply(doc):
+        offsets = doc["offsets"]
+        lo, hi = offsets[edge], offsets[edge + 1]
+        doc["times"][lo:hi] = times
+        offsets[edge + 1:] = [offset + len(times) - (hi - lo) for offset in offsets[edge + 1:]]
+    return edit_json(apply)
+
+
+# the edge-object layout of earlier versions, with its "degree" object
+OLD_LAYOUT = GOLDEN.parent / "tie_graph_with_degree.json"
 EVALUATE = ["evaluate", "--graph", GRAPH, "--communities", "communities.json", "--output", "e.json"]
 SNAPSHOT = ["snapshot", "--graph", GRAPH, "--output", "s.tsv"]
 BUILD = ["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]
@@ -406,19 +406,14 @@ BUILD = ["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]
 # fault named in the message)
 MALFORMED = {
     "graph-non-integer-time": (
-        GRAPH, old_layout(lambda doc: doc["edges"][0].update(times=[1000.5])),
-        SNAPSHOT, "edge times must be integers"),
+        GRAPH, set_times(0, [1000.5]), SNAPSHOT, "edge times must be integers"),
     "graph-unsorted-times": (
-        GRAPH, old_layout(lambda doc: doc["edges"][0].update(times=[2000, 1000])),
-        SNAPSHOT, "unsorted times"),
+        GRAPH, set_times(0, [2000, 1000]), SNAPSHOT, "unsorted times"),
     "graph-time-out-of-range": (
-        GRAPH, old_layout(lambda doc: doc["edges"][0].update(times=[10**400])),
-        SNAPSHOT, "outside 1970-01-01 .. 9999-12-31"),
-    "graph-unknown-node": (
-        GRAPH, old_layout(lambda doc: doc["edges"][0].update(dst="ghost")),
-        SNAPSHOT, "missing from 'nodes'"),
+        GRAPH, set_times(0, [10**400]), SNAPSHOT, "outside 1970-01-01 .. 9999-12-31"),
     "graph-without-edges": (
-        GRAPH, old_layout(lambda doc: doc.update(edges=[])), SNAPSHOT, "has no edges"),
+        GRAPH, edit_json(lambda doc: doc.update(edges=[], offsets=[0], times=[])),
+        SNAPSHOT, "has no edges"),
     "graph-nodes-string": (
         GRAPH, edit_json(lambda doc: doc.update(nodes="".join(doc["nodes"]))),
         SNAPSHOT, "'nodes' must be a list of string ids"),
@@ -428,14 +423,26 @@ MALFORMED = {
     "graph-node-listed-twice": (
         GRAPH, edit_json(lambda doc: doc["nodes"].append("s2")),
         SNAPSHOT, "node 's2' is listed twice"),
+    "graph-node-id-with-tab": (
+        GRAPH, set_item("nodes", 0, "s\t1"),
+        SNAPSHOT, "node id 's\\t1' is empty or holds a tab or line break"),
+    "graph-empty-node-id": (
+        GRAPH, set_item("nodes", 0, ""), SNAPSHOT, "node id '' is empty or holds a tab"),
+    "graph-nodes-out-of-order": (
+        GRAPH, edit_json(lambda doc: doc.update(nodes=["s2", "s1", "s3"])),
+        SNAPSHOT, "node 's1' is out of order"),
     "graph-duplicate-edge": (
-        GRAPH, old_layout(lambda doc: doc["edges"].append(dict(doc["edges"][0], times=[5000]))),
+        GRAPH, edit_json(lambda doc: doc.update(
+            edges=[0, 1] + doc["edges"], offsets=list(range(8)), times=[5000] + doc["times"])),
         SNAPSHOT, "edge 's1' -> 's2' is listed twice"),
+    "graph-edges-out-of-order": (
+        GRAPH, edit_json(lambda doc: doc.update(edges=[0, 2, 0, 1] + doc["edges"][4:])),
+        SNAPSHOT, "edge 's1' -> 's2' is out of (src, dst) order"),
+    "graph-old-layout": (
+        GRAPH, lambda _: OLD_LAYOUT.read_text(encoding="utf-8"), SNAPSHOT,
+        "missing field 'offsets'"),
     "graph-self-loop": (
         GRAPH, set_item("edges", 1, 0), SNAPSHOT, "edge 's1' -> 's1' joins a node to itself"),
-    "graph-self-loop-old-layout": (
-        GRAPH, old_layout(lambda doc: doc["edges"][0].update(dst="s1")),
-        SNAPSHOT, "edge 's1' -> 's1' joins a node to itself"),
     "graph-edges-odd-length": (
         GRAPH, edit_json(lambda doc: doc["edges"].pop()),
         SNAPSHOT, "want 2 'edges' indices per edge and 1 'offsets' entry more than the edges, "
@@ -592,6 +599,12 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
      "list at least one epsilon"),
     (["detect", "--graph", GRAPH, "--output", "d.json", "--max-rounds", "0"],
      "max_rounds must be positive"),
+    (["detect", "--graph", GRAPH, "--output", "d.json", "--seed", "-1"],
+     "seed must be non-negative"),
+    (["sweep", "--graph", GRAPH, "--output", "s.tsv", "--seed", "-1"],
+     "seed must be non-negative"),
+    (["synth", "--weeks", "1e308", "--output-dir", "x"],
+     "the semester ends after 9999-12-31"),
     (["synth", "--locations", "dining=3,dining=1", "--output-dir", "x"],
      "category 'dining' is listed twice"),
     (["synth", "--locations", "=2", "--output-dir", "x"],
@@ -605,7 +618,8 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
         "evaluate-events-without-categories", "evaluate-inverted-semester-before-read",
         "evaluate-semester-start-after-data", "report-inverted-curve-before-read",
         "report-curve-ends-before-first-cooccurrence",
-        "sweep-no-epsilons", "detect-no-rounds", "synth-repeated-category",
+        "sweep-no-epsilons", "detect-no-rounds", "detect-negative-seed", "sweep-negative-seed",
+        "synth-weeks-overflow", "synth-repeated-category",
         "synth-empty-category", "synth-zero-locations", "ingest-unknown-location"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()

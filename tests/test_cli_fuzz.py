@@ -162,7 +162,8 @@ FREE = [
     (EVALUATE + ["--events", "{dir}/canonical.csv", "--categories", "{dir}/categories.json"],
      "--semester-end"),
 ]
-EDGE = st.sampled_from(["0", "-1", "1", "2", "0.5", "1e-9", "nan", "inf", "-inf", "", "x", "3,"])
+EDGE = st.sampled_from(["0", "-1", "1", "2", "0.5", "1e-9", "1e308", "nan", "inf", "-inf", "",
+                        "x", "3,"])
 ANY = (EDGE | st.integers().map(str) | st.floats().map(repr)
        | st.sampled_from(["end", "1970-01-01T00:16:40", "0001-01-01T00:00:00", "0.2,0,1",
                          "9" * 400])

@@ -1,9 +1,12 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from tieflow.artifacts import DataError
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.orient import _degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
 
@@ -115,6 +118,43 @@ def test_rules_and_collapse_on_random_graphs():
 COLUMNS = ("src", "dst", "offsets", "times")
 
 
+def rewrite(path, edit) -> None:
+    """Apply edit to the JSON document at path."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def shuffled(rng, n) -> list:
+    """A random permutation of range(n) other than the identity (n >= 2)."""
+    assert n >= 2
+    order = list(range(n))
+    while order == sorted(order):
+        rng.shuffle(order)
+    return order
+
+
+def permute_nodes(order):
+    """Edit listing node order[k] k-th, each edge kept on the same node ids."""
+    def edit(doc):
+        position = {old: new for new, old in enumerate(order)}
+        doc["nodes"] = [doc["nodes"][old] for old in order]
+        doc["edges"] = [position[i] for i in doc["edges"]]
+    return edit
+
+
+def permute_edges(order):
+    """Edit listing edge order[k] k-th, each with its own times."""
+    def edit(doc):
+        ends, offsets, times = doc["edges"], doc["offsets"], doc["times"]
+        doc["edges"] = [i for e in order for i in ends[2 * e:2 * e + 2]]
+        doc["times"] = [tau for e in order for tau in times[offsets[e]:offsets[e + 1]]]
+        doc["offsets"] = [0]
+        for e in order:
+            doc["offsets"].append(doc["offsets"][-1] + offsets[e + 1] - offsets[e])
+    return edit
+
+
 def test_json_round_trip(tmp_path):
     rng = random.Random(5)
     path = tmp_path / "tie.json"
@@ -129,30 +169,41 @@ def test_json_round_trip(tmp_path):
         assert dict(loaded.edges) == dict(tie.edges)
 
 
-def test_file_node_order_is_remapped_to_sorted_index(tmp_path):
+def test_any_reordering_of_a_written_file_is_rejected(tmp_path):
+    rng = random.Random(8)
+    path = tmp_path / "tie.json"
+    for _ in range(40):
+        tie = orient_edges(random_undirected(rng, max_nodes=30))
+        order = shuffled(rng, len(tie.nodes))
+        write_tie_graph_json(tie, path)
+        rewrite(path, permute_nodes(order))
+        late = next(tie.nodes[b] for a, b in zip(order, order[1:]) if a > b)
+        with pytest.raises(DataError, match=re.escape(f"node {late!r} is out of order")):
+            read_tie_graph_json(path)
+
+        order = shuffled(rng, len(tie.src))
+        write_tie_graph_json(tie, path)
+        rewrite(path, permute_edges(order))
+        key = (tie.src * len(tie.nodes) + tie.dst)[order]
+        e = order[next(k for k in range(1, len(order)) if key[k] < key[k - 1])]
+        s, d = tie.nodes[tie.src[e]], tie.nodes[tie.dst[e]]
+        with pytest.raises(DataError, match=re.escape(f"edge {s!r} -> {d!r} is out of (src, dst)")):
+            read_tie_graph_json(path)
+
+
+def test_file_in_other_node_order_is_rejected(tmp_path):
     tie = orient_edges(random_undirected(random.Random(6), max_nodes=30))
     path = tmp_path / "tie.json"
     write_tie_graph_json(tie, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    order = list(range(len(tie.nodes)))
-    random.Random(7).shuffle(order)
-    position = {old: new for new, old in enumerate(order)}
-    doc["nodes"] = [tie.nodes[old] for old in order]
-    doc["edges"] = [position[i] for i in doc["edges"]]
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    loaded = read_tie_graph_json(path)
-    assert loaded.nodes == tie.nodes
-    for name in COLUMNS:
-        assert getattr(loaded, name).tolist() == getattr(tie, name).tolist(), name
+    rewrite(path, permute_nodes(shuffled(random.Random(7), len(tie.nodes))))
+    with pytest.raises(DataError, match="is out of order; 'nodes' must ascend"):
+        read_tie_graph_json(path)
 
 
-def test_old_format_with_degree_loads_to_same_arrays():
-    golden = Path(__file__).parent / "golden"
-    old = read_tie_graph_json(golden / "tie_graph_with_degree.json")
-    new = read_tie_graph_json(golden / "chain" / "graph" / "tie_graph.json")
-    assert old.nodes == new.nodes
-    for name in COLUMNS:
-        assert getattr(old, name).tolist() == getattr(new, name).tolist(), name
+def test_old_layout_with_degree_is_rejected():
+    path = Path(__file__).parent / "golden" / "tie_graph_with_degree.json"
+    with pytest.raises(DataError, match="missing field 'offsets'"):
+        read_tie_graph_json(path)
 
 
 def test_end_time_is_latest_event(tmp_path):
