@@ -102,6 +102,9 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
         late = next((b for a, b in zip(nodes, nodes[1:]) if a > b), None)
         if late is not None:
             raise ValueError(f"node {late!r} is out of order; 'nodes' must ascend")
+        if "offsets" not in doc:
+            raise ValueError("missing field 'offsets', as in the edge-object layout of earlier "
+                             "versions; rebuild the graph from canonical.csv with `tieflow build`")
         ends, offsets, times = doc["edges"], doc["offsets"], doc["times"]
         for kind, values in (("endpoints", ends), ("offsets", offsets), ("times", times)):
             if not isinstance(values, list) or set(map(type, values)) - {int}:

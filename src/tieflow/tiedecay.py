@@ -36,8 +36,8 @@ class DecayParams:
 
     @classmethod
     def from_half_life(cls, seconds: float) -> "DecayParams":
-        if not seconds > 0:
-            raise ValueError("half-life must be strictly positive")
+        if not 0 < seconds < math.inf or math.log(2.0) / seconds == math.inf:  # 1e-320 overflows
+            raise ValueError(f"half-life {seconds!r} gives no positive, finite rate ln 2 / half-life")
         return cls(alpha=math.log(2.0) / seconds)
 
 

@@ -440,7 +440,8 @@ MALFORMED = {
         SNAPSHOT, "edge 's1' -> 's2' is out of (src, dst) order"),
     "graph-old-layout": (
         GRAPH, lambda _: OLD_LAYOUT.read_text(encoding="utf-8"), SNAPSHOT,
-        "missing field 'offsets'"),
+        "missing field 'offsets', as in the edge-object layout of earlier versions; "
+        "rebuild the graph from canonical.csv with `tieflow build`"),
     "graph-self-loop": (
         GRAPH, set_item("edges", 1, 0), SNAPSHOT, "edge 's1' -> 's1' joins a node to itself"),
     "graph-edges-odd-length": (
@@ -571,6 +572,10 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
      "tolerance must be non-negative"),
     (EVALUATE + ["--time", "999"], "first co-occurrence is at 1000"),
     (SNAPSHOT + ["--time", "9" * 400], "outside 1970-01-01 .. 9999-12-31"),
+    (SNAPSHOT + ["--half-life", "inf"],
+     "half-life inf gives no positive, finite rate ln 2 / half-life"),
+    (SNAPSHOT + ["--half-life", "1e-320"],
+     "half-life 1e-320 gives no positive, finite rate ln 2 / half-life"),
     (["sweep", "--graph", GRAPH, "--output", "s.tsv", "--epsilon", "0.3"],
      "unrecognized arguments: --epsilon 0.3"),
     (["detect", "--graph", GRAPH, "--output", "d.json", "--eps", "0.3"],
@@ -613,6 +618,7 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     (["ingest", "--input", "raw.csv", "--output", "k.csv", "--keep-locations", "caf,nosuch"],
      "--keep-locations entry 'nosuch' names no location of raw.csv"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
+        "infinite-half-life", "half-life-rate-overflow",
         "sweep-epsilon", "detect-prefix", "report-prefix", "report-sweep-curve-options",
         "evaluate-semester-without-events", "evaluate-categories-without-events",
         "evaluate-events-without-categories", "evaluate-inverted-semester-before-read",

@@ -1,10 +1,15 @@
 """What readers outside the package run against it: the README's library
-snippet, and the names and attributes the benchmark in perfbench/ reads."""
+snippet, the package namespace, and the names and attributes the benchmark
+in perfbench/ reads."""
 
 import importlib
 import importlib.util
+import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 from tieflow.cooccur import build_cooccurrence_graph
@@ -23,6 +28,20 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("PartitionReport(modularity=")
+
+
+def test_package_namespace_reexports_nothing():
+    script = ("import json, sys\nimport tieflow\n"
+              "bare = sorted(m for m in sys.modules if m.startswith('tieflow.') or m == 'numpy')\n"
+              "import tieflow.artifacts\nartifacts_numpy = 'numpy' in sys.modules\n"
+              "from tieflow import pagerank\n"
+              "print(json.dumps([bare, artifacts_numpy, type(pagerank).__name__,"
+              " pagerank.__name__]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == [[], False, "module", "tieflow.pagerank"]
 
 
 def load_measure():

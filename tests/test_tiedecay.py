@@ -30,6 +30,10 @@ def test_half_life_definition():
     params = DecayParams.from_half_life(604_800)
     assert math.log(2.0) / params.alpha == pytest.approx(604_800, rel=1e-12)
     assert math.isclose(params.alpha, math.log(2) / 604_800, rel_tol=1e-12)
+    # inf gives rate 0 and 1e-320 overflows it: each is named as a half-life
+    for seconds in (0.0, -1.0, math.nan, math.inf, 1e-320):
+        with pytest.raises(ValueError, match=f"half-life {seconds!r} gives no positive"):
+            DecayParams.from_half_life(seconds)
 
 
 def test_alpha_must_be_positive():
