@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +23,12 @@ class DirectedTieGraph(TimedEdges):
     """Directed graph whose edges keep the originating co-occurrence times,
     in the columnar form of TimedEdges: edge e runs from nodes[src[e]] to
     nodes[dst[e]]."""
+
+    @cached_property
+    def edge_of(self) -> np.ndarray:
+        """Per time, its edge e (times[offsets[e] : offsets[e + 1]]); built on first
+        use and kept, so the reader's checks, snapshots and curves share it."""
+        return np.repeat(np.arange(len(self.src)), np.diff(self.offsets))
 
     def start_time(self) -> int:
         """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
@@ -125,7 +132,7 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
             times = [tau if 0 <= tau < TIME_LIMIT else -1 for tau in times]  # -1 marks the outliers
         src, dst = ends.reshape(-1, 2).T.copy()  # contiguous: snapshots gather them faster
         g = DirectedTieGraph(tuple(nodes), src, dst, offsets, np.array(times, dtype=np.int64))
-        edge_of = np.repeat(np.arange(len(g.src)), counts)
+        edge_of = g.edge_of
         step = np.diff(g.src * len(nodes) + g.dst)  # the (src, dst) order, as one key
         for fault, bad in (
             ("joins a node to itself", np.flatnonzero(g.src == g.dst)),

@@ -82,9 +82,8 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
         if residual <= params.tolerance:
             converged = True
             break
-    scores = {node: float(x[i]) for i, node in enumerate(s.nodes)}
     return PageRankVector(
-        scores=scores,
+        scores=dict(zip(s.nodes, x.tolist())),
         iterations=iterations,
         converged=converged,
         residuals=tuple(residuals),

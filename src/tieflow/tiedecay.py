@@ -1,13 +1,13 @@
 """Continuous-time tie-decay weights and network snapshots.
 
 Each co-occurrence bumps an edge's weight by 1; between interactions the
-weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, evaluates
-the closed-form impulse-response sum over stored event times: a snapshot
-(`snapshot_at`) and the impulses each point of a sampled curve adds both
-call it, and the tests check it one edge at a time. A curve starts from
-zero weights, and every point, the first included, decays the previous
-weights by the semigroup law and adds the impulses since. ODE integration
-exists only as a test oracle.
+weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, sums the
+closed-form impulse responses of the live events only, those at or before
+the instant, per edge of the graph's time index ``edge_of``: a snapshot
+(`snapshot_at`) and each point of a sampled curve call it, and the tests
+check it one edge at a time. A curve starts from zero weights, and every
+point, the first included, decays the previous weights by the semigroup law
+and adds the impulses since. ODE integration exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -108,17 +108,12 @@ def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: floa
     """The one decay kernel: per edge e < n_edges, the sum of
     exp(-alpha*(t - tau)) over the times tau <= t with edge_of[tau's slot] == e.
 
-    Events strictly after t contribute nothing; an event at exactly t
-    contributes 1 (the jump happens at the event instant).
+    Events strictly after t are skipped; each edge adds its live ones in slot
+    order, and one at exactly t contributes 1 (the jump happens at the event).
     """
-    live = times <= t
-    contrib = np.zeros(len(times))
-    contrib[live] = np.exp(-alpha * (t - times[live]))
-    return np.bincount(edge_of, weights=contrib, minlength=n_edges)
-
-
-def _edge_of_times(g: DirectedTieGraph) -> np.ndarray:
-    return np.repeat(np.arange(len(g.src)), np.diff(g.offsets))
+    live = np.flatnonzero(times <= t)
+    return np.bincount(edge_of[live], weights=np.exp(-alpha * (t - times[live])),
+                       minlength=n_edges)
 
 
 def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnapshot:
@@ -132,7 +127,7 @@ def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSn
     Edges whose weight is at or below SNAPSHOT_FLOOR are omitted from the
     entries; isolated nodes remain in the node list.
     """
-    return _snapshot(g, t, decay_sums(g.times, _edge_of_times(g), len(g.src), params.alpha, t))
+    return _snapshot(g, t, decay_sums(g.times, g.edge_of, len(g.src), params.alpha, t))
 
 
 def sample_snapshots(
@@ -153,15 +148,14 @@ def sample_snapshots(
         raise ValueError("n_points must be at least 2")
     if not t_start < t_end:
         raise ValueError("t_start must be earlier than t_end")
-    spacing = (t_end - t_start) / (n_points - 1)
-    edge_of = _edge_of_times(g)
+    grid = (t_start + np.arange(n_points) * ((t_end - t_start) / (n_points - 1))).tolist()
+    grid[-1] = t_end
     order = np.argsort(g.times, kind="stable")
-    sorted_times, sorted_edges = g.times[order], edge_of[order]
+    sorted_times, sorted_edges = g.times[order], g.edge_of[order]
+    uptos = np.searchsorted(sorted_times, grid, side="right").tolist()
 
     weights, cursor, prev_t = np.zeros(len(g.src)), 0, t_start
-    for k in range(n_points):
-        t = t_start + k * spacing if k < n_points - 1 else t_end
-        upto = int(np.searchsorted(sorted_times, t, side="right"))
+    for t, upto in zip(grid, uptos):
         weights = weights * math.exp(-params.alpha * (t - prev_t)) + decay_sums(
             sorted_times[cursor:upto], sorted_edges[cursor:upto], len(weights), params.alpha, t
         )

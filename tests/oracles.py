@@ -16,7 +16,9 @@ NetworkSnapshot, which `make_log`, `make_cooccurrence` and `make_snapshot`
 build for the tests through the constructors production uses, and which
 the oracles read only through their arrays (`reference_degrees` through
 the `edges` mapping built from them). `kernel_edge_weight` is no oracle:
-it is the tests' way into the production decay kernel.
+it is the tests' way into the production decay kernel. `masked_decay_sums`
+is the kernel's earlier formula, kept to check that skipping the events
+after the instant leaves every weight's bits unchanged.
 """
 
 from __future__ import annotations
@@ -262,6 +264,15 @@ def kernel_edge_weight(times, params, t: float) -> float:
     """One edge's weight at time t, from the production kernel `decay_sums`."""
     times = np.asarray(times)
     return float(decay_sums(times, np.zeros(len(times), dtype=np.intp), 1, params.alpha, t)[0])
+
+
+def masked_decay_sums(times, edge_of, n_edges: int, alpha: float, t: float) -> np.ndarray:
+    """Per edge, the decay sum over every event slot, those after t adding
+    a zero: the kernel as it was before it skipped them."""
+    live = times <= t
+    contrib = np.zeros(len(times))
+    contrib[live] = np.exp(-alpha * (t - times[live]))
+    return np.bincount(edge_of, weights=contrib, minlength=n_edges)
 
 
 def ode_edge_weight(times, alpha: float, t: float) -> float:

@@ -4,16 +4,23 @@ import random
 import numpy as np
 import pytest
 
-from tieflow.orient import orient_edges
+from tieflow.orient import orient_edges, read_tie_graph_json, write_tie_graph_json
 from tieflow.tiedecay import (
     SNAPSHOT_FLOOR,
     DecayParams,
+    decay_sums,
     sample_snapshots,
     snapshot_at,
     write_snapshot_tsv,
 )
 
-from oracles import dense_weights, kernel_edge_weight, make_cooccurrence, ode_edge_weight
+from oracles import (
+    dense_weights,
+    kernel_edge_weight,
+    make_cooccurrence,
+    masked_decay_sums,
+    ode_edge_weight,
+)
 
 
 def toy_graph(edges: dict) -> "orient_edges":
@@ -158,6 +165,44 @@ def test_entries_in_csr_order_and_scipy_view_agree():
     assert (snap.matrix.toarray() == dense).all()
 
 
+def split_graph():
+    """Edges whose time lists the instants between 50 and 400 split."""
+    return toy_graph({("a", "b"): (100, 200, 300), ("a", "c"): (150, 250), ("b", "c"): (50, 400),
+                      ("c", "d"): (300,), ("b", "d"): (60, 225, 226, 227)})
+
+
+def test_snapshot_weights_are_the_masked_formula_bit_for_bit():
+    rng = random.Random(5)
+    names = [f"n{i:02d}" for i in range(30)]
+    pairs = {tuple(sorted(rng.sample(names, 2))) for _ in range(120)}
+    crowd = toy_graph({pair: tuple(sorted(rng.randrange(0, 10_000) for _ in range(rng.randrange(1, 12))))
+                       for pair in sorted(pairs)})
+    params = DecayParams(alpha=0.003)
+    # Before the first event (empty), on events (their jumps count), between
+    # events, and after the last event.
+    for tie, instants in ((split_graph(), (10, 49.5, 200, 225, 226.5, 400, 1_000.25)),
+                          (crowd, (0, 2_500.5, 5_000, 9_999, 12_000))):
+        for t in instants:
+            reference = masked_decay_sums(tie.times, tie.edge_of, len(tie.src), params.alpha, t)
+            assert decay_sums(tie.times, tie.edge_of, len(tie.src), params.alpha, t).tobytes() \
+                == reference.tobytes()
+            snap, kept = snapshot_at(tie, params, t), reference > SNAPSHOT_FLOOR
+            assert snap.weights.tobytes() == reference[kept].tobytes()
+            assert snap.src.tolist() == tie.src[kept].tolist()
+            assert snap.dst.tolist() == tie.dst[kept].tolist()
+    assert snapshot_at(split_graph(), params, 10).edge_count == 0
+
+
+def test_edge_of_is_built_once_per_graph(tmp_path):
+    tie = split_graph()
+    path = tmp_path / "tie_graph.json"
+    write_tie_graph_json(tie, path)
+    for graph in (tie, read_tie_graph_json(path)):
+        expected = np.repeat(np.arange(len(graph.src)), np.diff(graph.offsets))
+        assert graph.edge_of.tolist() == expected.tolist()
+        assert graph.edge_of is graph.edge_of
+
+
 def test_snapshot_drops_weights_at_floor():
     params = DecayParams(alpha=1.0)
     tie = toy_graph({("a", "b"): (0,)})
@@ -215,6 +260,20 @@ def test_incremental_sampling_matches_direct_evaluation():
             assert sampled[key] == pytest.approx(w, rel=1e-9)
             assert sampled[key] == pytest.approx(
                 ode_edge_weight(tie.edges[key], params.alpha, snap.time), rel=1e-6)
+
+
+def test_curve_with_fractional_spacing_includes_an_event_on_a_point():
+    tie = toy_graph({("a", "b"): (1, 5, 9), ("a", "c"): (3, 5), ("b", "c"): (7, 12)})
+    params = DecayParams(alpha=0.1)
+    snaps = list(sample_snapshots(tie, params, 0.5, 11, 8))  # spacing 1.5
+    assert [s.time for s in snaps] == [0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 9.5, 11]
+    on = {(s, d): w for s, d, w in snaps[3].edges()}  # t = 5.0, an event time of a-b and a-c
+    assert on[("a", "b")] == pytest.approx(1.0 + math.exp(-0.4), rel=1e-9)
+    assert on[("a", "c")] == pytest.approx(1.0 + math.exp(-0.2), rel=1e-9)
+    for snap in snaps:
+        direct = snapshot_at(tie, params, snap.time)
+        assert snap.src.tolist() == direct.src.tolist() and snap.dst.tolist() == direct.dst.tolist()
+        assert snap.weights == pytest.approx(direct.weights, rel=1e-9)
 
 
 def test_snapshot_tsv_format(tmp_path):
