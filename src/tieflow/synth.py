@@ -66,6 +66,18 @@ class SyntheticConfig:
             raise ValueError("semester too short for the jitter")
         if self.semester.end > TIME_LIMIT:
             raise ValueError("the semester ends after 9999-12-31, the last day of event times")
+        intra_mean, cross_mean = self.covisit_means()
+        if not intra_mean + cross_mean <= MAX_COVISITS:
+            raise ValueError(f"the configuration asks for about {intra_mean + cross_mean:.3g} "
+                             f"co-visits, more than the {MAX_COVISITS} allowed")
+
+    def covisit_means(self) -> tuple[float, float]:
+        """Poisson means of the same- and cross-community co-visit counts."""
+        q, r = divmod(self.n_students, self.n_communities)  # r communities of q + 1, the rest of q
+        intra_pairs = r * (q + 1) * q // 2 + (self.n_communities - r) * q * (q - 1) // 2
+        cross_pairs = self.n_students * (self.n_students - 1) // 2 - intra_pairs
+        weeks = self.semester.span_seconds / WEEK_SECONDS
+        return intra_pairs * self.intra_rate * weeks, cross_pairs * self.inter_rate * weeks
 
 
 def _community_blocks(n_students: int, n_communities: int) -> np.ndarray:
@@ -115,52 +127,50 @@ def _place_covisit_times(
     This guarantees the only cross-community co-occurrences in the log are
     the planted inter-community co-visits; chance collisions cannot occur.
     Same-community co-visits may coincide freely.
+
+    Candidate times come in blocks of `rng.integers(start, end, size=m)`, the
+    same stream as m single draws. Each co-visit left takes a draw, and a
+    failing one all its retries, so a block of m = min(co-visits left,
+    retries left for this one) is used up and the generator state matches.
     """
     # Per location, the placed times in ascending order and their tags.
     placed: dict[int, tuple[list[int], list[int]]] = defaultdict(lambda: ([], []))
-    times = np.empty(len(location_ids), dtype=np.int64)
-    for k in range(len(location_ids)):
-        placed_times, placed_tags = placed[int(location_ids[k])]
-        tag = int(tags[k])
-        for _ in range(_PLACEMENT_RETRIES):
-            t0 = int(rng.integers(start, end))
-            window = placed_tags[bisect_left(placed_times, t0 - separation):
-                                 bisect_right(placed_times, t0 + separation)]
+    times: list[int] = []
+    pending: list[int] = []  # drawn candidate times, next one last
+    for k, (location, tag) in enumerate(zip(location_ids.tolist(), tags.tolist())):
+        placed_times, placed_tags = placed[location]
+        for retry in range(_PLACEMENT_RETRIES):
+            if not pending:
+                size = min(len(location_ids) - k, _PLACEMENT_RETRIES - retry)
+                pending = rng.integers(start, end, size=size).tolist()[::-1]
+            t0 = pending.pop()
+            lo = bisect_left(placed_times, t0 - separation)
+            hi = bisect_right(placed_times, t0 + separation, lo)
+            window = placed_tags[lo:hi]
             # A mixed co-visit needs an empty window, any other only its own tag.
-            if all(other == tag != _MIXED for other in window):
+            if not window or (tag != _MIXED and window.count(tag) == len(window)):
                 break
         else:
             raise ValueError("could not separate cross-community co-visits; "
                              "the configuration is too dense for the semester")
-        at = bisect_right(placed_times, t0)
+        at = bisect_right(placed_times, t0, lo, hi)
         placed_times.insert(at, t0)
         placed_tags.insert(at, tag)
-        times[k] = t0
-    return times
+        times.append(t0)
+    return np.array(times, dtype=np.int64)
 
 
 def generate(config: SyntheticConfig) -> tuple[EventLog, dict[str, int]]:
     """Draw the planted-community event log; deterministic for a fixed seed."""
     config.validate()
+    locations = list(default_category_map(config))
     rng = np.random.default_rng(config.seed)
     width = max(4, len(str(config.n_students - 1)))
     students = [f"s{i:0{width}d}" for i in range(config.n_students)]
     community = _community_blocks(config.n_students, config.n_communities)
     ground_truth = {students[i]: int(community[i]) for i in range(config.n_students)}
 
-    locations = list(default_category_map(config))
-
-    weeks = config.semester.span_seconds / WEEK_SECONDS
-    community_sizes = Counter(int(c) for c in community)
-    intra_pairs = sum(size * (size - 1) // 2 for size in community_sizes.values())
-    total_pairs = config.n_students * (config.n_students - 1) // 2
-    cross_pairs = total_pairs - intra_pairs
-
-    intra_mean = intra_pairs * config.intra_rate * weeks
-    cross_mean = cross_pairs * config.inter_rate * weeks
-    if not intra_mean + cross_mean <= MAX_COVISITS:
-        raise ValueError(f"the configuration asks for about {intra_mean + cross_mean:.3g} "
-                         f"co-visits, more than the {MAX_COVISITS} allowed")
+    intra_mean, cross_mean = config.covisit_means()
     # A zero mean draws nothing, and neither does sampling zero pairs.
     n_intra, n_cross = int(rng.poisson(intra_mean)), int(rng.poisson(cross_mean))
     intra = _sample_pairs(rng, n_intra, community, want_same=True)
@@ -193,12 +203,16 @@ def generate(config: SyntheticConfig) -> tuple[EventLog, dict[str, int]]:
 
 
 def default_category_map(config: SyntheticConfig) -> dict[str, str]:
-    """Location -> behavior category for the generated location ids."""
+    """Location -> behavior category for the generated location ids; raises
+    ValueError if two categories generate one id (as dining=101, dining1=1)."""
     mapping = {}
     for category in sorted(config.locations_per_category):
         behavior = category if category in LOCATION_CATEGORIES else "other"
         for i in range(config.locations_per_category[category]):
-            mapping[f"{category}{i:02d}"] = behavior
+            location = f"{category}{i:02d}"
+            if location in mapping:
+                raise ValueError(f"two location categories generate the id {location!r}")
+            mapping[location] = behavior
     return mapping
 
 

@@ -615,6 +615,8 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     (["synth", "--locations", "=2", "--output-dir", "x"],
      "bad --locations entry '=2' (want category=count)"),
     (["synth", "--locations", "dining=0", "--output-dir", "x"], "need at least one location"),
+    (["synth", "--locations", "dining=101,dining1=1", "--output-dir", "x"],
+     "two location categories generate the id 'dining100'"),
     (["ingest", "--input", "raw.csv", "--output", "k.csv", "--keep-locations", "caf,nosuch"],
      "--keep-locations entry 'nosuch' names no location of raw.csv"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
@@ -626,11 +628,13 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
         "report-curve-ends-before-first-cooccurrence",
         "sweep-no-epsilons", "detect-no-rounds", "detect-negative-seed", "sweep-negative-seed",
         "synth-weeks-overflow", "synth-repeated-category",
-        "synth-empty-category", "synth-zero-locations", "ingest-unknown-location"])
+        "synth-empty-category", "synth-zero-locations", "synth-colliding-location-ids",
+        "ingest-unknown-location"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1
     assert fault in capsys.readouterr().err
+    assert not (chain / "x").exists()
 
 
 def test_analysis_commands_never_import_scipy(tmp_path):

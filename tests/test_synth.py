@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,15 +62,18 @@ def test_planted_events_csv_digest_is_pinned(planted_pipeline):
 
 
 class CountingRng:
-    """Draws integers from a seeded generator and counts the draws."""
+    """Draws integers from a seeded generator and counts the values drawn
+    and the calls that drew them."""
 
     def __init__(self, seed: int):
         self.generator = np.random.default_rng(seed)
         self.draws = 0
+        self.calls = 0
 
-    def integers(self, low, high):
-        self.draws += 1
-        return self.generator.integers(low, high)
+    def integers(self, low, high, size=None):
+        self.draws += 1 if size is None else size
+        self.calls += 1
+        return self.generator.integers(low, high, size=size)
 
 
 # case -> (co-visits, locations, tags drawn from, end of the draw range,
@@ -79,7 +83,12 @@ PLACEMENTS = {
     "mixed-loose": (300, 4, [_MIXED, 0, 1], 10**6, 100, False, False),
     "mixed-tight": (200, 2, [_MIXED, 0, 1, 2], 10_000, 25, True, False),
     "same-community-tight": (400, 1, [0, 1], 3_000, 10, True, False),
+    # Enough co-visits that candidate blocks run out and refill many times.
+    "many-tight": (2_000, 3, [_MIXED, 0, 1, 2], 100_000, 20, True, False),
     "retries-run-out": (5, 1, [_MIXED], 100, 1_000, True, True),
+    # The second co-visit fails with more co-visits left than retries, so
+    # its retries, not the co-visits, bound the last block.
+    "retries-run-out-early": (150, 1, [_MIXED], 100, 1_000, True, True),
 }
 
 
@@ -102,6 +111,15 @@ def test_placement_matches_tuple_scan_reference(case, seed):
     result, draws, _ = outcomes[0]
     assert isinstance(result, str) == runs_out
     assert draws > n or not retried
+
+
+def test_loose_placement_draws_candidate_times_in_blocks():
+    n, n_locations, tag_values, end, separation, _, _ = PLACEMENTS["mixed-loose"]
+    inputs = np.random.default_rng(100)
+    rng = CountingRng(0)
+    _place_covisit_times(rng, inputs.integers(0, n_locations, size=n),
+                         inputs.choice(tag_values, size=n), 0, end, separation)
+    assert rng.draws >= n > 20 * rng.calls
 
 
 def test_different_seeds_differ():
@@ -152,6 +170,17 @@ def test_infeasible_configs_rejected():
         generate(config(intra_rate=0.5, inter_rate=0.5))
     with pytest.raises(ValueError):
         generate(config(n_communities=0))
+
+
+def test_covisit_budget_is_checked_before_any_per_student_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="co-visits, more than the 6000000 allowed"):
+            generate(config(n_students=3_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def test_events_are_spend_and_inside_semester():
