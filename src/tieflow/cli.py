@@ -196,11 +196,13 @@ def _handle_build(args) -> int:
     if args.window <= 0:
         raise UsageError("--window must be positive")
     log = _load_events(args.events)
+    cograph = build_cooccurrence_graph(log, window=args.window)
+    if not len(cograph.src):
+        raise DataError(f"{args.events}: no two students co-occur within --window {args.window} s, "
+                        "so the tie graph would have no edges")
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = {"events": str(args.events), "window": args.window}
-
-    cograph = build_cooccurrence_graph(log, window=args.window)
     write_pair_counts_tsv(cograph, out_dir / "cooccurrence.tsv", _param_comments(params))
     tie_graph = orient_edges(cograph)
     write_directed_edges_tsv(tie_graph, out_dir / "directed_edges.tsv", _param_comments(params))

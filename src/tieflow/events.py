@@ -14,7 +14,8 @@ import math
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable
+from itertools import filterfalse, repeat
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -22,6 +23,8 @@ CSV_HEADER = ["student_id", "timestamp", "location_id", "kind", "amount"]
 KINDS = ("spend", "recharge")
 TIME_LIMIT = 253402300800  # 10000-01-01T00:00:00Z, where datetime's calendar ends
 _BREAKS = frozenset("\t\r\n")  # would split the TSV rows that carry student ids
+_BLOCK = 1 << 16  # characters of plain event text split at once
+_WRITE_ROWS = 1 << 14  # rows of event text made at once
 
 
 class ParseError(ValueError):
@@ -145,12 +148,12 @@ def _row_fault(row: list[str], line: int) -> ParseError | None:
     return None
 
 
-def _interned(raw: dict[str, int], codes: list[int], bad) -> tuple:
+def _interned(raw: dict[str, int], codes, bad) -> tuple:
     """The distinct stripped forms of the texts interned in raw, each row's
     index among them, and whether bad(stripped text) holds for each row."""
     names: dict[str, int] = {}
     remap = np.array([names.setdefault(text.strip(), len(names)) for text in raw], dtype=np.int64)
-    rows = remap[np.array(codes, dtype=np.int64)]
+    rows = remap[np.asarray(codes, dtype=np.int64)]
     return tuple(names), rows, np.array([bad(name) for name in names], dtype=bool)[rows]
 
 
@@ -174,13 +177,98 @@ def _or(convert, text: str, bad):
         return bad
 
 
-def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
+# The row checks strip each field. int() and float() skip the same
+# surrounding whitespace, except the separators \x1c-\x1f, so the slow
+# paths strip the text first.
+def _times(texts: list[str]) -> np.ndarray:
+    return _column(texts, np.int64, int, lambda text: parse_time(text.strip()), -1)
+
+
+def _amounts(texts: list[str]) -> np.ndarray:
+    return _column(texts, np.float64, float, lambda text: float(text.strip()), math.nan)
+
+
+def _coded_log(ids, codes, time: np.ndarray, amount: np.ndarray) -> EventLog | int:
+    """The log of the rows whose raw student, location and kind texts have
+    codes in ids, or the index of the first row whose id, kind, time or
+    amount is bad."""
+    student_ids, student_of, bad_student = _interned(ids[0], codes[0], _bad_id)
+    location_ids, location_of, bad_location = _interned(ids[1], codes[1], _bad_id)
+    kind_ids, kind_of, bad_kind = _interned(ids[2], codes[2], lambda name: name not in KINDS)
+    bad = (bad_student | bad_location | bad_kind | (time < 0) | (time >= TIME_LIMIT)
+           | ~np.isfinite(amount) | (amount < 0))
+    if bad.any():
+        return int(np.argmax(bad))
+    spend = np.array([name == "spend" for name in kind_ids], dtype=bool)[kind_of]
+    return EventLog.from_codes(student_ids, student_of, location_ids, location_of, time, amount,
+                               spend)
+
+
+def parse_events(stream: IO[str]) -> EventLog:
     """Read a CSV stream into a canonical EventLog.
 
     Every well-formed row is kept (including recharges and duplicates);
     filtering is a separate step. Malformed input raises ParseError with
     the 1-based physical line number of the first faulty row.
+
+    The stream's text is read whole. Text without quotes, carriage returns
+    or NULs is split with str.split, a block of rows at a time. The csv
+    module reads any other text, and text in which some row is faulty; its
+    lines end at "\\n", "\\r\\n" or "\\r", as in a file opened with newline="".
     """
+    text = stream.read()
+    if not ('"' in text or "\r" in text or "\0" in text):
+        log = _parse_plain(text)
+        if log is not None:
+            return log
+    # A StringIO would hold 4 bytes a character; UTF-8 holds ASCII in 1.
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    del text
+    return _parse_csv(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass", newline=""))
+
+
+def _parse_plain(text: str) -> EventLog | None:
+    """The log of text split at "\\n" and ",", or None if some row is faulty
+    or there is none. Text without quotes, carriage returns or NULs, whose
+    lines are no longer than the csv field limit, splits this way as the csv
+    module splits it."""
+    limit = csv.field_size_limit()
+    header = text.partition("\n")[0]
+    if len(header) > limit or [h.strip() for h in header.split(",")] != CSV_HEADER:
+        return None
+    ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
+    blocks = []  # per block of rows: student, location and kind codes, times, amounts
+    start = len(header) + 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK)
+        if end < 0:
+            end = len(text)
+        rows = list(filter(None, text[start:end].split("\n")))  # csv skips blank lines
+        start = end + 1
+        if not rows:
+            continue
+        if (list(map(str.count, rows, repeat(","))).count(len(CSV_HEADER) - 1) != len(rows)
+                or max(map(len, rows)) > limit):
+            return None
+        fields = ",".join(rows).split(",")
+        blocks.append((_code(ids[0], fields[0::5]), _code(ids[1], fields[2::5]),
+                       _code(ids[2], fields[3::5]), _times(fields[1::5]), _amounts(fields[4::5])))
+    if not blocks:
+        return None
+    *codes, time, amount = (np.concatenate(column) for column in zip(*blocks))
+    log = _coded_log(ids, codes, time, amount)
+    return log if isinstance(log, EventLog) else None
+
+
+def _code(ids: dict[str, int], texts: list[str]) -> np.ndarray:
+    """Each text's code in ids, adding the texts that ids lacks."""
+    for text in filterfalse(ids.__contains__, dict.fromkeys(texts)):
+        ids[text] = len(ids)
+    return np.fromiter(map(ids.__getitem__, texts), dtype=np.int64, count=len(texts))
+
+
+def _parse_csv(stream: IO[str]) -> EventLog:
+    """parse_events by the csv module, one row at a time."""
     reader = csv.reader(stream)
     ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
     student, location, kind, times, amounts = [], [], [], [], []
@@ -211,24 +299,14 @@ def parse_events(stream: IO[str] | Iterable[str]) -> EventLog:
     except csv.Error as exc:  # an overlong field, such as one an unclosed quote runs on
         fault = ParseError(reader.line_num, str(exc))
 
-    student_ids, student_of, bad_student = _interned(ids[0], student, _bad_id)
-    location_ids, location_of, bad_location = _interned(ids[1], location, _bad_id)
-    kind_ids, kind_of, bad_kind = _interned(ids[2], kind, lambda name: name not in KINDS)
-    # The fast paths accept exactly what the row checks accept: int() and
-    # float() ignore the surrounding whitespace that the checks strip.
-    time = _column(times, np.int64, int, lambda text: parse_time(text.strip()), -1)
-    amount = _column(amounts, np.float64, float, float, math.nan)
-    bad = (bad_student | bad_location | bad_kind | (time < 0) | (time >= TIME_LIMIT)
-           | ~np.isfinite(amount) | (amount < 0))
-    if bad.any():
-        k = int(np.argmax(bad))
+    log = _coded_log(ids, (student, location, kind), _times(times), _amounts(amounts))
+    if isinstance(log, int):  # the index of the first row with a bad field
+        k = log
         row = [list(raw)[codes[k]] for raw, codes in zip(ids, (student, location, kind))]
         raise _row_fault([row[0], times[k], row[1], row[2], amounts[k]], lines[k])
     if fault is not None:
         raise fault
-    spend = np.array([name == "spend" for name in kind_ids], dtype=bool)[kind_of]
-    return EventLog.from_codes(student_ids, student_of, location_ids, location_of, time, amount,
-                               spend)
+    return log
 
 
 def parse_events_path(path) -> EventLog:
@@ -237,11 +315,14 @@ def parse_events_path(path) -> EventLog:
 
 
 def filter_events(log: EventLog, keep_locations: frozenset[str] | set[str]) -> EventLog:
-    """Keep spend events at the given locations (empty set keeps all locations)."""
+    """Keep spend events at the given locations (empty set keeps all
+    locations); log itself if that keeps every event."""
     keep = log.spend
     if keep_locations:
         kept = [code for code, name in enumerate(log.locations) if name in keep_locations]
         keep = keep & np.isin(log.location, kept)
+    if keep.all():
+        return log
     return EventLog.from_codes(log.students, log.student[keep], log.locations, log.location[keep],
                                log.time[keep], log.amount[keep], log.spend[keep])
 
@@ -253,20 +334,31 @@ def _csv_cell(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+def _csv_text(log: EventLog) -> Iterator[str]:
+    """The canonical CSV text of log in pieces: the header line, then blocks
+    of rows. A row joins its student's cell, time, (location, kind) cell and
+    amount; the cells are made once per id."""
+    students = [_csv_cell(name) + "," for name in log.students]
+    places = [f",{_csv_cell(name)},{kind},"
+              for name in log.locations for kind in ("recharge", "spend")]
+    yield ",".join(CSV_HEADER) + "\n"
+    for start in range(0, len(log), _WRITE_ROWS):
+        block = slice(start, start + _WRITE_ROWS)
+        rows = zip(
+            map(students.__getitem__, log.student[block].tolist()),
+            map(str, log.time[block].tolist()),
+            map(places.__getitem__, (2 * log.location[block] + log.spend[block]).tolist()),
+            map(repr, log.amount[block].tolist()),
+            repeat("\n"),
+        )
+        yield "".join(map("".join, rows))
+
+
 def serialize_events(log: EventLog) -> str:
     """Canonical CSV form; parse_events(serialize_events(log)) has log's rows."""
-    students = [_csv_cell(name) for name in log.students]
-    locations = [_csv_cell(name) for name in log.locations]
-    rows = zip(
-        map(students.__getitem__, log.student.tolist()),
-        log.time.tolist(),
-        map(locations.__getitem__, log.location.tolist()),
-        map(("recharge", "spend").__getitem__, log.spend.tolist()),
-        map(repr, log.amount.tolist()),
-    )
-    return ",".join(CSV_HEADER) + "\n" + "".join(f"{s},{t},{l},{k},{a}\n" for s, t, l, k, a in rows)
+    return "".join(_csv_text(log))
 
 
 def write_events_csv(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(serialize_events(log))
+        handle.writelines(_csv_text(log))

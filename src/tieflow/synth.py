@@ -31,6 +31,9 @@ DEFAULT_LOCATIONS = {"dining": 33, "bath": 6, "boiler": 6, "shop": 4}
 # Most co-visits (the sum of the Poisson means) a configuration may ask for:
 # about 24 times the 253k of the 5,000-student scale configuration.
 MAX_COVISITS = 6_000_000
+# Most rounds of pair draws a configuration may expect to need: the
+# 5,000-student scale configuration expects about 670 over 12 weeks.
+MAX_PAIR_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -70,12 +73,29 @@ class SyntheticConfig:
         if not intra_mean + cross_mean <= MAX_COVISITS:
             raise ValueError(f"the configuration asks for about {intra_mean + cross_mean:.3g} "
                              f"co-visits, more than the {MAX_COVISITS} allowed")
+        # _sample_pairs draws two students for each pair not yet drawn, each
+        # round; count pairs that a draw forms with probability p take about
+        # (1 + ln count) / p rounds. A draw forms a cross-community pair, if
+        # there are any, with probability at least 4/9.
+        if intra_mean:
+            acceptance = 2 * self.pair_counts()[0] / self.n_students**2
+            rounds = (1 + math.log(max(intra_mean, 1))) / acceptance
+            if rounds > MAX_PAIR_ROUNDS:
+                raise ValueError(
+                    f"same-community pairs are too rare: two students drawn at random form "
+                    f"one with probability {acceptance:.3g}, so drawing about {intra_mean:.3g} "
+                    f"of them takes about {rounds:.3g} rounds, more than the "
+                    f"{MAX_PAIR_ROUNDS} allowed")
+
+    def pair_counts(self) -> tuple[int, int]:
+        """Numbers of same- and cross-community student pairs."""
+        q, r = divmod(self.n_students, self.n_communities)  # r communities of q + 1, the rest of q
+        intra_pairs = r * (q + 1) * q // 2 + (self.n_communities - r) * q * (q - 1) // 2
+        return intra_pairs, self.n_students * (self.n_students - 1) // 2 - intra_pairs
 
     def covisit_means(self) -> tuple[float, float]:
         """Poisson means of the same- and cross-community co-visit counts."""
-        q, r = divmod(self.n_students, self.n_communities)  # r communities of q + 1, the rest of q
-        intra_pairs = r * (q + 1) * q // 2 + (self.n_communities - r) * q * (q - 1) // 2
-        cross_pairs = self.n_students * (self.n_students - 1) // 2 - intra_pairs
+        intra_pairs, cross_pairs = self.pair_counts()
         weeks = self.semester.span_seconds / WEEK_SECONDS
         return intra_pairs * self.intra_rate * weeks, cross_pairs * self.inter_rate * weeks
 

@@ -545,6 +545,9 @@ MALFORMED = {
         "canonical.csv", lambda text: text.splitlines(keepends=True)[0],
         EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"],
         "has no records"),
+    "events-without-co-occurrence": (
+        "canonical.csv", lambda text: text.splitlines(keepends=True)[0], BUILD,
+        "no two students co-occur within --window 120 s, so the tie graph would have no edges"),
     "categories-missing-location": (
         "categories.json", edit_json(lambda doc: doc.pop("shop")),
         EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"],
@@ -563,6 +566,17 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert artifact in err and fault in err, err
+
+
+def test_build_without_co_occurrence_writes_nothing(chain, capsys):
+    (chain / "apart.csv").write_text(
+        "student_id,timestamp,location_id,kind,amount\ns1,1000,caf,spend,1\ns2,1200,caf,spend,1\n",
+        encoding="utf-8")
+    capsys.readouterr()
+    assert main(["build", "--events", "apart.csv", "--output-dir", "rebuilt"]) == 2
+    assert "apart.csv: no two students co-occur within --window 120 s" in capsys.readouterr().err
+    assert not (chain / "rebuilt").exists()
+    assert main(["build", "--events", "apart.csv", "--output-dir", "rebuilt", "--window", "200"]) == 0
 
 
 @pytest.mark.parametrize("argv, fault", [
@@ -617,6 +631,10 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     (["synth", "--locations", "dining=0", "--output-dir", "x"], "need at least one location"),
     (["synth", "--locations", "dining=101,dining1=1", "--output-dir", "x"],
      "two location categories generate the id 'dining100'"),
+    (["synth", "--students", "400", "--communities", "399", "--inter-rate", "0",
+      "--output-dir", "x"],
+     "same-community pairs are too rare: two students drawn at random form one with "
+     "probability 1.25e-05"),
     (["ingest", "--input", "raw.csv", "--output", "k.csv", "--keep-locations", "caf,nosuch"],
      "--keep-locations entry 'nosuch' names no location of raw.csv"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
@@ -629,7 +647,7 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
         "sweep-no-epsilons", "detect-no-rounds", "detect-negative-seed", "sweep-negative-seed",
         "synth-weeks-overflow", "synth-repeated-category",
         "synth-empty-category", "synth-zero-locations", "synth-colliding-location-ids",
-        "ingest-unknown-location"])
+        "synth-rare-same-community-pairs", "ingest-unknown-location"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

@@ -1,11 +1,14 @@
+import csv
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tieflow.events import (
+    _BLOCK,
     EventLog,
     ParseError,
     TimeRange,
@@ -74,6 +77,13 @@ def test_negative_amount_rejected():
         parse(HEADER + "s1,1000,caf3,spend,-4\n")
 
 
+def test_numbers_padded_with_separator_characters_are_stripped():
+    # str.strip() removes \x1c-\x1f, which int() and float() do not skip.
+    text = HEADER + "s1,\x1c1000\x1d,caf,spend,\x1e1.5\x1f\n"
+    assert log_rows(parse(text)) == reference_parse(io.StringIO(text)) == [
+        ("s1", 1000, "caf", "spend", 1.5)]
+
+
 def test_iso_timestamp_parsed_as_utc():
     log = parse(HEADER + "s1,1970-01-01T00:16:40,caf3,spend,1\n")
     assert log.time.tolist() == [1000]
@@ -118,6 +128,14 @@ def test_filter_drops_recharge():
 def test_filter_empty_keep_set_is_identity_on_spend_log():
     log = parse(HEADER + "s1,1000,caf3,spend,1\ns2,50,shop1,spend,2\n")
     assert log_rows(filter_events(log, frozenset())) == log_rows(log)
+
+
+def test_filter_that_drops_nothing_returns_the_log():
+    log = parse(HEADER + "s1,1000,caf3,spend,1\ns2,50,shop1,spend,2\n")
+    rows = log_rows(log)
+    for keep in (frozenset(), {"caf3", "shop1"}):
+        assert filter_events(log, keep) is log
+    assert log_rows(log) == rows
 
 
 def test_filter_keeps_named_venues_only():
@@ -200,9 +218,10 @@ ROWS = [["s1", "1000", "caf", "spend", "1.5"],
         ['s"3', "2000", "caf", " spend ", "0"]]
 # Pieces that move a row between valid and faulty: quotes, line breaks,
 # separators, whitespace, signs, digits, ISO and underscore times, and kinds.
-PIECES = st.sampled_from(['"', "\n", "\r\n", "\r", ",", " ", "\t", "-", "_", "1", "0", "\x00",
-                          "-1", "253402300800", "1e400", "1_000", "1970-01-01T00:00:00", "T",
-                          ":", "nan", "inf", "spend", "recharge", "topup", "", "\n\n"])
+PIECE_TEXTS = ['"', "\n", "\r\n", "\r", ",", " ", "\t", "-", "_", "1", "0", "\x00",
+               "-1", "253402300800", "1e400", "1_000", "1970-01-01T00:00:00", "T",
+               ":", "nan", "inf", "spend", "recharge", "topup", "", "\n\n"]
+PIECES = st.sampled_from(PIECE_TEXTS)
 ORACLE = settings(derandomize=True, database=None, deadline=None, max_examples=500)
 
 
@@ -229,6 +248,10 @@ def mutated_body(draw) -> str:
     return text
 
 
+def parse_rows(stream) -> list[tuple]:
+    return log_rows(parse_events(stream))
+
+
 def outcome(parser, text):
     try:
         return "rows", parser(io.StringIO(text, newline=""))
@@ -239,7 +262,7 @@ def outcome(parser, text):
 @ORACLE
 @given(mutated_body())
 def test_parse_matches_row_by_row_reference(body):
-    got = outcome(lambda stream: log_rows(parse_events(stream)), HEADER + body)
+    got = outcome(parse_rows, HEADER + body)
     assert got == outcome(reference_parse, HEADER + body)
 
 
@@ -264,3 +287,72 @@ def test_first_of_two_faulty_rows_wins():
         with pytest.raises(ParseError, match=f"^{fault}"):
             parse(HEADER + body)
         assert outcome(reference_parse, HEADER + body)[1].startswith(fault)
+
+
+# ------------------------------------------- the plain path: str.split, no csv
+
+# PIECES without the characters that send text through the csv module.
+PLAIN_PIECES = st.sampled_from([p for p in PIECE_TEXTS if not any(c in p for c in '"\r\x00')])
+PLAIN_CHARACTERS = st.characters(codec="utf-8", exclude_characters='"\r\x00')
+
+
+@st.composite
+def plain_body(draw) -> str:
+    """ROWS without their quote, with pieces put in or in place of some fields,
+    fields padded with spaces or tabs, and blank lines between the rows."""
+    rows = [[field.replace('"', "") for field in fields] for fields in ROWS]
+    for _ in range(draw(st.integers(0, 3))):
+        fields, k = draw(st.sampled_from(rows)), draw(st.integers(0, 4))
+        pieces = "".join(draw(st.lists(PLAIN_PIECES | PLAIN_CHARACTERS, max_size=3)))
+        if draw(st.booleans()):
+            fields[k] = pieces
+        else:
+            start = draw(st.integers(0, len(fields[k])))
+            stop = draw(st.integers(start, len(fields[k])))
+            fields[k] = fields[k][:start] + pieces + fields[k][stop:]
+    padding = st.sampled_from(["", "", " ", "\t", "  "])
+    return "".join(
+        "\n" * draw(st.integers(0, 2))
+        + ",".join(draw(padding) + field + draw(padding) for field in fields) + "\n"
+        for fields in rows)
+
+
+@ORACLE
+@given(plain_body())
+def test_plain_parse_matches_row_by_row_reference(body):
+    assert not any(c in body for c in '"\r\x00')
+    got = outcome(parse_rows, HEADER + body)
+    assert got == outcome(reference_parse, HEADER + body)
+
+
+def no_csv_reader(*args, **kwargs):
+    raise AssertionError("plain text went through csv.reader")
+
+
+def test_plain_fault_in_the_last_block_is_reported_on_its_line(monkeypatch):
+    # Over 40,000 rows, two in three of them followed by blank lines, so that
+    # blank lines fall on the boundaries of the blocks that are split at once.
+    rows = [f"s{k % 7},{k},loc{k % 5},spend,{k % 13}.5\n" + "\n" * (k % 3)
+            for k in range(40_500)]
+    good = HEADER + "".join(rows)
+    assert len(good) > 10 * _BLOCK
+    expected = outcome(reference_parse, good)
+    with monkeypatch.context() as patch:
+        patch.setattr(csv, "reader", no_csv_reader)
+        assert outcome(parse_rows, good) == expected
+    line = good.count("\n") + 1
+    with pytest.raises(ParseError, match=f"^line {line}: unparsable amount 'lots'$"):
+        parse(good + "s1,1000,caf,spend,lots\n\n")
+
+
+def test_overlong_plain_field_is_reported_as_the_csv_module_reports_it():
+    text = HEADER + "s1,1000,caf,spend,1\n" + "s" * 200_000 + ",1000,caf,spend,1\n"
+    with pytest.raises(ParseError, match=r"^line 3: field larger than field limit \(131072\)$"):
+        parse(text)
+
+
+def test_plain_text_is_parsed_without_the_csv_module(monkeypatch):
+    path = Path(__file__).parent / "golden" / "chain" / "canonical.csv"
+    expected = reference_parse(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
+    monkeypatch.setattr(csv, "reader", no_csv_reader)
+    assert log_rows(parse_events_path(path)) == expected != []

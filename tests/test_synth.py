@@ -183,6 +183,19 @@ def test_covisit_budget_is_checked_before_any_per_student_allocation():
     assert peak < 2**22
 
 
+def test_rare_same_community_pairs_are_rejected_before_any_draw():
+    # 400 students in 399 communities: one same-community pair in 79,800.
+    # Drawing its ~16 co-visits pair by pair took seconds; the estimate
+    # (1 + ln 16) / (2 / 400**2) is about 302,000 rounds.
+    with pytest.raises(ValueError, match=r"^same-community pairs are too rare: .* probability "
+                                         r"1\.25e-05, .* about 3\.02e\+05 rounds, more than the "
+                                         r"10000 allowed$"):
+        config(n_students=400, n_communities=399).validate()
+    # Criterion 10's scale configuration expects about 670 rounds.
+    config(n_students=5000, n_communities=50, semester=TimeRange(0, 12 * WEEK),
+           intra_rate=0.075, inter_rate=0.0002).validate()
+
+
 def test_events_are_spend_and_inside_semester():
     cfg = config()
     log, _ = generate(cfg)
