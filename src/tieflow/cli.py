@@ -49,6 +49,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NOT_CONVERGED = 3
 
+MAX_CURVE_POINTS = 1_000_000  # report --n-points; the default is 1000
+
 
 class UsageError(Exception):
     pass
@@ -366,8 +368,8 @@ def _handle_synth(args) -> int:
 
 def _curve(args) -> int:
     n_points = 1000 if args.n_points is None else args.n_points
-    if n_points < 2:
-        raise UsageError("--n-points must be at least 2")
+    if not 2 <= n_points <= MAX_CURVE_POINTS:
+        raise UsageError(f"--n-points must lie in [2, {MAX_CURVE_POINTS}]")
     _check_order(args.start_time, None if args.time == "end" else args.time, "the curve")
     graph, t_end, params = _graph_at(args)
     t_start = float(graph.start_time() if args.start_time is None else args.start_time)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from typing import IO, Iterator
 
 import numpy as np
@@ -23,8 +22,8 @@ CSV_HEADER = ["student_id", "timestamp", "location_id", "kind", "amount"]
 KINDS = ("spend", "recharge")
 TIME_LIMIT = 253402300800  # 10000-01-01T00:00:00Z, where datetime's calendar ends
 _BREAKS = frozenset("\t\r\n")  # would split the TSV rows that carry student ids
-_BLOCK = 1 << 16  # characters of plain event text split at once
-_WRITE_ROWS = 1 << 14  # rows of event text made at once
+_BLOCK = 1 << 16  # characters of unquoted event text split at once
+_ROWS = 1 << 12  # rows of event text that the csv module splits, or that are made, at once
 
 
 class ParseError(ValueError):
@@ -145,7 +144,6 @@ def _row_fault(row: list[str], line: int) -> ParseError | None:
         return ParseError(line, f"non-finite amount {raw_amount!r}")
     if amount < 0:
         return ParseError(line, f"negative amount {raw_amount!r}")
-    return None
 
 
 def _interned(raw: dict[str, int], codes, bad) -> tuple:
@@ -188,10 +186,20 @@ def _amounts(texts: list[str]) -> np.ndarray:
     return _column(texts, np.float64, float, lambda text: float(text.strip()), math.nan)
 
 
-def _coded_log(ids, codes, time: np.ndarray, amount: np.ndarray) -> EventLog | int:
-    """The log of the rows whose raw student, location and kind texts have
-    codes in ids, or the index of the first row whose id, kind, time or
-    amount is bad."""
+def _coded_log(blocks: Iterator[list[str] | None]) -> EventLog | int:
+    """The log of the rows in blocks (the header's fields, then each block's
+    fields, 5 a row, or None for one that did not split so), or the index of
+    the first row with a bad field or, after a None, the first row left out."""
+    if [h.strip() for h in next(blocks) or ()] != CSV_HEADER:
+        return 0
+    ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
+    columns = []
+    for fields in chain([[]], blocks):  # an empty block first, so a log may have no rows
+        if fields is None:
+            break
+        columns.append((_code(ids[0], fields[0::5]), _code(ids[1], fields[2::5]),
+                        _code(ids[2], fields[3::5]), _times(fields[1::5]), _amounts(fields[4::5])))
+    *codes, time, amount = (np.concatenate(column) for column in zip(*columns))
     student_ids, student_of, bad_student = _interned(ids[0], codes[0], _bad_id)
     location_ids, location_of, bad_location = _interned(ids[1], codes[1], _bad_id)
     kind_ids, kind_of, bad_kind = _interned(ids[2], codes[2], lambda name: name not in KINDS)
@@ -199,65 +207,11 @@ def _coded_log(ids, codes, time: np.ndarray, amount: np.ndarray) -> EventLog | i
            | ~np.isfinite(amount) | (amount < 0))
     if bad.any():
         return int(np.argmax(bad))
+    if fields is None:
+        return len(time)
     spend = np.array([name == "spend" for name in kind_ids], dtype=bool)[kind_of]
     return EventLog.from_codes(student_ids, student_of, location_ids, location_of, time, amount,
                                spend)
-
-
-def parse_events(stream: IO[str]) -> EventLog:
-    """Read a CSV stream into a canonical EventLog.
-
-    Every well-formed row is kept (including recharges and duplicates);
-    filtering is a separate step. Malformed input raises ParseError with
-    the 1-based physical line number of the first faulty row.
-
-    The stream's text is read whole. Text without quotes, carriage returns
-    or NULs is split with str.split, a block of rows at a time. The csv
-    module reads any other text, and text in which some row is faulty; its
-    lines end at "\\n", "\\r\\n" or "\\r", as in a file opened with newline="".
-    """
-    text = stream.read()
-    if not ('"' in text or "\r" in text or "\0" in text):
-        log = _parse_plain(text)
-        if log is not None:
-            return log
-    # A StringIO would hold 4 bytes a character; UTF-8 holds ASCII in 1.
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-    del text
-    return _parse_csv(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass", newline=""))
-
-
-def _parse_plain(text: str) -> EventLog | None:
-    """The log of text split at "\\n" and ",", or None if some row is faulty
-    or there is none. Text without quotes, carriage returns or NULs, whose
-    lines are no longer than the csv field limit, splits this way as the csv
-    module splits it."""
-    limit = csv.field_size_limit()
-    header = text.partition("\n")[0]
-    if len(header) > limit or [h.strip() for h in header.split(",")] != CSV_HEADER:
-        return None
-    ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
-    blocks = []  # per block of rows: student, location and kind codes, times, amounts
-    start = len(header) + 1
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK)
-        if end < 0:
-            end = len(text)
-        rows = list(filter(None, text[start:end].split("\n")))  # csv skips blank lines
-        start = end + 1
-        if not rows:
-            continue
-        if (list(map(str.count, rows, repeat(","))).count(len(CSV_HEADER) - 1) != len(rows)
-                or max(map(len, rows)) > limit):
-            return None
-        fields = ",".join(rows).split(",")
-        blocks.append((_code(ids[0], fields[0::5]), _code(ids[1], fields[2::5]),
-                       _code(ids[2], fields[3::5]), _times(fields[1::5]), _amounts(fields[4::5])))
-    if not blocks:
-        return None
-    *codes, time, amount = (np.concatenate(column) for column in zip(*blocks))
-    log = _coded_log(ids, codes, time, amount)
-    return log if isinstance(log, EventLog) else None
 
 
 def _code(ids: dict[str, int], texts: list[str]) -> np.ndarray:
@@ -267,46 +221,92 @@ def _code(ids: dict[str, int], texts: list[str]) -> np.ndarray:
     return np.fromiter(map(ids.__getitem__, texts), dtype=np.int64, count=len(texts))
 
 
-def _parse_csv(stream: IO[str]) -> EventLog:
-    """parse_events by the csv module, one row at a time."""
-    reader = csv.reader(stream)
-    ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
-    student, location, kind, times, amounts = [], [], [], [], []
-    lines = array("q")  # first physical line of each row
-    fault = None
+def parse_events(stream: IO[str]) -> EventLog:
+    """Read a CSV stream into a canonical EventLog.
+
+    Every well-formed row is kept (including recharges and duplicates);
+    filtering is a separate step. Malformed input raises ParseError with
+    the 1-based physical line number of the first faulty row; lines end at
+    "\\n", "\\r\\n" or "\\r", as in a file opened with newline="".
+
+    Text without quotes or NULs has its line ends folded to "\\n" and is
+    split with str.split; the csv module splits any other text. One coder
+    checks the rows a block at a time; if one is faulty, the csv module
+    reads the text again to name the first.
+    """
+    text = stream.read()
+    if '"' in text or "\0" in text:
+        text = text.encode("utf-8", "surrogatepass")  # only the copy the csv module reads
+        log = _coded_log(_csv_blocks(_csv_reader(text)))
+    else:
+        text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+        log = _coded_log(_split_blocks(text))
+    if isinstance(log, int):
+        raise _first_fault(_csv_reader(text), log)
+    return log
+
+
+def _csv_reader(text: str | bytes):
+    """csv.reader over text held as UTF-8 (a StringIO holds 4 bytes a character),
+    reading lines as a file opened with newline="" does."""
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text)
+    return csv.reader(io.TextIOWrapper(data, encoding="utf-8", errors="surrogatepass", newline=""))
+
+
+def _split_blocks(text: str) -> Iterator[list[str] | None]:
+    """_coded_log's blocks of text without quotes, CRs or NULs, split at "\\n" and "," as
+    the csv module splits it; a block with a row of other than 5 fields, or with a field
+    over the module's limit, is None."""
+    limit = csv.field_size_limit()
+    header = text.partition("\n")[0]
+    yield header.split(",") if max(map(len, header.split(","))) <= limit else None
+    start = len(header) + 1
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK)
+        if end < 0:
+            end = len(text)
+        rows = list(filter(None, text[start:end].split("\n")))  # csv skips blank lines
+        start = end + 1
+        fields = ",".join(rows).split(",") if rows else []
+        if (list(map(str.count, rows, repeat(","))).count(len(CSV_HEADER) - 1) != len(rows)
+                or max(map(len, rows), default=0) > limit and max(map(len, fields)) > limit):
+            yield None
+            return
+        yield fields
+
+
+def _csv_blocks(reader) -> Iterator[list[str] | None]:
+    """_coded_log's blocks of a csv.reader's rows, _ROWS rows a block; a block with
+    a row of other than 5 fields, or where the reader fails, is None."""
+    try:
+        yield next(reader, None)
+        for rows in iter(lambda: list(islice(reader, _ROWS)), []):
+            if not {0, len(CSV_HEADER)}.issuperset(map(len, rows)):  # a blank line reads as []
+                yield None
+                return
+            yield list(chain.from_iterable(rows))
+    except csv.Error:  # an overlong field, such as one an unclosed quote runs on
+        yield None
+
+
+def _first_fault(reader, first: int) -> ParseError:
+    """The ParseError for the first faulty row a csv.reader reads, where those
+    before row first (blank lines skipped) are known to have 5 good fields."""
     try:
         header = next(reader, None)
         if header is None:
-            raise ParseError(1, "missing header")
+            return ParseError(1, "missing header")
         if [h.strip() for h in header] != CSV_HEADER:
-            raise ParseError(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
-        students, locations, kinds = ids
-        end = reader.line_num
+            return ParseError(1, f"bad header {header!r}, expected {','.join(CSV_HEADER)}")
+        end, k = reader.line_num, 0
         for row in reader:
-            start, end = end + 1, reader.line_num
-            if len(row) != len(CSV_HEADER):
-                if row:
-                    fault = _row_fault(row, start)
-                    break
-                continue
-            s, t, loc, k, a = row
-            student.append(students.setdefault(s, len(students)))
-            times.append(t)
-            location.append(locations.setdefault(loc, len(locations)))
-            kind.append(kinds.setdefault(k, len(kinds)))
-            amounts.append(a)
-            lines.append(start)
-    except csv.Error as exc:  # an overlong field, such as one an unclosed quote runs on
-        fault = ParseError(reader.line_num, str(exc))
-
-    log = _coded_log(ids, (student, location, kind), _times(times), _amounts(amounts))
-    if isinstance(log, int):  # the index of the first row with a bad field
-        k = log
-        row = [list(raw)[codes[k]] for raw, codes in zip(ids, (student, location, kind))]
-        raise _row_fault([row[0], times[k], row[1], row[2], amounts[k]], lines[k])
-    if fault is not None:
-        raise fault
-    return log
+            line, end = end + 1, reader.line_num
+            if row and (k >= first or len(row) != 5) and (fault := _row_fault(row, line)):
+                return fault
+            k += bool(row)
+    except csv.Error as exc:
+        return ParseError(reader.line_num, str(exc))
+    raise AssertionError(f"row {first} was rejected but has no fault")
 
 
 def parse_events_path(path) -> EventLog:
@@ -342,8 +342,8 @@ def _csv_text(log: EventLog) -> Iterator[str]:
     places = [f",{_csv_cell(name)},{kind},"
               for name in log.locations for kind in ("recharge", "spend")]
     yield ",".join(CSV_HEADER) + "\n"
-    for start in range(0, len(log), _WRITE_ROWS):
-        block = slice(start, start + _WRITE_ROWS)
+    for start in range(0, len(log), _ROWS):
+        block = slice(start, start + _ROWS)
         rows = zip(
             map(students.__getitem__, log.student[block].tolist()),
             map(str, log.time[block].tolist()),

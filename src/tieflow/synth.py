@@ -34,6 +34,10 @@ MAX_COVISITS = 6_000_000
 # Most rounds of pair draws a configuration may expect to need: the
 # 5,000-student scale configuration expects about 670 over 12 weeks.
 MAX_PAIR_ROUNDS = 10_000
+# Most students, and most locations, a configuration may ask for. generate
+# builds every id: a million students cost about 130 MB and 1.5 s, and a
+# million locations 100 MB and 1.1 s, with almost no co-visits.
+MAX_IDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,11 @@ class SyntheticConfig:
         if not intra_mean + cross_mean <= MAX_COVISITS:
             raise ValueError(f"the configuration asks for about {intra_mean + cross_mean:.3g} "
                              f"co-visits, more than the {MAX_COVISITS} allowed")
+        for what, count in (("students", self.n_students),
+                            ("locations", sum(self.locations_per_category.values()))):
+            if count > MAX_IDS:
+                raise ValueError(f"the configuration asks for {count} {what}, "
+                                 f"more than the {MAX_IDS} allowed")
         # _sample_pairs draws two students for each pair not yet drawn, each
         # round; count pairs that a draw forms with probability p take about
         # (1 + ln count) / p rounds. A draw forms a cross-community pair, if

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -283,6 +285,16 @@ def test_synth_rejects_config_asking_for_too_many_covisits(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_report_rejects_too_many_curve_points_before_reading_or_writing(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    for graph in (GOLDEN / GRAPH, tmp_path / "missing.json"):
+        for n_points in ("10000000000000", "1000001", "1"):
+            argv = ["report", "--graph", str(graph), "--n-points", n_points, "--output", str(out)]
+            assert main(argv) == 1
+            assert "--n-points must lie in [2, 1000000]" in capsys.readouterr().err
+            assert not out.exists()
+
+
 def test_report_curve_points(tmp_path, built):
     out = tmp_path / "curve.csv"
     assert main(
@@ -364,6 +376,19 @@ def test_cli_chain_artifacts_match_golden_bytes(tmp_path, monkeypatch):
     assert written == expected
     for rel in written:
         assert (tmp_path / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
+
+
+def test_ingest_of_crlf_and_quoted_raw_csv_writes_the_golden_canonical_bytes(tmp_path):
+    raw = (GOLDEN / "raw.csv").read_text(encoding="utf-8")
+    quoted = io.StringIO()
+    csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(raw)))
+    for name, text in (("crlf.csv", raw.replace("\n", "\r\n")), ("quoted.csv", quoted.getvalue())):
+        assert text != raw
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+        out = tmp_path / f"canonical-{name}"
+        assert main(["ingest", "--input", str(tmp_path / name), "--output", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "canonical.csv").read_bytes(), name
 
 
 @pytest.fixture
@@ -635,6 +660,11 @@ def test_build_without_co_occurrence_writes_nothing(chain, capsys):
       "--output-dir", "x"],
      "same-community pairs are too rare: two students drawn at random form one with "
      "probability 1.25e-05"),
+    (["synth", "--students", "100000000", "--intra-rate", "1e-9", "--inter-rate", "0",
+      "--weeks", "1", "--output-dir", "x"],
+     "the configuration asks for 100000000 students, more than the 1000000 allowed"),
+    (["synth", "--locations", "dining=1000000000", "--output-dir", "x"],
+     "the configuration asks for 1000000000 locations, more than the 1000000 allowed"),
     (["ingest", "--input", "raw.csv", "--output", "k.csv", "--keep-locations", "caf,nosuch"],
      "--keep-locations entry 'nosuch' names no location of raw.csv"),
 ], ids=["no-iterations", "negative-tolerance", "before-first-cooccurrence", "time-overflow",
@@ -647,7 +677,8 @@ def test_build_without_co_occurrence_writes_nothing(chain, capsys):
         "sweep-no-epsilons", "detect-no-rounds", "detect-negative-seed", "sweep-negative-seed",
         "synth-weeks-overflow", "synth-repeated-category",
         "synth-empty-category", "synth-zero-locations", "synth-colliding-location-ids",
-        "synth-rare-same-community-pairs", "ingest-unknown-location"])
+        "synth-rare-same-community-pairs", "synth-too-many-students",
+        "synth-too-many-locations", "ingest-unknown-location"])
 def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault):
     capsys.readouterr()
     assert main(argv) == 1

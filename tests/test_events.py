@@ -2,11 +2,13 @@ import csv
 import io
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tieflow.events
 from tieflow.events import (
     _BLOCK,
     EventLog,
@@ -271,8 +273,14 @@ def test_fault_on_line_40001_is_reported_there():
     rows = ['s1,"1000\n",caf,spend,1\n'] + [f"s{k % 7},{k},caf,spend,1\n" for k in range(39_997)]
     text = HEADER + "".join(rows) + "s1,1000,caf,spend,lots\n"
     assert text.count("\n") == 40_001
-    with pytest.raises(ParseError, match="^line 40001: unparsable amount 'lots'$"):
-        parse(text)
+    # CRLF text with a blank line and a lone CR end and no quote, so that it
+    # is split without the csv module until the fault is named.
+    crlf = (HEADER + "\ns0,0,caf,spend,1\r" + "".join(rows[1:]) + "s1,1000,caf,spend,lots\n"
+            ).replace("\n", "\r\n")
+    for text in (text, crlf):
+        assert outcome(reference_parse, text)[1] == "line 40001: unparsable amount 'lots'"
+        with pytest.raises(ParseError, match="^line 40001: unparsable amount 'lots'$"):
+            parse(text)
 
 
 def test_first_of_two_faulty_rows_wins():
@@ -356,3 +364,63 @@ def test_plain_text_is_parsed_without_the_csv_module(monkeypatch):
     expected = reference_parse(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
     monkeypatch.setattr(csv, "reader", no_csv_reader)
     assert log_rows(parse_events_path(path)) == expected != []
+
+
+LINE_ENDS = st.lists(st.sampled_from(["\r\n", "\r"]), min_size=1, max_size=4)
+
+
+@ORACLE
+@given(plain_body(), LINE_ENDS)
+def test_cr_and_crlf_plain_text_matches_reference_without_the_csv_module(body, ends):
+    # The body's line ends become CRLF and lone CR ends, in turn; the csv
+    # module may only name a fault.
+    lines = (HEADER + body).split("\n")
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines[:-1])) + lines[-1]
+    expected = outcome(reference_parse, text)
+    with mock.patch.object(csv, "reader", no_csv_reader if expected[0] == "rows" else csv.reader):
+        assert outcome(parse_rows, text) == expected
+
+
+def test_quoted_text_split_across_small_blocks_matches_reference(monkeypatch):
+    rows = [f'"s{k % 3}",{1000 + k},"caf","spend","{k}"\n' for k in range(12)]
+    multiline = 's9,"1000\n",caf,"spend",1\n'  # one row on two lines
+    blank = "\n\n\n"  # a block of blank lines alone must not end the text
+    faulty = '"s1",1000,caf,"topup",1\n'
+    for rows_a_block in (1, 2, 3):
+        monkeypatch.setattr(tieflow.events, "_ROWS", rows_a_block)
+        for k in range(len(rows) + 1):
+            body = "".join(rows[:k]) + multiline + blank + "".join(rows[k:])
+            for text in (HEADER + body, HEADER + body + "".join(rows) + faulty + rows[0]):
+                assert outcome(parse_rows, text) == outcome(reference_parse, text)
+    with pytest.raises(ParseError, match="^line 31: unknown kind 'topup'$"):
+        parse(HEADER + "".join(rows) + multiline + blank + "".join(rows) + faulty)
+
+
+def test_long_unquoted_lines_of_short_fields_parse(monkeypatch):
+    # Each line is longer than the csv field limit (131072), no field is.
+    pad = " " * 30_000
+    header = ",".join(pad + name + pad for name in HEADER.strip().split(",")) + "\n"
+    row = "s" * 100_000 + ",1000," + "c" * 100_000 + ",spend," + pad + "1\n"
+    text = header + row + "s1,1000,caf,spend,1\n"
+    expected = outcome(reference_parse, text)
+    assert expected[0] == "rows" and len(expected[1]) == 2
+    monkeypatch.setattr(csv, "reader", no_csv_reader)
+    assert outcome(parse_rows, text) == expected
+    monkeypatch.undo()
+    # A header field over the limit is a fault, though it strips to the name.
+    text = " " * 140_000 + HEADER + "s1,1000,caf,spend,1\n"
+    expected = ("error", "line 1: field larger than field limit (131072)")
+    assert outcome(parse_rows, text) == outcome(reference_parse, text) == expected
+
+
+def test_fault_locator_checks_only_rows_the_coder_did_not_pass(monkeypatch):
+    lines = []
+    check = tieflow.events._row_fault
+    monkeypatch.setattr(tieflow.events, "_row_fault",
+                        lambda row, line: lines.append(line) or check(row, line))
+    good = "".join(f"s{k % 7},{k},caf,spend,1\n" for k in range(5_000))
+    for body in (good, good.replace("\n", "\r\n"), good.replace("caf", '"caf"')):
+        lines.clear()
+        with pytest.raises(ParseError, match="^line 5002: unparsable amount 'lots'$"):
+            parse(HEADER + body + "s1,1000,caf,spend,lots\n")
+        assert lines == [5002]

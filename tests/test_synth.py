@@ -12,6 +12,8 @@ from tieflow.orient import orient_edges
 from tieflow.pagerank import pagerank
 from tieflow.synth import (
     _MIXED,
+    MAX_COVISITS,
+    MAX_IDS,
     SyntheticConfig,
     _place_covisit_times,
     default_category_map,
@@ -181,6 +183,22 @@ def test_covisit_budget_is_checked_before_any_per_student_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**22
+
+
+def test_id_counts_are_bounded_before_any_per_id_allocation():
+    # Each asks for few co-visits but would build gigabytes of ids.
+    week = TimeRange(0, WEEK)
+    for overrides, asked in [
+        (dict(n_students=10**8, intra_rate=1e-9, semester=week), "100000000 students"),
+        (dict(locations_per_category={"dining": 10**9}), "1000000000 locations"),
+    ]:
+        cfg = config(**overrides)
+        assert sum(cfg.covisit_means()) <= MAX_COVISITS
+        with pytest.raises(ValueError, match=f"^the configuration asks for {asked}, "
+                                             f"more than the 1000000 allowed$"):
+            cfg.validate()
+    config(n_students=MAX_IDS, intra_rate=1e-9, semester=week,
+           locations_per_category={"dining": MAX_IDS}).validate()
 
 
 def test_rare_same_community_pairs_are_rejected_before_any_draw():
