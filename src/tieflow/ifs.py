@@ -8,11 +8,15 @@ first label to reach a node is final. A full round with no new labels (or
 the round budget) terminates the run.
 
 A try into a labeled node (an origin included) is skipped without a draw,
-and labels are final, so each sender drops an edge once its destination is
-labeled and the loop keeps only the edges that can still draw.
+and labels are final. The open tries are one sorted array of keys,
+label * m + edge for a snapshot of m edges; CSR rows follow node order, so
+that is (label, sender, edge) order, the order in which tries draw. Each
+round the new relays' out-edges join the array, one mask drops every try
+into a labeled node, and the Python loop runs only over the tries left,
+skipping a destination that an earlier try of the same round labeled.
 
-The cascade runs on node indices. Its set-up (`_flow_lists`: the check that
-the snapshot and ranking share their nodes, the snapshot's CSR arrays and
+The cascade runs on node indices. Its set-up (`_flow_lists`: the node set
+and the check that the ranking shares it, the snapshot's CSR arrays and
 propagation probabilities, and the node indices in descending PageRank)
 is kept for the last snapshot, ranking and beta, so the origin fractions
 of `sweep_epsilon` share one build; the sweep drops it when it ends.
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +36,7 @@ import numpy as np
 
 from . import metrics
 from .artifacts import DataError, decoding, read_json, write_json
+from .cooccur import _ragged
 from .pagerank import PageRankVector
 from .tiedecay import NetworkSnapshot
 
@@ -114,65 +118,55 @@ def detect_communities(
     for a node is resolved by origin rank since earlier communities act
     first. Origins that never transmit successfully end up isolated.
     """
-    offsets, dst, probability, ranked = _flow_lists(s, pr.ranking, params.beta)
-    origins = ranked[:len(select_origins(pr, epsilon))]
-    label = [0] * len(s.nodes)  # by node index; 0 while unlabeled
-    for k, i in enumerate(origins, start=1):
-        label[i] = k
-    # Each sender's edges whose destination was unlabeled when last tried;
-    # senders with any such edge, in (label, node index) order.
-    pending = {i: range(offsets[i], offsets[i + 1]) for i in origins}
-    senders = [(k, i) for k, i in enumerate(origins, start=1) if pending[i]]
+    node_set, offsets, dst, probability, ranked = _flow_lists(s, pr.ranking, params.beta)
+    origins = np.array(ranked[:len(select_origins(pr, epsilon))], dtype=np.int64)
+    label = np.zeros(len(s.nodes), dtype=np.int64)  # by node index; 0 while unlabeled
+    label[origins] = np.arange(1, len(origins) + 1)
+    # Open tries as sorted keys label * m + edge; the origins relay first.
+    m, tries, relays = len(dst), np.empty(0, dtype=np.int64), origins
 
-    rng = random.Random(params.seed)
-    trace: list[tuple[int, int, int]] = []
+    rng, nodes = random.Random(params.seed), s.nodes
+    trace: list[tuple[int, str, int]] = []
     for round_no in range(1, params.max_rounds + 1):
-        round_start = len(trace)
-        for k, i in senders:
-            still_open = []
-            for e in pending[i]:
-                j = dst[e]
-                if label[j] == 0:
-                    if rng.random() < probability[e]:
-                        label[j] = k
-                        trace.append((round_no, j, k))
-                    else:
-                        still_open.append(e)
-            pending[i] = still_open
-        senders = [(k, i) for k, i in senders if pending[i]]
-        if params.relay:
-            for _, j, k in trace[round_start:]:
-                pending[j] = range(offsets[j], offsets[j + 1])
-                if pending[j]:
-                    insort(senders, (k, j))
-        if len(trace) == round_start or len(trace) == len(s.nodes) - len(origins):
+        counts = offsets[relays + 1] - offsets[relays]
+        tries = np.concatenate([tries, np.repeat(label[relays] * m, counts)
+                                + _ragged(offsets[relays], counts)])
+        tries = np.sort(tries[label[dst[tries % m]] == 0])
+        senders, edges = np.divmod(tries, m)
+        fresh: dict[int, int] = {}  # node -> label, for the nodes labeled after the mask
+        for k, j, p in zip(senders.tolist(), dst[edges].tolist(), probability[edges].tolist()):
+            if j not in fresh and rng.random() < p:
+                fresh[j] = k
+        trace.extend((round_no, nodes[j], k) for j, k in fresh.items())
+        if not fresh or len(trace) == len(s.nodes) - len(origins):
             break
+        label[list(fresh)] = list(fresh.values())
+        relays = np.array(list(fresh) if params.relay else [], dtype=np.int64)
 
-    nodes = s.nodes
-    named = [(r, nodes[j], k) for r, j, k in trace]
-    labels = {node: k for _, node, k in named}
-    origin_of = {k: nodes[origins[k - 1]] for k in sorted(set(labels.values()))}
+    labels = {node: k for _, node, k in trace}
+    origin_of = {k: nodes[ranked[k - 1]] for k in sorted(set(labels.values()))}
     labels.update((origin, k) for k, origin in origin_of.items())
     return CommunityAssignment(
         labels=labels,
-        isolated=frozenset(nodes).difference(labels),
+        isolated=node_set.difference(labels),
         origin_of=origin_of,
         rounds=round_no,
-        trace=tuple(named),
+        trace=tuple(trace),
     )
 
 
 @lru_cache(maxsize=1)
 def _flow_lists(s: NetworkSnapshot, ranking: tuple[str, ...], beta: float):
     """What every cascade on the snapshot with this ranking and beta shares:
-    the node-set check, the CSR offsets, destinations and propagation
-    probabilities, and the node indices in descending PageRank, as tuples.
-    The last call's tuples are kept, so the fractions of a sweep share them."""
-    if set(ranking) != set(s.nodes):
+    the node set, checked against the ranking's, the CSR offsets and
+    destinations and the propagation probabilities as numpy arrays, and the
+    node indices in descending PageRank. The last call's result is kept, so
+    the fractions of a sweep share it."""
+    node_set = frozenset(s.nodes)
+    if set(ranking) != node_set:
         raise ValueError("snapshot and PageRank cover different node sets")
     probability = propagation_probability(s.weights, s.out_strength[s.src], beta)
-    return (tuple(s.row_offsets.tolist()), tuple(s.dst.tolist()), tuple(probability.tolist()),
-            tuple([s.index[node] for node in ranking]))
+    return node_set, s.row_offsets, s.dst, probability, tuple(s.index[node] for node in ranking)
 
 
 @dataclass(frozen=True)

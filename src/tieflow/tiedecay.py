@@ -110,10 +110,12 @@ def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: floa
 
     Events strictly after t are skipped; each edge adds its live ones in slot
     order, and one at exactly t contributes 1 (the jump happens at the event).
+    An exponent that overflows to -inf gives exp(-inf) = 0, the exact limit.
     """
     live = np.flatnonzero(times <= t)
-    return np.bincount(edge_of[live], weights=np.exp(-alpha * (t - times[live])),
-                       minlength=n_edges)
+    with np.errstate(over="ignore"):
+        decayed = np.exp(-alpha * (t - times[live]))
+    return np.bincount(edge_of[live], weights=decayed, minlength=n_edges)
 
 
 def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnapshot:

@@ -686,6 +686,12 @@ def test_meaningless_argument_values_are_usage_errors(chain, capsys, argv, fault
     assert not (chain / "x").exists()
 
 
+def package_env() -> dict:
+    """This environment with the package's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_analysis_commands_never_import_scipy(tmp_path):
     graph = str(GOLDEN / GRAPH)
     commands = [
@@ -700,10 +706,19 @@ def test_analysis_commands_never_import_scipy(tmp_path):
     script = ("import json, sys\nfrom tieflow.cli import main\n"
               "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
               "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
-    src = str(Path(__file__).parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, check=True)
+                          env=package_env(), capture_output=True, text=True, check=True)
     codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0] * len(commands)
     assert scipy_modules == []
+
+
+@pytest.mark.parametrize("command", [["snapshot", "--output", "s.tsv"],
+                                     ["detect", "--output", "c.json"]])
+def test_decay_exponent_overflow_prints_no_warning(tmp_path, command):
+    # alpha * elapsed overflows to inf, and exp(-inf) = 0 is the exact limit:
+    # a separate process, so that pytest's warning capture hides nothing.
+    done = subprocess.run([sys.executable, "-m", "tieflow.cli", *command,
+                           "--graph", str(GOLDEN / GRAPH), "--alpha", "1e308"],
+                          cwd=tmp_path, env=package_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")

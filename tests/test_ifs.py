@@ -345,6 +345,58 @@ def test_cascade_matches_name_keyed_reference(monkeypatch, cascade_graphs, graph
     assert cut_while_running > 0
 
 
+def ring_snapshot(rng, n) -> NetworkSnapshot:
+    """n nodes on a ring, each with six out-edges to nodes at most twelve
+    places ahead: a cascade creeps along it for dozens of rounds."""
+    names = [f"n{i:04d}" for i in range(n)]
+    weights = {}
+    for i in range(n):
+        for step in rng.sample(range(1, 13), 6):
+            weights[(names[i], names[(i + step) % n])] = rng.lognormvariate(0, 1)
+    return make_snapshot(weights, names)
+
+
+def test_long_cascades_match_name_keyed_reference(monkeypatch):
+    snap = ring_snapshot(random.Random(70), 1200)
+    pr = pagerank(snap)
+    mine_rngs, reference_rngs = counting_rngs(monkeypatch, ifs), counting_rngs(monkeypatch, oracles)
+    longest = 0
+    overtaken = False
+    for seed, epsilon in ((0, 0.002), (1, 0.01)):
+        params = FlowParams(seed=seed, beta=0.9)  # mean edge probability about 0.2
+        mine = detect_communities(snap, pr, epsilon, params)
+        reference = oracles.reference_cascade(snap, pr, epsilon, params)
+        case = f"seed {seed}, epsilon {epsilon}"
+        assert list(mine.labels.items()) == list(reference.labels.items()), case
+        assert mine.rounds == reference.rounds, case
+        assert mine.trace == reference.trace, case
+        assert mine_rngs[-1].draws == reference_rngs[-1].draws, case
+        longest = max(longest, mine.rounds)
+        # A relay of label k joins the round after label k first spreads, while
+        # a higher label k2 still labels nodes: its tries go in before k2's.
+        first, last = {}, {}
+        for r, _, k in mine.trace:
+            first.setdefault(k, r)
+            last[k] = r
+        overtaken |= any(last[k2] > first[k] for k in first for k2 in last if k2 > k)
+    assert longest >= 20
+    assert overtaken
+
+
+def test_second_try_into_a_node_labeled_this_round_draws_nothing(monkeypatch):
+    # Origins "a" and "b" each have one out-edge, to "x", so each try succeeds
+    # with probability 1; "a" labels "x" first and "b"'s try is skipped.
+    snap = make_snapshot({("a", "x"): 1.0, ("b", "x"): 2.0}, ["a", "b", "x"])
+    pr = uniform_scores(snap.nodes, top=["a", "b"])
+    mine_rngs, reference_rngs = counting_rngs(monkeypatch, ifs), counting_rngs(monkeypatch, oracles)
+    mine = detect_communities(snap, pr, 0.7, FlowParams(seed=3))
+    reference = oracles.reference_cascade(snap, pr, 0.7, FlowParams(seed=3))
+    assert mine.trace == reference.trace == ((1, "x", 1),)
+    assert mine.labels == reference.labels == {"x": 1, "a": 1}
+    assert mine.isolated == reference.isolated == {"b"}
+    assert mine_rngs[-1].draws == reference_rngs[-1].draws == 1
+
+
 def test_single_hop_only_labels_direct_neighbors():
     weights = {("o", "m"): 1.0, ("m", "far"): 1.0}
     snap = make_snapshot(weights, ["o", "m", "far"])
