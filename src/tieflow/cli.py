@@ -328,6 +328,8 @@ def _handle_sweep(args) -> int:
 def _handle_synth(args) -> int:
     if not 0 < args.weeks < math.inf:
         raise UsageError("--weeks must be positive and finite")
+    if args.weeks * synth.WEEK_SECONDS < 1:
+        raise UsageError(f"--weeks {args.weeks:g}: the semester must last at least one second")
     locations = args.locations or dict(synth.DEFAULT_LOCATIONS)
     try:
         weeks = min(args.weeks, TIME_LIMIT)  # still ends past TIME_LIMIT; seconds stay finite

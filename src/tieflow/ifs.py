@@ -15,11 +15,9 @@ round the new relays' out-edges join the array, one mask drops every try
 into a labeled node, and the Python loop runs only over the tries left,
 skipping a destination that an earlier try of the same round labeled.
 
-The cascade runs on node indices. Its set-up (`_flow_lists`: the node set
-and the check that the ranking shares it, the snapshot's CSR arrays and
-propagation probabilities, and the node indices in descending PageRank)
-is kept for the last snapshot, ranking and beta, so the origin fractions
-of `sweep_epsilon` share one build; the sweep drops it when it ends.
+The cascade runs on node indices and keeps nothing between calls: the
+origins are the first indices of the PageRank order, and each round
+computes the propagation probabilities of the tries it has left.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -98,10 +95,13 @@ def propagation_probability(w, out_strength, beta: float):
         raise ValueError("edge weight must be non-negative")
     if (w > out_strength).any():
         raise ValueError("edge weight cannot exceed the node's out-strength")
-    live = w > 0  # w <= out_strength, so out_strength > 0 here too
-    p = np.zeros(live.shape)
-    p[live] = np.power(w[live] / out_strength[live], beta)
+    p = _probability(w, out_strength, beta)
     return p if p.ndim else float(p)
+
+
+def _probability(w: np.ndarray, out_strength: np.ndarray, beta: float) -> np.ndarray:
+    """propagation_probability of valid arrays; a zero weight is divided by out_strength + 1."""
+    return np.power(w / (out_strength + (w == 0)), beta)
 
 
 def detect_communities(
@@ -118,8 +118,12 @@ def detect_communities(
     for a node is resolved by origin rank since earlier communities act
     first. Origins that never transmit successfully end up isolated.
     """
-    node_set, offsets, dst, probability, ranked = _flow_lists(s, pr.ranking, params.beta)
-    origins = np.array(ranked[:len(select_origins(pr, epsilon))], dtype=np.int64)
+    if pr.nodes != s.nodes:  # both sorted, so equal exactly when the node sets are
+        raise ValueError("snapshot and PageRank cover different node sets")
+    if (s.weights < 0).any():  # out-strengths are row sums, so no weight exceeds its own
+        raise ValueError("edge weight must be non-negative")
+    origins = pr.order[:len(select_origins(pr, epsilon))]  # node indices: pr.nodes equals s.nodes
+    offsets, src, dst, weights, strength = s.row_offsets, s.src, s.dst, s.weights, s.out_strength
     label = np.zeros(len(s.nodes), dtype=np.int64)  # by node index; 0 while unlabeled
     label[origins] = np.arange(1, len(origins) + 1)
     # Open tries as sorted keys label * m + edge; the origins relay first.
@@ -133,8 +137,9 @@ def detect_communities(
                                 + _ragged(offsets[relays], counts)])
         tries = np.sort(tries[label[dst[tries % m]] == 0])
         senders, edges = np.divmod(tries, m)
+        probability = _probability(weights[edges], strength[src[edges]], params.beta)
         fresh: dict[int, int] = {}  # node -> label, for the nodes labeled after the mask
-        for k, j, p in zip(senders.tolist(), dst[edges].tolist(), probability[edges].tolist()):
+        for k, j, p in zip(senders.tolist(), dst[edges].tolist(), probability.tolist()):
             if j not in fresh and rng.random() < p:
                 fresh[j] = k
         trace.extend((round_no, nodes[j], k) for j, k in fresh.items())
@@ -144,29 +149,15 @@ def detect_communities(
         relays = np.array(list(fresh) if params.relay else [], dtype=np.int64)
 
     labels = {node: k for _, node, k in trace}
-    origin_of = {k: nodes[ranked[k - 1]] for k in sorted(set(labels.values()))}
+    origin_of = {k: pr.ranking[k - 1] for k in sorted(set(labels.values()))}
     labels.update((origin, k) for k, origin in origin_of.items())
     return CommunityAssignment(
         labels=labels,
-        isolated=node_set.difference(labels),
+        isolated=frozenset(s.index.keys() - labels.keys()),
         origin_of=origin_of,
         rounds=round_no,
         trace=tuple(trace),
     )
-
-
-@lru_cache(maxsize=1)
-def _flow_lists(s: NetworkSnapshot, ranking: tuple[str, ...], beta: float):
-    """What every cascade on the snapshot with this ranking and beta shares:
-    the node set, checked against the ranking's, the CSR offsets and
-    destinations and the propagation probabilities as numpy arrays, and the
-    node indices in descending PageRank. The last call's result is kept, so
-    the fractions of a sweep share it."""
-    node_set = frozenset(s.nodes)
-    if set(ranking) != node_set:
-        raise ValueError("snapshot and PageRank cover different node sets")
-    probability = propagation_probability(s.weights, s.out_strength[s.src], beta)
-    return node_set, s.row_offsets, s.dst, probability, tuple(s.index[node] for node in ranking)
 
 
 @dataclass(frozen=True)
@@ -183,26 +174,21 @@ def sweep_epsilon(
     epsilons: Sequence[float],
     params: FlowParams = FlowParams(),
 ) -> list[SweepRow]:
-    """One detection plus evaluation per origin fraction, same seed each run;
-    the fractions share one `_flow_lists` build, dropped when the sweep ends
-    so that the cache keeps no snapshot alive past it."""
+    """One detection plus evaluation per origin fraction, same seed each run."""
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     rows = []
-    try:
-        for epsilon in epsilons:
-            assignment = detect_communities(s, pr, epsilon, params)
-            report = metrics.partition_report(s, assignment)
-            rows.append(
-                SweepRow(
-                    epsilon=epsilon,
-                    modularity=report.modularity,
-                    community_count=report.community_count,
-                    avg_size=report.avg_size,
-                )
+    for epsilon in epsilons:
+        assignment = detect_communities(s, pr, epsilon, params)
+        report = metrics.partition_report(s, assignment)
+        rows.append(
+            SweepRow(
+                epsilon=epsilon,
+                modularity=report.modularity,
+                community_count=report.community_count,
+                avg_size=report.avg_size,
             )
-    finally:
-        _flow_lists.cache_clear()
+        )
     return rows
 
 

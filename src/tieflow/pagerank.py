@@ -42,11 +42,21 @@ class PageRankVector:
         return len(self.scores)
 
     @cached_property
+    def nodes(self) -> tuple[str, ...]:
+        """The node ids, sorted: a snapshot's index space."""
+        return tuple(sorted(self.scores))
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Indices into ``nodes`` in descending score order; ties broken by
+        ascending node id."""
+        return np.argsort(-np.array([self.scores[node] for node in self.nodes]), kind="stable")
+
+    @cached_property
     def ranking(self) -> tuple[str, ...]:
         """Nodes in descending score order; ties broken by ascending node id."""
-        nodes = sorted(self.scores)
-        order = np.argsort(-np.array([self.scores[node] for node in nodes]), kind="stable")
-        return tuple(nodes[i] for i in order.tolist())
+        nodes = self.nodes
+        return tuple(nodes[i] for i in self.order.tolist())
 
 
 def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankVector:

@@ -266,8 +266,9 @@ def test_synth_rejects_infeasible_config(tmp_path, capsys):
     (["--locations", "dining"], "bad --locations entry 'dining' (want category=count)"),
     (["--locations", "dining=x"], "bad --locations count in 'dining=x'"),
     (["--jitter", "-1"], "jitter must be non-negative"),
+    (["--weeks", "1e-7"], "--weeks 1e-07: the semester must last at least one second"),
 ], ids=["past-time-limit", "negative-locations", "locations-without-count",
-        "locations-non-integer-count", "negative-jitter"])
+        "locations-non-integer-count", "negative-jitter", "semester-under-one-second"])
 def test_synth_rejects_config_it_cannot_write(tmp_path, capsys, argv, fault):
     assert main(["synth", "--students", "6", "--communities", "2", *argv,
                  "--output-dir", str(tmp_path / "x")]) == 1

@@ -1,9 +1,13 @@
+import gc
 import math
 import random
 import types
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tieflow import ifs
 from tieflow.ifs import (
@@ -93,6 +97,22 @@ def test_zero_weight_no_flow():
 def test_weight_above_strength_rejected():
     with pytest.raises(ValueError):
         propagation_probability(2.0, 1.0, 0.25)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.25, 0.5, 0.9]) | st.floats(0, 1, exclude_min=True, exclude_max=True))
+def test_probability_of_some_edges_equals_full_array_bit_for_bit(n, seed, beta):
+    # A cascade round computes the probabilities of only its tries' edges, in
+    # any order and some twice; each must be the bits the full array holds
+    # there, whatever lanes a vectorised power puts the entry in.
+    rng = np.random.default_rng(seed)
+    w = rng.lognormal(size=n) * (rng.random(n) < 0.8)  # about a fifth zero
+    out_strength = w + rng.lognormal(size=n) * (rng.random(n) < 0.7)  # some w == out_strength
+    edges = rng.integers(0, n, size=rng.integers(1, n + 1))
+    full = propagation_probability(w, out_strength, beta)
+    some = ifs._probability(w[edges], out_strength[edges], beta)
+    assert np.array_equal(some.view(np.int64), full[edges].view(np.int64))
 
 
 def test_beta_bounds():
@@ -410,10 +430,33 @@ def test_single_hop_only_labels_direct_neighbors():
 
 
 def test_node_set_mismatch_rejected():
-    snap = make_snapshot({("a", "b"): 1.0}, ["a", "b"])
-    pr = uniform_scores(["a", "b", "c"])
-    with pytest.raises(ValueError):
-        detect_communities(snap, pr, 0.5, FlowParams())
+    snap = make_snapshot({("a", "b"): 1.0}, ["a", "b", "c"])
+    # One node missing, one extra, and one id differing at the same size.
+    for nodes in (["a", "b"], ["a", "b", "c", "d"], ["a", "b", "x"]):
+        pr = uniform_scores(nodes)
+        mismatch = "^snapshot and PageRank cover different node sets$"
+        with pytest.raises(ValueError, match=mismatch):
+            detect_communities(snap, pr, 0.5, FlowParams())
+        with pytest.raises(ValueError, match=mismatch):
+            sweep_epsilon(snap, pr, [0.5], FlowParams())
+
+
+def test_negative_weight_rejected():
+    snap = make_snapshot({("a", "b"): -1.0, ("a", "c"): 3.0}, ["a", "b", "c"])
+    with pytest.raises(ValueError, match="^edge weight must be non-negative$"):
+        detect_communities(snap, uniform_scores(snap.nodes, top=["a"]), 0.4, FlowParams())
+
+
+def test_no_snapshot_outlives_its_caller():
+    for run in (lambda snap, pr: detect_communities(snap, pr, 0.2, FlowParams(seed=1)),
+                lambda snap, pr: sweep_epsilon(snap, pr, [0.5, 0.2], FlowParams(seed=1))):
+        snap = random_weighted_snapshot(random.Random(67), 30, density=0.2)
+        pr = pagerank(snap)
+        result = run(snap, pr)
+        alive = weakref.ref(snap)
+        del snap, pr, result
+        gc.collect()
+        assert alive() is None
 
 
 # ---------------------------------------------------------------- sweep
@@ -450,11 +493,9 @@ def test_sweep_rejects_empty_and_bad_epsilon():
 
 
 def rows_one_by_one(snap, pr, epsilons, params) -> list[SweepRow]:
-    """The sweep as one detect_communities plus partition_report per
-    fraction, each cascade from freshly built flow lists."""
+    """The sweep as one detect_communities plus partition_report per fraction."""
     rows = []
     for epsilon in epsilons:
-        ifs._flow_lists.cache_clear()
         report = partition_report(snap, detect_communities(snap, pr, epsilon, params))
         rows.append(SweepRow(epsilon, report.modularity, report.community_count, report.avg_size))
     return rows
@@ -496,39 +537,3 @@ def test_sweep_on_zero_weight_snapshot_raises_like_report(weights):
     with pytest.raises(ValueError) as swept:
         sweep_epsilon(snap, pr, [0.5], FlowParams())
     assert str(swept.value) == str(one_by_one.value) == "snapshot has zero total weight"
-
-
-def test_sweep_builds_flow_lists_once_and_drops_them(monkeypatch):
-    rng = random.Random(65)
-    snap = random_weighted_snapshot(rng, 30, density=0.2)
-    pr = pagerank(snap)
-    builds = []
-    monkeypatch.setattr(ifs, "propagation_probability",
-                        lambda *args: builds.append(1) or propagation_probability(*args))
-    sweep_epsilon(snap, pr, [0.5, 0.3, 0.2, 0.1], FlowParams(seed=1))
-    assert len(builds) == 1
-    assert ifs._flow_lists.cache_info().currsize == 0
-    with pytest.raises(ValueError, match="zero total weight"):
-        sweep_epsilon(make_snapshot({("a", "b"): 0.0}, ["a", "b"]),
-                      uniform_scores(["a", "b"]), [0.5], FlowParams())
-    assert ifs._flow_lists.cache_info().currsize == 0
-
-
-def test_kept_flow_lists_are_keyed_by_snapshot_ranking_and_beta():
-    rng = random.Random(66)
-    one, other = (random_weighted_snapshot(rng, 30, density=0.2) for _ in range(2))
-    ranked, reranked = pagerank(one), uniform_scores(one.nodes, top=one.nodes[::-1][:5])
-    # Each call differs from the one before in one key: the lists it gets
-    # must be its own, so it detects as with fresh lists. The first kept call
-    # reuses the last fresh call's lists; every other one rebuilds.
-    calls = [(one, ranked, 0.25), (one, ranked, 0.75), (one, reranked, 0.75),
-             (other, pagerank(other), 0.75), (one, ranked, 0.25)]
-    fresh = []
-    for snap, pr, beta in calls:
-        ifs._flow_lists.cache_clear()
-        fresh.append(detect_communities(snap, pr, 0.2, FlowParams(seed=3, beta=beta)))
-    kept = [detect_communities(snap, pr, 0.2, FlowParams(seed=3, beta=beta))
-            for snap, pr, beta in calls]
-    assert kept == fresh
-    assert ifs._flow_lists.cache_info().misses == len(calls)
-    assert len({a.trace for a in fresh}) > 1

@@ -203,6 +203,8 @@ def test_ranking_matches_key_sort(items, rng):
     rng.shuffle(items)  # dict insertion order must not matter
     pr = PageRankVector(dict(items), 1, True)
     assert list(pr.ranking) == reference_rank_nodes(pr)
+    assert pr.nodes == tuple(sorted(pr.scores))
+    assert tuple(pr.nodes[i] for i in pr.order) == pr.ranking
 
 
 def test_scores_tsv_format(tmp_path):

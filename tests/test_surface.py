@@ -1,7 +1,8 @@
 """What readers outside the package run against it: the README's library
 snippet, the package namespace, and the names and attributes the benchmark
-in perfbench/ reads."""
+in perfbench/ reads; and that no module keeps a function cache."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -64,3 +65,19 @@ def test_benchmark_counts_read_graph_edges_and_snapshot_matrix():
     assert calls["cooccur.build"][2]((), pairs) == {"pairs": 3, "matches": 3}
     assert calls["orient.orient"][2]((), graph) == {"edges": 6, "tied_pairs": 3}
     assert calls["tiedecay.snapshot"][2]((), snapshot) == {"snapshots": 1, "snapshot_nnz": 6}
+
+
+def test_no_module_level_function_caches():
+    # A cache on a module-level function is state shared by every caller in
+    # the process and keeps its arguments alive; a cached property dies with
+    # its object.
+    cached = []
+    for path in sorted((ROOT / "src" / "tieflow").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in node.decorator_list:
+                    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    if name in ("cache", "lru_cache"):
+                        cached.append(f"{path.name}:{node.name}")
+    assert cached == []
