@@ -354,11 +354,6 @@ def _csv_text(log: EventLog) -> Iterator[str]:
         yield "".join(map("".join, rows))
 
 
-def serialize_events(log: EventLog) -> str:
-    """Canonical CSV form; parse_events(serialize_events(log)) has log's rows."""
-    return "".join(_csv_text(log))
-
-
 def write_events_csv(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_csv_text(log))

@@ -120,8 +120,6 @@ def detect_communities(
     """
     if pr.nodes != s.nodes:  # both sorted, so equal exactly when the node sets are
         raise ValueError("snapshot and PageRank cover different node sets")
-    if (s.weights < 0).any():  # out-strengths are row sums, so no weight exceeds its own
-        raise ValueError("edge weight must be non-negative")
     origins = pr.order[:len(select_origins(pr, epsilon))]  # node indices: pr.nodes equals s.nodes
     offsets, src, dst, weights, strength = s.row_offsets, s.src, s.dst, s.weights, s.out_strength
     label = np.zeros(len(s.nodes), dtype=np.int64)  # by node index; 0 while unlabeled

@@ -3,7 +3,8 @@
 Modularity follows the directed-weighted form: observed intra-community
 weight minus the out-strength/in-strength null expectation, normalized by
 total weight. A symmetrized undirected variant is available for comparison
-with undirected baselines.
+with undirected baselines. Scores depend on the node -> label map alone:
+modularity adds its community terms in ascending label order.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ INDICATORS = tuple(f.name for f in fields(BehaviorProfile))
 
 
 def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = True) -> float:
-    """Partition quality on the snapshot; labeled node pairs only.
+    """Partition quality on the snapshot; labeled node pairs only. Community
+    terms are added in ascending label order, each summing its entries in
+    (src, dst) order and its members' strengths in ascending node id.
 
     directed=False is the classic undirected weighted form on the symmetrized
     adjacency w_ij + w_ji. Halved, that adjacency has the same total and the
@@ -64,18 +67,18 @@ def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = 
     if not directed:
         out_strength = in_strength = (out_strength + in_strength) / 2
 
-    codes: dict[int, int] = {}  # label -> community number, in first-seen order
+    # Community k holds the k-th smallest label, kept a Python int of any size.
+    number = {label: k for k, label in enumerate(sorted(set(a.labels.values())))}
     community = np.full(len(s.nodes), -1)
-    for node, label in a.labels.items():
-        community[s.index[node]] = codes.setdefault(label, len(codes))
+    community[[s.index[node] for node in a.labels]] = [number[label] for label in a.labels.values()]
     intra = np.where(community[s.src] == community[s.dst], community[s.src], -1)
     # Stable sorts keep each community's entries in (src, dst) order and its
     # members in ascending node id: the orders a submatrix sum adds them in.
     live = np.flatnonzero(intra >= 0)
     entries = live[np.argsort(intra[live], kind="stable")]
     members = np.argsort(community, kind="stable")
-    entry_bounds = np.searchsorted(intra[entries], np.arange(len(codes) + 1))
-    member_bounds = np.searchsorted(community[members], np.arange(len(codes) + 1))
+    entry_bounds = np.searchsorted(intra[entries], np.arange(len(number) + 1))
+    member_bounds = np.searchsorted(community[members], np.arange(len(number) + 1))
     inside = _segment_sums(s.weights[entries], entry_bounds).tolist()
     out_sums = _segment_sums(out_strength[members], member_bounds).tolist()
     in_sums = _segment_sums(in_strength[members], member_bounds).tolist()
@@ -196,10 +199,9 @@ def variance_comparison(
     Communities need at least two profiled members to contribute; if none
     qualify the within column is NaN.
     """
-    members: dict[int, list[str]] = defaultdict(list)
-    for node, label in a.labels.items():
-        if node in profiles:
-            members[label].append(node)
+    members: dict[int, list[str]] = defaultdict(list)  # in (label, node id) order
+    for label, node in sorted((label, node) for node, label in a.labels.items() if node in profiles):
+        members[label].append(node)
     eligible = [nodes for nodes in members.values() if len(nodes) >= 2]
 
     table = {}

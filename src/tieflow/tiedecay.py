@@ -46,9 +46,9 @@ class NetworkSnapshot:
     """Directed weighted network at a single instant, as three arrays.
 
     ``nodes`` is sorted and defines the index space. Entry k is the edge
-    nodes[src[k]] -> nodes[dst[k]] of weight weights[k]; entries are unique
-    and in (src, dst) order, which is CSR order. The node index, row offsets,
-    strengths and total weight are computed on first use and kept.
+    nodes[src[k]] -> nodes[dst[k]] of finite weight weights[k] >= 0; entries
+    are unique and in (src, dst) order, which is CSR order. The node index,
+    row offsets, strengths and total weight are computed on first use and kept.
     """
 
     time: float
@@ -56,6 +56,11 @@ class NetworkSnapshot:
     src: np.ndarray
     dst: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.weights.min(initial=0.0) <= self.weights.max(initial=0.0) < math.inf:
+            raise ValueError("edge weight must be non-negative" if (self.weights < 0).any()
+                             else "edge weight must be finite, not NaN or infinite")
 
     @cached_property
     def index(self) -> dict[str, int]:

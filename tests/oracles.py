@@ -366,8 +366,8 @@ def reference_modularity(snapshot, labels: dict, directed: bool = True) -> float
     """modularity one community at a time, from an entry mask per community:
     its intra-community weight over the entries in (src, dst) order, less
     the product of its members' strength sums in ascending node id, added
-    in the order `labels` first yields each label. These are the orders
-    production sums in, so the two agree bit for bit."""
+    in ascending label order. These are the orders production sums in, so
+    the two agree bit for bit."""
     total = float(np.sum(snapshot.weights))
     if total <= 0:
         raise ValueError("snapshot has zero total weight")
@@ -381,7 +381,7 @@ def reference_modularity(snapshot, labels: dict, directed: bool = True) -> float
     for node, label in labels.items():
         members.setdefault(label, []).append(index[node])
     q = 0.0
-    for nodes in members.values():
+    for _, nodes in sorted(members.items()):
         inside = np.zeros(len(snapshot.nodes), dtype=bool)
         inside[nodes] = True
         idx = np.flatnonzero(inside)

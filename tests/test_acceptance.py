@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tieflow.cooccur import build_cooccurrence_graph
-from tieflow.events import TimeRange, serialize_events
+from tieflow.events import TimeRange, write_events_csv
 from tieflow.ifs import (
     CommunityAssignment,
     FlowParams,
@@ -365,7 +365,7 @@ def test_criterion_9_variance_reduction_property():
     assert ratio_ok
 
 
-def test_criterion_10_scale_pipeline_under_ten_minutes():
+def test_criterion_10_scale_pipeline_under_ten_minutes(tmp_path):
     started = time.monotonic()
     config = SyntheticConfig(
         n_students=5000, n_communities=50,
@@ -393,5 +393,6 @@ def test_criterion_10_scale_pipeline_under_ten_minutes():
            f"{len(assignment.origin_of)} communities in {elapsed:.0f}s (< 600s)")
     assert elapsed < 600.0
     # The same log as `synth` writes it, pinned like the planted one.
-    assert hashlib.sha256(serialize_events(log).encode("utf-8")).hexdigest() == (
+    write_events_csv(log, tmp_path / "events.csv")
+    assert hashlib.sha256((tmp_path / "events.csv").read_bytes()).hexdigest() == (
         "ffa6900b9445e0b67e64d7b4f4717ee7d3288054870a45b527ac9bcdbddd0345")

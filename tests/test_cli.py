@@ -594,6 +594,15 @@ def test_malformed_artifact_is_data_error(chain, capsys, case):
     assert artifact in err and fault in err, err
 
 
+@pytest.mark.parametrize("label", [1, 10**30, -(10**30)], ids=["one", "beyond-int64", "below-int64"])
+def test_any_integer_label_evaluates_as_label_one(chain, label):
+    path = chain / "communities.json"
+    path.write_text(edit_json(lambda doc: doc["communities"][0].update(label=label))(
+        path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"]) == 0
+    assert (chain / "e.json").read_bytes() == (GOLDEN / "report.json").read_bytes()
+
+
 def test_build_without_co_occurrence_writes_nothing(chain, capsys):
     (chain / "apart.csv").write_text(
         "student_id,timestamp,location_id,kind,amount\ns1,1000,caf,spend,1\ns2,1200,caf,spend,1\n",

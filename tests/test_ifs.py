@@ -10,18 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tieflow import ifs
+from tieflow.cooccur import build_cooccurrence_graph
+from tieflow.events import TimeRange
 from tieflow.ifs import (
     CommunityAssignment,
     FlowParams,
     SweepRow,
+    assignment_to_doc,
     detect_communities,
     propagation_probability,
+    read_assignment_json,
     select_origins,
     sweep_epsilon,
+    write_assignment_json,
 )
 from tieflow.metrics import partition_report
+from tieflow.orient import orient_edges
 from tieflow.pagerank import PageRankVector, pagerank
-from tieflow.tiedecay import NetworkSnapshot
+from tieflow.synth import SyntheticConfig, generate
+from tieflow.tiedecay import DEFAULT_HALF_LIFE, DecayParams, NetworkSnapshot, snapshot_at
 
 import oracles
 from oracles import make_snapshot, rank_priority_bfs
@@ -442,9 +449,19 @@ def test_node_set_mismatch_rejected():
 
 
 def test_negative_weight_rejected():
-    snap = make_snapshot({("a", "b"): -1.0, ("a", "c"): 3.0}, ["a", "b", "c"])
+    # Where the snapshot is built, so that pagerank and modularity never see it.
     with pytest.raises(ValueError, match="^edge weight must be non-negative$"):
-        detect_communities(snap, uniform_scores(snap.nodes, top=["a"]), 0.4, FlowParams())
+        make_snapshot({("a", "b"): -1.0, ("a", "c"): 3.0}, ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("weight, fault", [
+    (math.nan, "^edge weight must be finite, not NaN or infinite$"),
+    (math.inf, "^edge weight must be finite, not NaN or infinite$"),
+    (-math.inf, "^edge weight must be non-negative$"),
+])
+def test_non_finite_weight_rejected(weight, fault):
+    with pytest.raises(ValueError, match=fault):
+        make_snapshot({("a", "b"): weight, ("a", "c"): 3.0}, ["a", "b", "c"])
 
 
 def test_no_snapshot_outlives_its_caller():
@@ -537,3 +554,29 @@ def test_sweep_on_zero_weight_snapshot_raises_like_report(weights):
     with pytest.raises(ValueError) as swept:
         sweep_epsilon(snap, pr, [0.5], FlowParams())
     assert str(swept.value) == str(one_by_one.value) == "snapshot has zero total weight"
+
+
+@pytest.fixture(scope="module")
+def scale_snapshot():
+    """The scale graph of perfbench (5,000 students in 50 communities over two
+    weeks) at its end, and its PageRank: cascades on it find dozens of
+    communities, in an order unrelated to their labels."""
+    config = SyntheticConfig(n_students=5000, n_communities=50, semester=TimeRange(0, 14 * 86400),
+                             intra_rate=0.075, inter_rate=0.0002, jitter=60, seed=42)
+    graph = orient_edges(build_cooccurrence_graph(generate(config)[0], window=120))
+    snap = snapshot_at(graph, DecayParams.from_half_life(DEFAULT_HALF_LIFE), graph.end_time())
+    return snap, pagerank(snap)
+
+
+def test_partition_read_back_from_its_file_scores_as_detected(tmp_path, scale_snapshot):
+    # What `evaluate` reports for the file `detect` writes is the sweep row.
+    snap, pr = scale_snapshot
+    grid, path = [0.5, 0.3, 0.1], tmp_path / "communities.json"
+    for params in (FlowParams(seed=0), FlowParams(seed=1)):
+        for epsilon, row in zip(grid, sweep_epsilon(snap, pr, grid, params)):
+            detected = detect_communities(snap, pr, epsilon, params)
+            write_assignment_json(assignment_to_doc(detected, snap.time, epsilon, params), path)
+            report = partition_report(snap, read_assignment_json(path, snap.nodes))
+            assert report == partition_report(snap, detected)
+            assert SweepRow(epsilon, report.modularity, report.community_count,
+                            report.avg_size) == row

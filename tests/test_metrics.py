@@ -140,6 +140,23 @@ def test_modularity_equals_per_community_reference_exactly():
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def test_scores_ignore_the_order_the_labels_are_listed_in():
+    rng = random.Random(8)
+    for _ in range(20):
+        snap = random_snapshot(rng, rng.randrange(10, 41), density=rng.choice([0.1, 0.3]))
+        labels = {node: rng.randrange(1, 9) for node in snap.nodes}
+        profiles = {node: BehaviorProfile(*(rng.random() * 10.0 ** rng.randrange(-3, 4)
+                                            for _ in metrics.INDICATORS))
+                    for node in snap.nodes}
+        items = list(labels.items())
+        rng.shuffle(items)
+        listed, shuffled = assignment(labels), assignment(dict(items))
+        for directed in (True, False):
+            assert modularity(snap, shuffled, directed) == modularity(snap, listed, directed)
+        assert partition_report(snap, shuffled) == partition_report(snap, listed)
+        assert variance_comparison(profiles, shuffled) == variance_comparison(profiles, listed)
+
+
 def test_random_labels_have_small_modularity_on_average():
     rng = random.Random(4)
     snap = random_snapshot(rng, 20, density=0.3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tieflow.cooccur import build_cooccurrence_graph
-from tieflow.events import TimeRange, serialize_events
+from tieflow.events import TimeRange, write_events_csv
 from tieflow.ifs import FlowParams, detect_communities
 from tieflow.orient import orient_edges
 from tieflow.pagerank import pagerank
@@ -25,6 +25,13 @@ from tieflow.tiedecay import DecayParams, snapshot_at
 from oracles import contingency_nmi, reference_placement
 
 WEEK = 7 * 86400
+
+
+def csv_bytes(log, tmp_path, name="events.csv") -> bytes:
+    """The bytes write_events_csv writes for log."""
+    path = tmp_path / name
+    write_events_csv(log, path)
+    return path.read_bytes()
 
 
 def config(**overrides) -> SyntheticConfig:
@@ -49,17 +56,17 @@ def test_inter_rate_zero_has_no_cross_edges():
         assert truth[a] == truth[b]
 
 
-def test_fixed_seed_is_byte_identical():
+def test_fixed_seed_is_byte_identical(tmp_path):
     first_log, first_truth = generate(config())
     second_log, second_truth = generate(config())
-    assert serialize_events(first_log) == serialize_events(second_log)
+    assert csv_bytes(first_log, tmp_path, "a.csv") == csv_bytes(second_log, tmp_path, "b.csv")
     assert first_truth == second_truth
 
 
-def test_planted_events_csv_digest_is_pinned(planted_pipeline):
+def test_planted_events_csv_digest_is_pinned(planted_pipeline, tmp_path):
     # The full-size planted configuration of conftest.py, as `synth` writes it.
-    text = serialize_events(planted_pipeline["log"])
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+    written = csv_bytes(planted_pipeline["log"], tmp_path)
+    assert hashlib.sha256(written).hexdigest() == (
         "55d409ed6374456e36d9525f29f873fd556b7dfb2bb2df3e304be5069d5687bf")
 
 
@@ -124,10 +131,10 @@ def test_loose_placement_draws_candidate_times_in_blocks():
     assert rng.draws >= n > 20 * rng.calls
 
 
-def test_different_seeds_differ():
+def test_different_seeds_differ(tmp_path):
     first, _ = generate(config())
     second, _ = generate(config(seed=12))
-    assert serialize_events(first) != serialize_events(second)
+    assert csv_bytes(first, tmp_path, "a.csv") != csv_bytes(second, tmp_path, "b.csv")
 
 
 def test_ground_truth_covers_all_students_with_balanced_blocks():
