@@ -198,7 +198,10 @@ def _handle_build(args) -> int:
     if args.window <= 0:
         raise UsageError("--window must be positive")
     log = _load_events(args.events)
-    cograph = build_cooccurrence_graph(log, window=args.window)
+    try:
+        cograph = build_cooccurrence_graph(log, window=args.window)
+    except ValueError as exc:  # a window too wide for the log
+        raise DataError(f"{args.events}: {exc}") from None
     if not len(cograph.src):
         raise DataError(f"{args.events}: no two students co-occur within --window {args.window} s, "
                         "so the tie graph would have no edges")
@@ -237,25 +240,13 @@ def _handle_detect(args) -> int:
     snapshot, params = _snapshot(args)
     ranking = pagerank(snapshot, args.walk)
     assignment = detect_communities(snapshot, ranking, args.epsilon, args.flow)
-    doc = assignment_to_doc(
-        assignment,
-        time=params.pop("time"),
-        epsilon=args.epsilon,
-        params=args.flow,
-        extra_params=dict(
-            params,
-            damping=args.damping,
-            max_rounds=args.max_rounds,
-            relay=args.flow.relay,
-            rounds_run=assignment.rounds,
-            pagerank_converged=ranking.converged,
-        ),
-    )
+    t = params.pop("time")  # the document's own field, not one of its params
+    doc = assignment_to_doc(assignment, t, args.epsilon, args.flow, dict(
+        params, damping=args.damping, max_rounds=args.max_rounds, relay=args.flow.relay,
+        rounds_run=assignment.rounds, pagerank_converged=ranking.converged))
     write_assignment_json(doc, args.output)
-    print(
-        f"wrote {args.output} ({len(assignment.origin_of)} communities, "
-        f"{len(assignment.isolated)} isolated)"
-    )
+    print(f"wrote {args.output} ({len(assignment.origin_of)} communities, "
+          f"{len(assignment.isolated)} isolated)")
     return EXIT_OK if ranking.converged else EXIT_NOT_CONVERGED
 
 

@@ -20,6 +20,9 @@ from .events import TIME_LIMIT, EventLog
 
 DEFAULT_WINDOW = 120  # seconds
 _PAIR_BLOCK = 1 << 20  # event pairs held at once while finding partners
+# Most same-location event pairs a window may bring within reach: 40 times the scale
+# log's 254k at the default window; a build peaks near 90 bytes per pair (0.9 GB).
+MAX_WINDOW_PAIRS = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +92,11 @@ def _greedy(first: list[int], second: list[int], window: int) -> list[int]:
     return matches
 
 
-def _matches(student: np.ndarray, time: np.ndarray, m: int, window: int):
+def _matches(student: np.ndarray, time: np.ndarray, within: np.ndarray, m: int, window: int):
     """The student pair (lower code * m + higher code, where m exceeds every
     code) and time of each greedy match among one location's time-ordered
-    events."""
+    events, each of which has within[k] later events within the window."""
     n = len(time)
-    within = np.searchsorted(time, time + window, side="right") - np.arange(n) - 1
     # Each event's partners: the students with an event within the window,
     # as codes event * m + partner, found from at most about _PAIR_BLOCK
     # event pairs at a time.
@@ -138,15 +140,22 @@ def build_cooccurrence_graph(log: EventLog, window: int = DEFAULT_WINDOW) -> Coo
     different students within the window. Per student pair, the greedy
     matcher then runs over only the events in such pairs: an event with no
     partner within the window can never be matched, and skipping it leaves
-    the greedy result unchanged.
+    the greedy result unchanged. Every match is an event pair within the
+    window, and more than MAX_WINDOW_PAIRS of those are refused up front.
     """
     if window <= 0:
         raise ValueError("window must be positive")
-    window = min(window, TIME_LIMIT)  # no gap is longer; keeps time + window in int64
+    span = min(window, TIME_LIMIT)  # no gap is longer; keeps time + span in int64
     bounds = np.searchsorted(log.location, np.arange(len(log.locations) + 1)).tolist()
-    m = len(log.students)
-    found = [_matches(log.student[lo:hi], log.time[lo:hi], m, window)
-             for lo, hi in zip(bounds[:-1], bounds[1:])]
+    m, ranges = len(log.students), list(zip(bounds[:-1], bounds[1:]))
+    within = [np.searchsorted(log.time[lo:hi], log.time[lo:hi] + span, side="right")
+              - np.arange(1, hi - lo + 1) for lo, hi in ranges]
+    reach = sum(int(w.sum()) for w in within)
+    if reach > MAX_WINDOW_PAIRS:
+        raise ValueError(f"window {window} s brings {reach} event pairs within reach, more than the "
+                         f"cap of {MAX_WINDOW_PAIRS} (cooccur.MAX_WINDOW_PAIRS); use a smaller window")
+    found = [_matches(log.student[lo:hi], log.time[lo:hi], w, m, span)
+             for (lo, hi), w in zip(ranges, within)]
     pairs, times = (np.concatenate([np.zeros(0, np.int64)] + [f[k] for f in found]) for k in (0, 1))
     del found
     order = np.lexsort((times, pairs))

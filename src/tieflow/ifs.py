@@ -87,20 +87,9 @@ def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
     return pr.ranking[:count]
 
 
-def propagation_probability(w, out_strength, beta: float):
-    """(w / out_strength)^beta, for scalars or arrays of edge weights and
-    their source's out-strength; zero where the weight is zero."""
-    w, out_strength = np.asarray(w, dtype=float), np.asarray(out_strength, dtype=float)
-    if (w < 0).any():
-        raise ValueError("edge weight must be non-negative")
-    if (w > out_strength).any():
-        raise ValueError("edge weight cannot exceed the node's out-strength")
-    p = _probability(w, out_strength, beta)
-    return p if p.ndim else float(p)
-
-
 def _probability(w: np.ndarray, out_strength: np.ndarray, beta: float) -> np.ndarray:
-    """propagation_probability of valid arrays; a zero weight is divided by out_strength + 1."""
+    """(w / out_strength)^beta per edge, from its weight and its source's
+    out-strength; zero where the weight is zero (divided by out_strength + 1)."""
     return np.power(w / (out_strength + (w == 0)), beta)
 
 
@@ -151,7 +140,7 @@ def detect_communities(
     labels.update((origin, k) for k, origin in origin_of.items())
     return CommunityAssignment(
         labels=labels,
-        isolated=frozenset(s.index.keys() - labels.keys()),
+        isolated=s.node_set.difference(labels),
         origin_of=origin_of,
         rounds=round_no,
         trace=tuple(trace),

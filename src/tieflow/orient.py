@@ -30,6 +30,13 @@ class DirectedTieGraph(TimedEdges):
         use and kept, so the reader's checks, snapshots and curves share it."""
         return np.repeat(np.arange(len(self.src)), np.diff(self.offsets))
 
+    @cached_property
+    def by_time(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every time (float64: an instant's search casts nothing) and its edge,
+        ascending in time; built on first use and kept for snapshots and curves."""
+        order = np.argsort(self.times)
+        return self.times[order].astype(float), self.edge_of[order]
+
     def start_time(self) -> int:
         """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
         return int(self.times.min())

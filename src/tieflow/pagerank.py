@@ -75,7 +75,7 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     inv = np.divide(1.0, out, out=np.zeros_like(out), where=~dangling)
     # P^T x is a bincount over the entries in (dst, src) order, the order of a
     # transposed CSR mat-vec; weights * inv[src] is diag(inv) @ W exactly.
-    order = np.lexsort((s.src, s.dst))
+    order = np.argsort(s.dst * n + s.src)  # unique keys: the (dst, src) order
     src, dst = s.src[order], s.dst[order]
     normalized = (s.weights * inv[s.src])[order]
     v = 1.0 / n

@@ -1,13 +1,14 @@
 """Continuous-time tie-decay weights and network snapshots.
 
 Each co-occurrence bumps an edge's weight by 1; between interactions the
-weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, sums the
-closed-form impulse responses of the live events only, those at or before
-the instant, per edge of the graph's time index ``edge_of``: a snapshot
-(`snapshot_at`) and each point of a sampled curve call it, and the tests
-check it one edge at a time. A curve starts from zero weights, and every
-point, the first included, decays the previous weights by the semigroup law
-and adds the impulses since. ODE integration exists only as a test oracle.
+weight decays as exp(-alpha * elapsed). One kernel, `decay_sums`, sums per
+edge the closed-form impulse responses of the live events, those at or
+before the instant. It reads the graph's time-sorted index ``by_time``, so
+the live events are a prefix that one binary search finds: a snapshot
+(`snapshot_at`) passes the whole index, and each point of a sampled curve a
+slice. A curve starts from zero weights, and every point, the first
+included, decays the previous weights by the semigroup law and adds the
+impulses since. ODE integration exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ class NetworkSnapshot:
 
     ``nodes`` is sorted and defines the index space. Entry k is the edge
     nodes[src[k]] -> nodes[dst[k]] of finite weight weights[k] >= 0; entries
-    are unique and in (src, dst) order, which is CSR order. The node index,
-    row offsets, strengths and total weight are computed on first use and kept.
+    are unique and in (src, dst) order, which is CSR order. The node index
+    and set, row offsets, strengths and total weight are computed on first use and kept.
     """
 
     time: float
@@ -65,6 +66,10 @@ class NetworkSnapshot:
     @cached_property
     def index(self) -> dict[str, int]:
         return {node: i for i, node in enumerate(self.nodes)}
+
+    @cached_property
+    def node_set(self) -> frozenset[str]:
+        return frozenset(self.nodes)
 
     @cached_property
     def row_offsets(self) -> np.ndarray:
@@ -110,21 +115,30 @@ class NetworkSnapshot:
 
 def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: float,
                t: float) -> np.ndarray:
-    """The one decay kernel: per edge e < n_edges, the sum of
-    exp(-alpha*(t - tau)) over the times tau <= t with edge_of[tau's slot] == e.
+    """The one decay kernel: per edge e < n_edges, the sum of exp(-alpha*(t - tau))
+    over the ascending times tau <= t, a prefix, with edge_of[tau's slot] == e.
 
-    Events strictly after t are skipped; each edge adds its live ones in slot
-    order, and one at exactly t contributes 1 (the jump happens at the event).
-    An exponent that overflows to -inf gives exp(-inf) = 0, the exact limit.
+    One at exactly t contributes 1 (the jump happens at the event), and an
+    exponent that overflows to -inf gives exp(-inf) = 0, the exact limit.
+    Each edge adds its live times in ascending order; the order among equal
+    times does not matter, as on one edge they decay to equal values.
     """
-    live = np.flatnonzero(times <= t)
+    upto = np.searchsorted(times, t, side="right")
+    decayed = np.subtract(t, times[:upto], dtype=float)
     with np.errstate(over="ignore"):
-        decayed = np.exp(-alpha * (t - times[live]))
-    return np.bincount(edge_of[live], weights=decayed, minlength=n_edges)
+        decayed *= -alpha
+        np.exp(decayed, out=decayed)
+    return np.bincount(edge_of[:upto], weights=decayed, minlength=n_edges)
 
 
 def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnapshot:
+    """The edges above SNAPSHOT_FLOOR; owns ``weights``, a fresh array, and holds
+    read-only views of the graph's endpoints when every edge survives."""
     kept = np.flatnonzero(weights > SNAPSHOT_FLOOR)  # faster than three boolean masks
+    if len(kept) == len(weights):
+        src, dst = g.src.view(), g.dst.view()
+        src.flags.writeable = dst.flags.writeable = False
+        return NetworkSnapshot(t, g.nodes, src, dst, weights)
     return NetworkSnapshot(t, g.nodes, g.src[kept], g.dst[kept], weights[kept])
 
 
@@ -134,7 +148,7 @@ def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSn
     Edges whose weight is at or below SNAPSHOT_FLOOR are omitted from the
     entries; isolated nodes remain in the node list.
     """
-    return _snapshot(g, t, decay_sums(g.times, g.edge_of, len(g.src), params.alpha, t))
+    return _snapshot(g, t, decay_sums(*g.by_time, len(g.src), params.alpha, t))
 
 
 def sample_snapshots(
@@ -157,12 +171,12 @@ def sample_snapshots(
         raise ValueError("t_start must be earlier than t_end")
     grid = (t_start + np.arange(n_points) * ((t_end - t_start) / (n_points - 1))).tolist()
     grid[-1] = t_end
-    order = np.argsort(g.times, kind="stable")
-    sorted_times, sorted_edges = g.times[order], g.edge_of[order]
+    sorted_times, sorted_edges = g.by_time
     uptos = np.searchsorted(sorted_times, grid, side="right").tolist()
 
     weights, cursor, prev_t = np.zeros(len(g.src)), 0, t_start
     for t, upto in zip(grid, uptos):
+        # A new array each point, never an update in place: a snapshot may own the last.
         weights = weights * math.exp(-params.alpha * (t - prev_t)) + decay_sums(
             sorted_times[cursor:upto], sorted_edges[cursor:upto], len(weights), params.alpha, t
         )

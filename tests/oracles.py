@@ -8,7 +8,9 @@ name, co-visit placement by a scan of (time, tag) tuples, node ranking by a
 key sort and node degrees by counting edge endpoints. None of it shares
 code with the package, except that the reference parser uses its time
 parser and error type, the reference cascade its origin selection,
-propagation probabilities and CommunityAssignment, the reference cascade
+CommunityAssignment and, through `propagation_probability` (the checked
+scalar-or-array form of the cascade's `_probability`, which only tests
+call), its propagation probabilities, the reference cascade
 and modularity the snapshot's out-strength (whose summation order the
 pinned artifacts fix), and the reference placement its mixed tag and retry
 budget; the other package classes used are EventLog, CooccurrenceGraph and
@@ -17,8 +19,9 @@ build for the tests through the constructors production uses, and which
 the oracles read only through their arrays (`reference_degrees` through
 the `edges` mapping built from them). `kernel_edge_weight` is no oracle:
 it is the tests' way into the production decay kernel. `masked_decay_sums`
-is the kernel's earlier formula, kept to check that skipping the events
-after the instant leaves every weight's bits unchanged.
+is the kernel's earlier formula, over the events in the graph's slot order
+rather than sorted by time, kept to check that reading only the live prefix
+of the time index leaves every weight's bits unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from scipy.integrate import odeint
 
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
-from tieflow.ifs import CommunityAssignment, propagation_probability, select_origins
+from tieflow.ifs import CommunityAssignment, _probability, select_origins
 from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
 from tieflow.tiedecay import NetworkSnapshot, decay_sums
 
@@ -261,8 +264,9 @@ def all_pairs_cooccurrence_counts(log, window) -> dict:
 
 
 def kernel_edge_weight(times, params, t: float) -> float:
-    """One edge's weight at time t, from the production kernel `decay_sums`."""
-    times = np.asarray(times)
+    """One edge's weight at time t, from the production kernel `decay_sums`,
+    which takes its times ascending."""
+    times = np.sort(np.asarray(times))
     return float(decay_sums(times, np.zeros(len(times), dtype=np.intp), 1, params.alpha, t)[0])
 
 
@@ -392,6 +396,20 @@ def reference_modularity(snapshot, labels: dict, directed: bool = True) -> float
 
 
 # ----------------------------------------------------------------- cascade
+
+
+def propagation_probability(w, out_strength, beta: float):
+    """(w / out_strength)^beta, for scalars or arrays of edge weights and
+    their source's out-strength, from the cascade's `_probability`; zero
+    where the weight is zero. Rejects a negative weight, or one above its
+    source's out-strength, which no snapshot holds."""
+    w, out_strength = np.asarray(w, dtype=float), np.asarray(out_strength, dtype=float)
+    if (w < 0).any():
+        raise ValueError("edge weight must be non-negative")
+    if (w > out_strength).any():
+        raise ValueError("edge weight cannot exceed the node's out-strength")
+    p = _probability(w, out_strength, beta)
+    return p if p.ndim else float(p)
 
 
 def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tieflow import cooccur
 from tieflow.cli import main
 
 EVENTS = (
@@ -612,6 +613,18 @@ def test_build_without_co_occurrence_writes_nothing(chain, capsys):
     assert "apart.csv: no two students co-occur within --window 120 s" in capsys.readouterr().err
     assert not (chain / "rebuilt").exists()
     assert main(["build", "--events", "apart.csv", "--output-dir", "rebuilt", "--window", "200"]) == 0
+
+
+def test_build_refuses_a_window_past_the_pair_cap(tmp_path, events_csv, capsys, monkeypatch):
+    # EVENTS has 3 event pairs within 120 s at one location, and 8 within 1000 s.
+    monkeypatch.setattr(cooccur, "MAX_WINDOW_PAIRS", 3)
+    out_dir = tmp_path / "wide"
+    assert main(["build", "--events", str(events_csv), "--output-dir", str(out_dir),
+                 "--window", "1000"]) == 2
+    assert (f"{events_csv}: window 1000 s brings 8 event pairs within reach, more than the cap "
+            "of 3 (cooccur.MAX_WINDOW_PAIRS); use a smaller window") in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["build", "--events", str(events_csv), "--output-dir", str(out_dir)]) == 0
 
 
 @pytest.mark.parametrize("argv, fault", [

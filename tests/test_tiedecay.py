@@ -174,17 +174,26 @@ def split_graph():
 def test_snapshot_weights_are_the_masked_formula_bit_for_bit():
     rng = random.Random(5)
     names = [f"n{i:02d}" for i in range(30)]
-    pairs = {tuple(sorted(rng.sample(names, 2))) for _ in range(120)}
-    crowd = toy_graph({pair: tuple(sorted(rng.randrange(0, 10_000) for _ in range(rng.randrange(1, 12))))
-                       for pair in sorted(pairs)})
+    pairs = sorted({tuple(sorted(rng.sample(names, 2))) for _ in range(120)})
+
+    def crowd(span: int):
+        return toy_graph({pair: tuple(sorted(rng.randrange(0, span) for _ in range(rng.randrange(1, 12))))
+                          for pair in pairs})
+
+    # Equal times within one edge and across edges, which the time index may
+    # hold in any order among themselves.
+    ties = toy_graph({("a", "b"): (100, 100, 100, 250), ("a", "c"): (100, 175, 250, 250),
+                      ("b", "c"): (175, 175), ("c", "d"): (250,)})
     params = DecayParams(alpha=0.003)
     # Before the first event (empty), on events (their jumps count), between
     # events, and after the last event.
     for tie, instants in ((split_graph(), (10, 49.5, 200, 225, 226.5, 400, 1_000.25)),
-                          (crowd, (0, 2_500.5, 5_000, 9_999, 12_000))):
+                          (crowd(10_000), (0, 2_500.5, 5_000, 9_999, 12_000)),
+                          (ties, (50, 100, 137.5, 175, 250, 400)),
+                          (crowd(40), (-1, 0, 17, 17.5, 39, 100))):
         for t in instants:
             reference = masked_decay_sums(tie.times, tie.edge_of, len(tie.src), params.alpha, t)
-            assert decay_sums(tie.times, tie.edge_of, len(tie.src), params.alpha, t).tobytes() \
+            assert decay_sums(*tie.by_time, len(tie.src), params.alpha, t).tobytes() \
                 == reference.tobytes()
             snap, kept = snapshot_at(tie, params, t), reference > SNAPSHOT_FLOOR
             assert snap.weights.tobytes() == reference[kept].tobytes()
@@ -201,6 +210,37 @@ def test_edge_of_is_built_once_per_graph(tmp_path):
         expected = np.repeat(np.arange(len(graph.src)), np.diff(graph.offsets))
         assert graph.edge_of.tolist() == expected.tolist()
         assert graph.edge_of is graph.edge_of
+        times, edges = graph.by_time
+        assert graph.by_time is graph.by_time
+        assert times.tolist() == sorted(graph.times.tolist())
+        assert sorted(zip(times.tolist(), edges.tolist())) \
+            == sorted(zip(graph.times.tolist(), expected.tolist()))
+        # Both snapshot paths read the kept index: one that sends every event
+        # to edge 0 leaves that edge alone with a weight.
+        graph.__dict__["by_time"] = (times, np.zeros_like(edges))
+        params = DecayParams(alpha=0.003)
+        for snap in (snapshot_at(graph, params, 1_000),
+                     list(sample_snapshots(graph, params, 0, 1_000, 3))[-1]):
+            assert (snap.src.tolist(), snap.dst.tolist()) == ([graph.src[0]], [graph.dst[0]])
+            assert snap.weights[0] == pytest.approx(np.exp(-0.003 * (1_000 - times)).sum())
+
+
+def test_snapshot_of_every_edge_holds_the_graphs_endpoints_read_only():
+    tie = split_graph()
+    src, dst = tie.src.copy(), tie.dst.copy()
+    params = DecayParams(alpha=0.003)
+    for snap in (snapshot_at(tie, params, 1_000), list(sample_snapshots(tie, params, 500, 1_000, 3))[-1]):
+        assert snap.edge_count == len(tie.src)
+        assert np.shares_memory(snap.src, tie.src) and np.shares_memory(snap.dst, tie.dst)
+        for column in (snap.src, snap.dst):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[1]
+    assert tie.src.flags.writeable and tie.dst.flags.writeable
+    assert tie.src.tolist() == src.tolist() and tie.dst.tolist() == dst.tolist()
+    # c -> d has no event by t = 250: a snapshot that drops an edge gathers copies.
+    partial = snapshot_at(tie, params, 250)
+    assert partial.edge_count == len(tie.src) - 1
+    assert not np.shares_memory(partial.src, tie.src) and partial.src.flags.writeable
 
 
 def test_snapshot_drops_weights_at_floor():
