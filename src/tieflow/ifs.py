@@ -7,17 +7,17 @@ per round, newly labeled nodes start relaying the following round, and the
 first label to reach a node is final. A full round with no new labels (or
 the round budget) terminates the run.
 
-A try into a labeled node (an origin included) is skipped without a draw,
-and labels are final. The open tries are one sorted array of keys,
-label * m + edge for a snapshot of m edges; CSR rows follow node order, so
-that is (label, sender, edge) order, the order in which tries draw. Each
-round the new relays' out-edges join the array, one mask drops every try
-into a labeled node, and the Python loop runs only over the tries left,
-skipping a destination that an earlier try of the same round labeled.
+A try into a labeled node (an origin included) is skipped without a draw.
+The open tries are one sorted array of keys, label * m + edge for a
+snapshot of m edges; CSR rows follow node order, so that is (label, sender,
+edge) order, the order in which tries draw. Each round the new relays'
+out-edges join the array, one mask drops every try into a labeled node, and
+the Python loop runs only over the tries left.
 
-The cascade runs on node indices and keeps nothing between calls: the
-origins are the first indices of the PageRank order, and each round
-computes the propagation probabilities of the tries it has left.
+The cascade runs on node indices and keeps nothing between calls. Its
+origins are the first indices of the PageRank order, and its result holds a
+community code per node index: node names are views built on first use,
+which a sweep never reads.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -33,7 +34,6 @@ import numpy as np
 
 from . import metrics
 from .artifacts import DataError, decoding, read_json, write_json
-from .cooccur import _ragged
 from .pagerank import PageRankVector
 from .tiedecay import NetworkSnapshot
 
@@ -54,26 +54,69 @@ class FlowParams:
             raise ValueError("max_rounds must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommunityAssignment:
-    """Final labeling; labels and isolated partition the node set.
+    """A partition of ``nodes``, a sorted tuple (a snapshot's index space), by
+    node index: codes[i] is k when node i belongs to the community with the
+    k-th smallest label, values[k] (a Python int of any size), and -1 when it
+    is isolated. ``origin_of`` maps each label to its seeding origin, and
+    ``steps`` lists the cascade's (round, node index) labelings in draw order.
 
-    ``origin_of`` maps each surviving community label to its seeding origin.
-    ``trace`` records every label assignment as (round, node, label); each
-    node appears at most once since a label, once assigned, is final.
+    The name-keyed views ``labels``, ``isolated`` and ``trace`` (round, node,
+    label) are built on first use; ``labels`` lists the traced nodes first,
+    then the others by label and node id.
     """
 
-    labels: dict[str, int]
-    isolated: frozenset[str]
+    nodes: tuple[str, ...]
+    codes: np.ndarray
+    values: tuple[int, ...]
     origin_of: dict[int, str]
     rounds: int
-    trace: tuple[tuple[int, str, int], ...] = ()
+    steps: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def from_names(cls, labels: dict[str, int], isolated=(), origin_of=None, rounds: int = 0,
+                   trace=(), nodes=None) -> "CommunityAssignment":
+        """The assignment of a node -> label map over ``nodes`` (by default the
+        labeled and isolated nodes, sorted); nodes it does not label are isolated."""
+        nodes = tuple(sorted({*labels, *isolated}) if nodes is None else nodes)
+        index = {node: i for i, node in enumerate(nodes)}
+        values = tuple(sorted(set(labels.values())))
+        number = {label: k for k, label in enumerate(values)}
+        codes = np.full(len(nodes), -1)
+        codes[[index[node] for node in labels]] = [number[label] for label in labels.values()]
+        if any(labels.get(node) != label for _, node, label in trace):
+            raise ValueError("a trace entry disagrees with its node's label")
+        return cls(nodes, codes, values, dict(origin_of or {}), rounds,
+                   tuple((r, index[node]) for r, node, _ in trace))
+
+    def __eq__(self, other) -> bool:  # field by field: codes is an array
+        return (isinstance(other, CommunityAssignment) and np.array_equal(self.codes, other.codes)
+                and (self.nodes, self.values, self.origin_of, self.rounds, self.steps)
+                == (other.nodes, other.values, other.origin_of, other.rounds, other.steps))
+
+    @cached_property
+    def labels(self) -> dict[str, int]:
+        order, codes = [j for _, j in self.steps], self.codes.tolist()
+        rest = np.setdiff1d(np.flatnonzero(self.codes >= 0), order, assume_unique=True)
+        order += sorted(rest.tolist(), key=codes.__getitem__)  # stable: by code, then index
+        return {self.nodes[j]: self.values[codes[j]] for j in order}
+
+    @cached_property
+    def isolated(self) -> frozenset[str]:
+        return frozenset(self.nodes[j] for j in np.flatnonzero(self.codes < 0).tolist())
+
+    @cached_property
+    def trace(self) -> tuple[tuple[int, str, int], ...]:
+        codes = self.codes.tolist()
+        return tuple((r, self.nodes[j], self.values[codes[j]]) for r, j in self.steps)
 
     def communities(self) -> dict[int, list[str]]:
-        members: dict[int, list[str]] = {label: [] for label in self.origin_of}
-        for node, label in self.labels.items():
+        """Label -> its members, sorted, in ascending label order."""
+        members: dict[int, list[str]] = {label: [] for label in self.values}
+        for node, label in sorted(self.labels.items()):
             members[label].append(node)
-        return {label: sorted(nodes) for label, nodes in members.items()}
+        return members
 
 
 def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
@@ -93,12 +136,8 @@ def _probability(w: np.ndarray, out_strength: np.ndarray, beta: float) -> np.nda
     return np.power(w / (out_strength + (w == 0)), beta)
 
 
-def detect_communities(
-    s: NetworkSnapshot,
-    pr: PageRankVector,
-    epsilon: float,
-    params: FlowParams = FlowParams(),
-) -> CommunityAssignment:
+def detect_communities(s: NetworkSnapshot, pr: PageRankVector, epsilon: float,
+                       params: FlowParams = FlowParams()) -> CommunityAssignment:
     """Run the seeded stochastic cascade to convergence.
 
     Deterministic for a fixed seed: one RNG stream, consumed in
@@ -111,40 +150,44 @@ def detect_communities(
         raise ValueError("snapshot and PageRank cover different node sets")
     origins = pr.order[:len(select_origins(pr, epsilon))]  # node indices: pr.nodes equals s.nodes
     offsets, src, dst, weights, strength = s.row_offsets, s.src, s.dst, s.weights, s.out_strength
-    label = np.zeros(len(s.nodes), dtype=np.int64)  # by node index; 0 while unlabeled
+    n = len(s.nodes)
+    label = np.zeros(n, dtype=np.int64)  # by node index; 0 while unlabeled
     label[origins] = np.arange(1, len(origins) + 1)
     # Open tries as sorted keys label * m + edge; the origins relay first.
     m, tries, relays = len(dst), np.empty(0, dtype=np.int64), origins
 
-    rng, nodes = random.Random(params.seed), s.nodes
-    trace: list[tuple[int, str, int]] = []
+    draw = random.Random(params.seed).random
+    steps: list[tuple[int, int]] = []
     for round_no in range(1, params.max_rounds + 1):
-        counts = offsets[relays + 1] - offsets[relays]
-        tries = np.concatenate([tries, np.repeat(label[relays] * m, counts)
-                                + _ragged(offsets[relays], counts)])
+        # The relays' out-edges as keys: _ragged with the label folded into its repeat.
+        starts = offsets[relays]
+        counts = offsets[relays + 1] - starts
+        ends = np.cumsum(counts)
+        new = np.repeat(label[relays] * m + starts - ends + counts, counts)
+        tries = np.concatenate([tries, new + np.arange(len(new))])
         tries = np.sort(tries[label[dst[tries % m]] == 0])
         senders, edges = np.divmod(tries, m)
         probability = _probability(weights[edges], strength[src[edges]], params.beta)
         fresh: dict[int, int] = {}  # node -> label, for the nodes labeled after the mask
         for k, j, p in zip(senders.tolist(), dst[edges].tolist(), probability.tolist()):
-            if j not in fresh and rng.random() < p:
+            if j not in fresh and draw() < p:
                 fresh[j] = k
-        trace.extend((round_no, nodes[j], k) for j, k in fresh.items())
-        if not fresh or len(trace) == len(s.nodes) - len(origins):
-            break
         label[list(fresh)] = list(fresh.values())
+        steps.extend(zip([round_no] * len(fresh), fresh))
+        if not fresh or len(steps) == n - len(origins):
+            break
         relays = np.array(list(fresh) if params.relay else [], dtype=np.int64)
 
-    labels = {node: k for _, node, k in trace}
-    origin_of = {k: pr.ranking[k - 1] for k in sorted(set(labels.values()))}
-    labels.update((origin, k) for k, origin in origin_of.items())
-    return CommunityAssignment(
-        labels=labels,
-        isolated=s.node_set.difference(labels),
-        origin_of=origin_of,
-        rounds=round_no,
-        trace=tuple(trace),
-    )
+    # Community k is the k-th smallest label that reached a node beyond its
+    # origin; the other origins and the unlabeled nodes (label 0) get -1.
+    sizes = np.bincount(label, minlength=len(origins) + 1)
+    values = np.flatnonzero(sizes[1:] > 1) + 1
+    code = np.full(len(sizes), -1)
+    code[values] = np.arange(len(values))
+    values, ranking = values.tolist(), pr.ranking
+    return CommunityAssignment(nodes=s.nodes, codes=code[label], values=tuple(values),
+                               origin_of={k: ranking[k - 1] for k in values},
+                               rounds=round_no, steps=tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -155,37 +198,20 @@ class SweepRow:
     avg_size: float
 
 
-def sweep_epsilon(
-    s: NetworkSnapshot,
-    pr: PageRankVector,
-    epsilons: Sequence[float],
-    params: FlowParams = FlowParams(),
-) -> list[SweepRow]:
+def sweep_epsilon(s: NetworkSnapshot, pr: PageRankVector, epsilons: Sequence[float],
+                  params: FlowParams = FlowParams()) -> list[SweepRow]:
     """One detection plus evaluation per origin fraction, same seed each run."""
     if not epsilons:
         raise ValueError("epsilons must be nonempty")
     rows = []
-    for epsilon in epsilons:
-        assignment = detect_communities(s, pr, epsilon, params)
-        report = metrics.partition_report(s, assignment)
-        rows.append(
-            SweepRow(
-                epsilon=epsilon,
-                modularity=report.modularity,
-                community_count=report.community_count,
-                avg_size=report.avg_size,
-            )
-        )
+    for epsilon in epsilons:  # through the modules' names, which callers may wrap
+        report = metrics.partition_report(s, detect_communities(s, pr, epsilon, params))
+        rows.append(SweepRow(epsilon, report.modularity, report.community_count, report.avg_size))
     return rows
 
 
-def assignment_to_doc(
-    a: CommunityAssignment,
-    time: float,
-    epsilon: float,
-    params: FlowParams,
-    extra_params: dict | None = None,
-) -> dict:
+def assignment_to_doc(a: CommunityAssignment, time: float, epsilon: float, params: FlowParams,
+                      extra_params: dict | None = None) -> dict:
     """JSON-ready document with per-community origin and member lists."""
     communities = a.communities()
     doc = {
@@ -244,9 +270,6 @@ def read_assignment_json(path, nodes: Sequence[str]) -> CommunityAssignment:
         if origin not in members:
             raise DataError(f"malformed {what} {path}: origin {origin!r} of label {label} "
                             "is not one of its members")
-    return CommunityAssignment(
-        labels={node: label for label, _, members in groups for node in members},
-        isolated=frozenset(isolated),
-        origin_of={label: origin for label, origin, _ in groups},
-        rounds=0,
-    )
+    return CommunityAssignment.from_names(
+        {node: label for label, _, members in groups for node in members},
+        origin_of={label: origin for label, origin, _ in groups}, nodes=nodes)

@@ -3,8 +3,9 @@
 Modularity follows the directed-weighted form: observed intra-community
 weight minus the out-strength/in-strength null expectation, normalized by
 total weight. A symmetrized undirected variant is available for comparison
-with undirected baselines. Scores depend on the node -> label map alone:
-modularity adds its community terms in ascending label order.
+with undirected baselines. It reads an assignment's community code per node
+index and scores only the labeled nodes' rows. Scores depend on the node ->
+label map alone: community terms are added in ascending label order.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .cooccur import _distinct
+from .cooccur import _distinct, _ragged
 from .events import TIME_LIMIT, EventLog, TimeRange
 
 if TYPE_CHECKING:  # circular at runtime only
@@ -67,58 +68,60 @@ def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = 
     if not directed:
         out_strength = in_strength = (out_strength + in_strength) / 2
 
-    # Community k holds the k-th smallest label, kept a Python int of any size.
-    number = {label: k for k, label in enumerate(sorted(set(a.labels.values())))}
-    community = np.full(len(s.nodes), -1)
-    community[[s.index[node] for node in a.labels]] = [number[label] for label in a.labels.values()]
-    intra = np.where(community[s.src] == community[s.dst], community[s.src], -1)
-    # Stable sorts keep each community's entries in (src, dst) order and its
-    # members in ascending node id: the orders a submatrix sum adds them in.
-    live = np.flatnonzero(intra >= 0)
-    entries = live[np.argsort(intra[live], kind="stable")]
-    members = np.argsort(community, kind="stable")
-    entry_bounds = np.searchsorted(intra[entries], np.arange(len(number) + 1))
-    member_bounds = np.searchsorted(community[members], np.arange(len(number) + 1))
-    inside = _segment_sums(s.weights[entries], entry_bounds).tolist()
-    out_sums = _segment_sums(out_strength[members], member_bounds).tolist()
-    in_sums = _segment_sums(in_strength[members], member_bounds).tolist()
+    codes = a.codes
+    if a.nodes is not s.nodes and a.nodes != s.nodes:  # an assignment over another node list
+        labeled = np.flatnonzero(codes >= 0)
+        codes = np.full(len(s.nodes), -1)
+        codes[[s.index[a.nodes[i]] for i in labeled.tolist()]] = a.codes[labeled]
+    # Members by (community, node id), and their rows' entries in (community,
+    # src, dst) order: the orders a submatrix sum adds them in.
+    labeled = np.flatnonzero(codes >= 0)
+    members = labeled[np.argsort(codes[labeled], kind="stable")]
+    member_codes = codes[members]
+    counts = s.row_offsets[members + 1] - s.row_offsets[members]
+    entries, entry_codes = _ragged(s.row_offsets[members], counts), np.repeat(member_codes, counts)
+    intra = codes[s.dst[entries]] == entry_codes
+    entries, entry_codes = entries[intra], entry_codes[intra]
+    communities = np.arange(len(a.values) + 1)
+    inside = _segment_sums(s.weights[entries], np.searchsorted(entry_codes, communities))
+    out_sums, in_sums = _segment_sums(np.stack((out_strength[members], in_strength[members])),
+                                      np.searchsorted(member_codes, communities))
 
     q = 0.0
-    for w, out_sum, in_sum in zip(inside, out_sums, in_sums):
+    for w, out_sum, in_sum in zip(inside.tolist(), out_sums.tolist(), in_sums.tolist()):
         q += w / total
         q -= out_sum * in_sum / (total * total)
     return q
 
 
 def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per k, np.add.reduce(values[bounds[k]:bounds[k + 1]]) bit for bit: the
-    sum a submatrix sum (np.sum) takes, unlike np.add.reduceat.
+    """Per k, np.add.reduce(values[..., bounds[k]:bounds[k + 1]]) bit for bit,
+    row by row for 2-D values: the sum a submatrix sum (np.sum) takes, unlike
+    np.add.reduceat.
 
     np.add.reduce adds fewer than 8 values one at a time, first to last, so
-    short segments are added a column at a time across all segments; only
-    longer ones, which it sums pairwise, are reduced one by one.
+    short segments are added a column at a time across all segments and rows;
+    only longer ones, which it sums pairwise, are reduced one by one, each row
+    on its own (along axis 1, numpy may add each row one value at a time).
     """
     start, size = bounds[:-1], np.diff(bounds)
-    sums = np.zeros(len(size))
+    rows = np.atleast_2d(values)
+    sums = np.zeros((len(rows), len(size)))
     for j in range(7):
         more = np.flatnonzero(size > j)
-        sums[more] += values[start[more] + j]
+        sums[:, more] += rows[:, start[more] + j]
     for k in np.flatnonzero(size >= 8).tolist():
-        sums[k] = np.add.reduce(values[bounds[k]:bounds[k + 1]])
-    return sums
+        for row, row_sums in zip(rows, sums):
+            row_sums[k] = np.add.reduce(row[bounds[k]:bounds[k + 1]])
+    return sums.reshape(values.shape[:-1] + (len(size),))
 
 
 def partition_report(
     s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = True
 ) -> PartitionReport:
-    community_count = len(set(a.labels.values()))
-    labeled = len(a.labels)
-    return PartitionReport(
-        modularity=modularity(s, a, directed=directed),
-        community_count=community_count,
-        avg_size=labeled / community_count if community_count else 0.0,
-        isolated_count=len(a.isolated),
-    )
+    labeled, count = int(np.count_nonzero(a.codes >= 0)), len(a.values)
+    return PartitionReport(modularity(s, a, directed=directed), count,
+                           labeled / count if count else 0.0, len(a.nodes) - labeled)
 
 
 def shannon_entropy(counts: Mapping) -> float:

@@ -71,13 +71,12 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
     if n == 0:
         raise ValueError("snapshot has no nodes")
     out = s.out_strength
-    dangling = out == 0  # rows with no out-strength teleport uniformly
-    inv = np.divide(1.0, out, out=np.zeros_like(out), where=~dangling)
-    # P^T x is a bincount over the entries in (dst, src) order, the order of a
-    # transposed CSR mat-vec; weights * inv[src] is diag(inv) @ W exactly.
-    order = np.argsort(s.dst * n + s.src)  # unique keys: the (dst, src) order
-    src, dst = s.src[order], s.dst[order]
-    normalized = (s.weights * inv[s.src])[order]
+    dangling = np.flatnonzero(out == 0)  # rows with no out-strength teleport uniformly
+    inv = np.divide(1.0, out, out=np.zeros_like(out), where=out != 0)
+    # P^T x is a bincount over the CSR-ordered entries: it adds each dst's entries in
+    # ascending src, as a transposed CSR mat-vec does. weights * inv[src] is diag(inv) @ W.
+    src, dst = s.src, s.dst
+    normalized = s.weights * inv[src]
     v = 1.0 / n
     x = np.full(n, v)
     residuals: list[float] = []

@@ -49,7 +49,7 @@ class NetworkSnapshot:
     ``nodes`` is sorted and defines the index space. Entry k is the edge
     nodes[src[k]] -> nodes[dst[k]] of finite weight weights[k] >= 0; entries
     are unique and in (src, dst) order, which is CSR order. The node index
-    and set, row offsets, strengths and total weight are computed on first use and kept.
+    row offsets, strengths and total weight are computed on first use and kept.
     """
 
     time: float
@@ -66,10 +66,6 @@ class NetworkSnapshot:
     @cached_property
     def index(self) -> dict[str, int]:
         return {node: i for i, node in enumerate(self.nodes)}
-
-    @cached_property
-    def node_set(self) -> frozenset[str]:
-        return frozenset(self.nodes)
 
     @cached_property
     def row_offsets(self) -> np.ndarray:
@@ -146,8 +142,10 @@ def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSn
     """Evaluate every edge's tie-decay weight at time t.
 
     Edges whose weight is at or below SNAPSHOT_FLOOR are omitted from the
-    entries; isolated nodes remain in the node list.
+    entries; isolated nodes remain in the node list. A NaN or infinite t is rejected.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"snapshot time {t!r} is not a finite instant")
     return _snapshot(g, t, decay_sums(*g.by_time, len(g.src), params.alpha, t))
 
 
@@ -167,6 +165,8 @@ def sample_snapshots(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    if not math.isfinite(t_start) or not math.isfinite(t_end):
+        raise ValueError(f"curve bounds {t_start!r} and {t_end!r} must be finite instants")
     if not t_start < t_end:
         raise ValueError("t_start must be earlier than t_end")
     grid = (t_start + np.arange(n_points) * ((t_end - t_start) / (n_points - 1))).tolist()

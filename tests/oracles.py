@@ -2,26 +2,28 @@
 
 Everything here favors directness over speed: a row-by-row CSV parser,
 full-list greedy matching, exhaustive enumeration, augmenting-path
-matching, dense eigensolves, explicit ODE integration, literal double sums,
-modularity from one entry mask per community, the cascade keyed by node
-name, co-visit placement by a scan of (time, tag) tuples, node ranking by a
-key sort and node degrees by counting edge endpoints. None of it shares
-code with the package, except that the reference parser uses its time
-parser and error type, the reference cascade its origin selection,
-CommunityAssignment and, through `propagation_probability` (the checked
-scalar-or-array form of the cascade's `_probability`, which only tests
-call), its propagation probabilities, the reference cascade
-and modularity the snapshot's out-strength (whose summation order the
-pinned artifacts fix), and the reference placement its mixed tag and retry
-budget; the other package classes used are EventLog, CooccurrenceGraph and
-NetworkSnapshot, which `make_log`, `make_cooccurrence` and `make_snapshot`
-build for the tests through the constructors production uses, and which
-the oracles read only through their arrays (`reference_degrees` through
-the `edges` mapping built from them). `kernel_edge_weight` is no oracle:
-it is the tests' way into the production decay kernel. `masked_decay_sums`
-is the kernel's earlier formula, over the events in the graph's slot order
-rather than sorted by time, kept to check that reading only the live prefix
-of the time index leaves every weight's bits unchanged.
+matching, dense eigensolves, power iteration over the entries in transposed
+order, explicit ODE integration, literal double sums, modularity from one
+entry mask per community, the cascade keyed by node name, co-visit
+placement by a scan of (time, tag) tuples, node ranking by a key sort and
+node degrees by counting edge endpoints. None of it shares code with the
+package, except that the reference parser uses its time parser and error
+type, the reference cascade its origin selection,
+CommunityAssignment.from_names and, through `propagation_probability` (the
+checked scalar-or-array form of the cascade's `_probability`, which only
+tests call), its propagation probabilities, the reference cascade,
+modularity and transposed PageRank the snapshot's out-strength (whose
+summation order the pinned artifacts fix), and the reference placement its
+mixed tag and retry budget; the other package classes used are EventLog,
+CooccurrenceGraph and NetworkSnapshot, which `make_log`, `make_cooccurrence`
+and `make_snapshot` build for the tests through the constructors production
+uses, and which the oracles read only through their arrays
+(`reference_degrees` through the `edges` mapping built from them).
+`kernel_edge_weight` is no oracle: it is the tests' way into the production
+decay kernel. `masked_decay_sums` is the kernel's earlier formula, over the
+events in the graph's slot order rather than sorted by time, kept to check
+that reading only the live prefix of the time index leaves every weight's
+bits unchanged.
 """
 
 from __future__ import annotations
@@ -335,6 +337,30 @@ def dense_pagerank(snapshot, damping: float) -> np.ndarray:
     return vector / vector.sum()
 
 
+def transposed_pagerank(s, damping: float = 0.85, tolerance: float = 1e-10,
+                        max_iterations: int = 1000):
+    """pagerank's power iteration over the entries re-sorted into (dst, src)
+    order, the order of a transposed CSR mat-vec: (scores, iterations,
+    residuals). A bincount adds each bin's entries in array order, so this
+    adds every destination's terms in the same sequence as the CSR order."""
+    n = len(s.nodes)
+    out = s.out_strength
+    dangling = out == 0
+    inv = np.divide(1.0, out, out=np.zeros_like(out), where=~dangling)
+    order = np.argsort(s.dst * n + s.src)
+    src, dst = s.src[order], s.dst[order]
+    normalized = (s.weights * inv[s.src])[order]
+    x, v, residuals = np.full(n, 1.0 / n), 1.0 / n, []
+    for iterations in range(1, max_iterations + 1):
+        walked = np.bincount(dst, weights=normalized * x[src], minlength=n)
+        y = damping * (walked + float(x[dangling].sum()) * v) + (1.0 - damping) * v
+        residuals.append(float(np.abs(y - x).sum()))
+        x = y
+        if residuals[-1] <= tolerance:
+            break
+    return x.tolist(), iterations, tuple(residuals)
+
+
 # ----------------------------------------------------------------- ranking
 
 
@@ -470,13 +496,7 @@ def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:
         else:
             isolated.add(origin)
     isolated.update(node for node in s.nodes if node not in labels)
-    return CommunityAssignment(
-        labels=labels,
-        isolated=frozenset(isolated),
-        origin_of=origin_of,
-        rounds=rounds_run,
-        trace=tuple(trace),
-    )
+    return CommunityAssignment.from_names(labels, isolated, origin_of, rounds_run, trace)
 
 
 # --------------------------------------------------------------------- BFS

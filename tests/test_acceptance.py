@@ -186,7 +186,7 @@ def test_criterion_5_modularity_vs_double_sum():
         labels = {
             node: rng.randrange(4) for node in nodes if rng.random() < 0.8
         }
-        assignment = CommunityAssignment(labels, frozenset(), {}, 0)
+        assignment = CommunityAssignment.from_names(labels, nodes=snap.nodes)
         mine = modularity(snap, assignment)
         reference = double_sum_modularity(snap, labels) if labels else 0.0
         worst = max(worst, abs(mine - reference))
@@ -286,7 +286,7 @@ def test_criterion_7_planted_community_recovery(planted_pipeline):
     for _ in range(10):
         labels = {node: rng.randrange(k) for node in assignment.labels}
         random_qs.append(
-            modularity(snapshot, CommunityAssignment(labels, frozenset(), {}, 0))
+            modularity(snapshot, CommunityAssignment.from_names(labels, nodes=snapshot.nodes))
         )
     random_q = float(np.mean(random_qs))
     elapsed = time.monotonic() - started + planted_pipeline["build_seconds"]
@@ -322,7 +322,7 @@ def test_criterion_9_variance_reduction_property():
     semester = TimeRange(0, 12 * WEEK)
 
     def truth_assignment(truth):
-        return CommunityAssignment(dict(truth), frozenset(), {}, 0)
+        return CommunityAssignment.from_names(truth)
 
     # community-dependent spending means: within-variance must drop
     dependent = SyntheticConfig(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tieflow import ifs
+from tieflow import ifs, metrics
 from tieflow.cooccur import build_cooccurrence_graph
 from tieflow.events import TimeRange
 from tieflow.ifs import (
@@ -219,6 +219,27 @@ def random_weighted_snapshot(rng, n, density=0.12) -> NetworkSnapshot:
             if i != j and rng.random() < density:
                 weights[(names[i], names[j])] = 0.1 + rng.random() * 5
     return make_snapshot(weights, names)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.sampled_from([0.25, 0.9]), st.booleans())
+def test_detected_partition_equals_and_scores_as_its_name_rebuild(seed, epsilon, beta, relay):
+    rng = random.Random(seed)
+    snap = random_weighted_snapshot(rng, rng.randrange(2, 60), density=rng.choice([0.03, 0.12]))
+    pr = pagerank(snap)
+    detected = detect_communities(snap, pr, epsilon, FlowParams(seed=seed, beta=beta, relay=relay))
+    rebuilt = CommunityAssignment.from_names(detected.labels, detected.isolated, detected.origin_of,
+                                             detected.rounds, detected.trace)
+    assert rebuilt == detected
+    # The labels view lists the traced nodes in draw order, then the origins by label.
+    traced = [node for _, node, _ in detected.trace]
+    assert list(detected.labels) == traced + list(detected.origin_of.values())
+    if snap.total_weight > 0:
+        for directed in (True, False):
+            assert (metrics.modularity(snap, detected, directed)
+                    == metrics.modularity(snap, rebuilt, directed)
+                    == oracles.reference_modularity(snap, detected.labels, directed))
+        assert partition_report(snap, detected) == partition_report(snap, rebuilt)
 
 
 def test_no_node_labeled_twice_and_origins_keep_own_labels():

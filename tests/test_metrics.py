@@ -5,6 +5,8 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tieflow import metrics
 from tieflow.events import TimeRange
@@ -24,9 +26,7 @@ from oracles import double_sum_modularity, make_log, make_snapshot, reference_mo
 
 def assignment(labels: dict, isolated=()) -> CommunityAssignment:
     origin_of = {label: min(n for n, l in labels.items() if l == label) for label in set(labels.values())}
-    return CommunityAssignment(
-        labels=dict(labels), isolated=frozenset(isolated), origin_of=origin_of, rounds=1
-    )
+    return CommunityAssignment.from_names(labels, isolated, origin_of, rounds=1)
 
 
 # ----------------------------------------------------------- modularity
@@ -79,7 +79,7 @@ def test_matches_double_sum_oracle_on_random_graphs():
         labels = {node: rng.randrange(k) for node in snap.nodes}
         if rng.random() < 0.3:  # leave some nodes unlabeled
             labels = {node: label for node, label in labels.items() if rng.random() < 0.7}
-        a = assignment(labels) if labels else CommunityAssignment({}, frozenset(), {}, 0)
+        a = assignment(labels) if labels else CommunityAssignment.from_names({})
         mine = modularity(snap, a)
         reference = double_sum_modularity(snap, labels) if labels else 0.0
         assert mine == pytest.approx(reference, abs=1e-12)
@@ -119,6 +119,43 @@ def test_segment_sums_equal_np_sum_of_each_segment_exactly():
     values = rng.random(bounds[-1]) * 10.0 ** rng.integers(-9, 9, bounds[-1])
     sums = metrics._segment_sums(values, bounds)
     assert sums.tolist() == [float(np.sum(values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_shared_segment_passes_equal_one_dimensional_reduces_exactly():
+    rng = np.random.default_rng(5)
+    sizes = rng.permutation(301)  # every size from 0 to 300, in random order
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    rows = rng.random((2, bounds[-1])) * 10.0 ** rng.integers(-9, 9, (2, bounds[-1]))
+    expected = [[float(np.add.reduce(row[lo:hi].copy())) for lo, hi in zip(bounds, bounds[1:])]
+                for row in rows]
+    # Along axis 1, numpy adds a Fortran-ordered array's rows one value at a time.
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert metrics._segment_sums(layout(rows), bounds).tolist() == expected
+
+
+ANY_LABEL = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.one_of(st.none(), ANY_LABEL), min_size=2, max_size=25))
+@example(0, [None] * 6)  # nothing labeled: every node isolated
+@example(1, [2**63, -(2**63) - 1, 2**63, 5])  # labels beyond int64, every node labeled
+def test_index_partition_scores_equal_its_name_rebuild(seed, drawn):
+    rng = random.Random(seed)
+    snap = random_snapshot(rng, len(drawn), density=rng.choice([0.1, 0.4]))
+    labels = {node: label for node, label in zip(snap.nodes, drawn) if label is not None}
+    own = CommunityAssignment.from_names(labels, nodes=snap.nodes)  # the snapshot's tuple
+    rebuilt = CommunityAssignment.from_names(labels, set(snap.nodes) - set(labels))  # an equal one
+    labeled_only = CommunityAssignment.from_names(labels)  # another node list, unless all labeled
+    assert own == rebuilt and own.labels == labels and own.isolated == set(snap.nodes) - set(labels)
+    for directed in (True, False):
+        assert (modularity(snap, own, directed) == modularity(snap, rebuilt, directed)
+                == modularity(snap, labeled_only, directed)
+                == reference_modularity(snap, labels, directed))
+    report = partition_report(snap, own)
+    assert report == partition_report(snap, rebuilt)
+    assert report.community_count == len(set(labels.values()))
+    assert report.isolated_count == len(snap.nodes) - len(labels)
 
 
 def test_modularity_equals_per_community_reference_exactly():
@@ -187,7 +224,7 @@ def test_partition_report_counts():
 
 def test_partition_report_empty_labels():
     snap = make_snapshot({("a", "b"): 1.0}, ["a", "b", "c"])
-    a = CommunityAssignment({}, frozenset({"a", "b", "c"}), {}, 0)
+    a = CommunityAssignment.from_names({}, {"a", "b", "c"})
     report = partition_report(snap, a)
     assert report.community_count == 0
     assert report.avg_size == 0.0

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from tieflow.pagerank import PageRankVector, WalkParams, pagerank, write_scores_tsv
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import dense_pagerank, dense_rate_matrix, make_snapshot, reference_rank_nodes
+from oracles import (
+    dense_pagerank,
+    dense_rate_matrix,
+    make_snapshot,
+    reference_rank_nodes,
+    transposed_pagerank,
+)
 
 
 def snapshot_from_weights(weights: dict, n: int) -> NetworkSnapshot:
@@ -113,6 +119,20 @@ def test_power_iteration_equals_explicit_matrix_iteration():
     pr = pagerank(snap)
     mine = np.array([pr.scores[node] for node in snap.nodes])
     assert np.abs(mine - x).max() < 1e-9
+
+
+def test_csr_order_iteration_equals_transposed_order_bit_for_bit(planted_pipeline):
+    rng = random.Random(12)
+    snapshots = [random_snapshot(rng, rng.randrange(2, 40), density=rng.choice([0.02, 0.15, 0.5]))
+                 for _ in range(30)]  # the sparse ones have dangling rows
+    snapshots.append(planted_pipeline["snapshot"])
+    for snap in snapshots:
+        for damping, max_iterations in ((0.85, 1000), (0.5, 1000), (0.99, 7)):
+            pr = pagerank(snap, WalkParams(damping=damping, max_iterations=max_iterations))
+            scores, iterations, residuals = transposed_pagerank(
+                snap, damping=damping, max_iterations=max_iterations)
+            assert [pr.scores[node] for node in snap.nodes] == scores
+            assert (pr.iterations, pr.residuals) == (iterations, residuals)
 
 
 def test_scores_positive_sum_one_and_lower_bound():

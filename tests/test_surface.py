@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from tieflow import ifs
 from tieflow.cooccur import build_cooccurrence_graph
 from tieflow.events import parse_events_path
 from tieflow.orient import orient_edges
@@ -65,6 +66,27 @@ def test_benchmark_counts_read_graph_edges_and_snapshot_matrix():
     assert calls["cooccur.build"][2]((), pairs) == {"pairs": 3, "matches": 3}
     assert calls["orient.orient"][2]((), graph) == {"edges": 6, "tied_pairs": 3}
     assert calls["tiedecay.snapshot"][2]((), snapshot) == {"snapshots": 1, "snapshot_nnz": 6}
+
+
+def test_sweep_records_a_detect_and_a_partition_span_per_fraction(planted_pipeline):
+    # The benchmark's traced runs time the sweep's layers by wrapping these two
+    # module functions, and its report needs the metrics the spans yield.
+    measure = load_measure()
+    snap, pr = planted_pipeline["snapshot"], planted_pipeline["ranking"]
+    grid, params = [0.5, 0.2, 0.05], ifs.FlowParams(seed=3)
+    tracer = measure.Tracer(run="pass.0")
+    with measure.instrument(tracer):
+        rows = ifs.sweep_epsilon(snap, pr, grid, params)
+    assert rows == ifs.sweep_epsilon(snap, pr, grid, params)
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("ifs.detect") == names.count("metrics.partition") == len(grid)
+    direct = [ifs.detect_communities(snap, pr, epsilon, params) for epsilon in grid]
+    assert [span["counts"] for span in tracer.spans if span["name"] == "ifs.detect"] == [
+        {"detects": 1, "rounds": a.rounds, "labeled": len(a.labels), "nodes": len(snap.nodes)}
+        for a in direct]
+    layers = measure.layer_metrics(tracer.spans)
+    assert {"ifs.detect_s", "ifs.rounds", "ifs.coverage", "metrics.partition_s"} <= set(layers)
+    assert layers["ifs.rounds"] == sum(a.rounds for a in direct)
 
 
 def test_no_module_level_function_caches():

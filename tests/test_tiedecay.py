@@ -132,6 +132,13 @@ def test_snapshot_before_events_is_empty():
     assert set(snap.nodes) == {"a", "b"}
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_snapshot_at_a_non_finite_instant_is_rejected(t):
+    tie = toy_graph({("a", "b"): (1_000,)})
+    with pytest.raises(ValueError, match=f"snapshot time {t!r} is not a finite instant"):
+        snapshot_at(tie, DecayParams(alpha=0.01), t)
+
+
 def test_snapshot_at_single_event_weight_is_one():
     tie = toy_graph({("a", "b"): (1_000,)})
     snap = snapshot_at(tie, DecayParams(alpha=0.01), 1_000)
@@ -274,6 +281,14 @@ def test_sample_rejects_degenerate_grid():
         list(sample_snapshots(tie, DecayParams(alpha=0.01), 0, 100, 1))
     with pytest.raises(ValueError):
         list(sample_snapshots(tie, DecayParams(alpha=0.01), 100, 100, 5))
+
+
+@pytest.mark.parametrize("bounds", [(0, math.inf), (-math.inf, 100), (math.nan, 100), (0, math.nan)],
+                         ids=["inf-end", "-inf-start", "nan-start", "nan-end"])
+def test_sample_rejects_non_finite_bounds(bounds):
+    tie = toy_graph({("a", "b"): (100,)})
+    with pytest.raises(ValueError, match="must be finite instants"):
+        next(sample_snapshots(tie, DecayParams(alpha=0.01), *bounds, 5))
 
 
 def test_incremental_sampling_matches_direct_evaluation():
