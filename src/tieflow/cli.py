@@ -156,10 +156,8 @@ def _snapshot(args):
     graph, t, params = _graph_at(args)
     snapshot = snapshot_at(graph, args.decay, t)
     if snapshot.edge_count == 0:
-        raise UsageError(
-            f"no tie has weight at t={t:.12g}; the graph's first co-occurrence "
-            f"is at {graph.start_time()}"
-        )
+        raise UsageError(f"no tie has weight at t={t:.12g}; the graph's first co-occurrence "
+                         f"is at {graph.start_time()}")
     return snapshot, dict(params, time=t)
 
 
@@ -212,10 +210,8 @@ def _handle_build(args) -> int:
     tie_graph = orient_edges(cograph)
     write_directed_edges_tsv(tie_graph, out_dir / "directed_edges.tsv", _param_comments(params))
     write_tie_graph_json(tie_graph, out_dir / "tie_graph.json", params)
-    print(
-        f"wrote {out_dir}/tie_graph.json "
-        f"({len(tie_graph.nodes)} nodes, {len(tie_graph.src)} directed edges)"
-    )
+    print(f"wrote {out_dir}/tie_graph.json "
+          f"({len(tie_graph.nodes)} nodes, {len(tie_graph.src)} directed edges)")
     return EXIT_OK
 
 
@@ -287,14 +283,9 @@ def _handle_evaluate(args) -> int:
     snapshot, params = _snapshot(args)
     assignment = read_assignment_json(args.communities, snapshot.nodes)
     report = metrics.partition_report(snapshot, assignment, directed=not args.undirected)
-    doc = {
-        "params": dict(
-            params,
-            communities=str(args.communities),
-            modularity_variant="undirected" if args.undirected else "directed",
-        ),
-        "partition": asdict(report),
-    }
+    doc = {"params": dict(params, communities=str(args.communities),
+                          modularity_variant="undirected" if args.undirected else "directed"),
+           "partition": asdict(report)}
     if args.events is not None:
         doc["behavior"] = _behavior(args, assignment)
     write_json(args.output, doc)
@@ -489,20 +480,21 @@ def _add_graph_arguments(parser, graph_group=None) -> None:
 
 
 def _add_walk_arguments(parser) -> None:
-    parser.add_argument("--damping", type=float, default=0.85,
-                        help="random-walk damping (default 0.85)")
-    parser.add_argument("--tolerance", type=float, default=1e-10,
-                        help="L1 convergence threshold (default 1e-10)")
-    parser.add_argument("--max-iterations", type=int, default=1000,
-                        help="power iteration budget (default 1000)")
+    parser.add_argument("--damping", type=float, default=WalkParams.damping,
+                        help="random-walk damping (default %(default)s)")
+    parser.add_argument("--tolerance", type=float, default=WalkParams.tolerance,
+                        help="L1 convergence threshold (default %(default)s)")
+    parser.add_argument("--max-iterations", type=int, default=WalkParams.max_iterations,
+                        help="power iteration budget (default %(default)s)")
 
 
 def _add_flow_arguments(parser) -> None:
-    parser.add_argument("--beta", type=float, default=0.25,
-                        help="propagation probability exponent (default 0.25)")
-    parser.add_argument("--seed", type=int, default=0, help="cascade RNG seed (default 0)")
-    parser.add_argument("--max-rounds", type=int, default=100,
-                        help="cascade round budget (default 100)")
+    parser.add_argument("--beta", type=float, default=FlowParams.beta,
+                        help="propagation probability exponent (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=FlowParams.seed,
+                        help="cascade RNG seed (default %(default)s)")
+    parser.add_argument("--max-rounds", type=int, default=FlowParams.max_rounds,
+                        help="cascade round budget (default %(default)s)")
     parser.add_argument("--single-hop", action="store_true",
                         help="only origins transmit (no relaying by labeled nodes)")
 
@@ -526,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True, help="canonical event CSV")
     p.add_argument("--output-dir", required=True)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                   help="co-occurrence window in seconds (default 120)")
+                   help="co-occurrence window in seconds (default %(default)s)")
     p.set_defaults(handler=_handle_build)
 
     p = sub.add_parser("snapshot", help="tie-decay weights at a single time")

@@ -119,15 +119,19 @@ class CommunityAssignment:
         return members
 
 
-def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
-    """The top floor(epsilon * S) ranked nodes (at least one), in descending
-    PageRank; origin k seeds label k + 1."""
+def _origin_count(pr: PageRankVector, epsilon: float) -> int:
+    """floor(epsilon * S) for a ranking of S nodes, and at least one."""
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
     if len(pr) == 0:
         raise ValueError("PageRank vector is empty")
-    count = max(1, math.floor(epsilon * len(pr)))
-    return pr.ranking[:count]
+    return max(1, math.floor(epsilon * len(pr)))
+
+
+def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
+    """The names of the cascade's origins: the top floor(epsilon * S) ranked
+    nodes (at least one), in descending PageRank; origin k seeds label k + 1."""
+    return pr.ranking[:_origin_count(pr, epsilon)]
 
 
 def _probability(w: np.ndarray, out_strength: np.ndarray, beta: float) -> np.ndarray:
@@ -146,13 +150,13 @@ def detect_communities(s: NetworkSnapshot, pr: PageRankVector, epsilon: float,
     for a node is resolved by origin rank since earlier communities act
     first. Origins that never transmit successfully end up isolated.
     """
-    if pr.nodes != s.nodes:  # both sorted, so equal exactly when the node sets are
+    if pr.nodes is not s.nodes and pr.nodes != s.nodes:  # both sorted: equal iff the sets are
         raise ValueError("snapshot and PageRank cover different node sets")
-    origins = pr.order[:len(select_origins(pr, epsilon))]  # node indices: pr.nodes equals s.nodes
+    origins = pr.order[:_origin_count(pr, epsilon)]  # node indices, as pr.nodes equals s.nodes
     offsets, src, dst, weights, strength = s.row_offsets, s.src, s.dst, s.weights, s.out_strength
     n = len(s.nodes)
     label = np.zeros(n, dtype=np.int64)  # by node index; 0 while unlabeled
-    label[origins] = np.arange(1, len(origins) + 1)
+    label[origins] = relay_labels = np.arange(1, len(origins) + 1)
     # Open tries as sorted keys label * m + edge; the origins relay first.
     m, tries, relays = len(dst), np.empty(0, dtype=np.int64), origins
 
@@ -163,7 +167,7 @@ def detect_communities(s: NetworkSnapshot, pr: PageRankVector, epsilon: float,
         starts = offsets[relays]
         counts = offsets[relays + 1] - starts
         ends = np.cumsum(counts)
-        new = np.repeat(label[relays] * m + starts - ends + counts, counts)
+        new = np.repeat(relay_labels * m + starts - ends + counts, counts)
         tries = np.concatenate([tries, new + np.arange(len(new))])
         tries = np.sort(tries[label[dst[tries % m]] == 0])
         senders, edges = np.divmod(tries, m)
@@ -172,11 +176,13 @@ def detect_communities(s: NetworkSnapshot, pr: PageRankVector, epsilon: float,
         for k, j, p in zip(senders.tolist(), dst[edges].tolist(), probability.tolist()):
             if j not in fresh and draw() < p:
                 fresh[j] = k
-        label[list(fresh)] = list(fresh.values())
+        labeled = np.fromiter(fresh, np.int64, len(fresh))
+        labels = np.fromiter(fresh.values(), np.int64, len(fresh))
+        label[labeled] = labels
         steps.extend(zip([round_no] * len(fresh), fresh))
         if not fresh or len(steps) == n - len(origins):
             break
-        relays = np.array(list(fresh) if params.relay else [], dtype=np.int64)
+        relays, relay_labels = (labeled, labels) if params.relay else (relays[:0], relay_labels[:0])
 
     # Community k is the k-th smallest label that reached a node beyond its
     # origin; the other origins and the unlabeled nodes (label 0) get -1.
@@ -184,9 +190,9 @@ def detect_communities(s: NetworkSnapshot, pr: PageRankVector, epsilon: float,
     values = np.flatnonzero(sizes[1:] > 1) + 1
     code = np.full(len(sizes), -1)
     code[values] = np.arange(len(values))
-    values, ranking = values.tolist(), pr.ranking
+    values, origin_names = values.tolist(), [s.nodes[i] for i in origins[values - 1].tolist()]
     return CommunityAssignment(nodes=s.nodes, codes=code[label], values=tuple(values),
-                               origin_of={k: ranking[k - 1] for k in values},
+                               origin_of=dict(zip(values, origin_names)),
                                rounds=round_no, steps=tuple(steps))
 
 

@@ -1,7 +1,8 @@
 """Teleporting random-walk PageRank on a network snapshot.
 
 Power iteration is the production algorithm; the dense leading-eigenvector
-solve of the full rate matrix lives in the test suite as an oracle.
+solve of the full rate matrix lives in the test suite as an oracle. The
+result holds the scores by node index over the snapshot's own node tuple.
 """
 
 from __future__ import annotations
@@ -31,26 +32,30 @@ class WalkParams:
             raise ValueError("max_iterations must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PageRankVector:
-    scores: dict[str, float]
+    """Scores by node index: values[i] is the score of nodes[i], and ``nodes``
+    is the snapshot's sorted tuple, the same object. ``order``, ``scores``
+    (node -> score, in node order) and ``ranking`` are views built on first use."""
+
+    nodes: tuple[str, ...]
+    values: np.ndarray
     iterations: int
     converged: bool
     residuals: tuple[float, ...] = field(default=(), repr=False)
 
     def __len__(self) -> int:
-        return len(self.scores)
-
-    @cached_property
-    def nodes(self) -> tuple[str, ...]:
-        """The node ids, sorted: a snapshot's index space."""
-        return tuple(sorted(self.scores))
+        return len(self.nodes)
 
     @cached_property
     def order(self) -> np.ndarray:
         """Indices into ``nodes`` in descending score order; ties broken by
-        ascending node id."""
-        return np.argsort(-np.array([self.scores[node] for node in self.nodes]), kind="stable")
+        ascending node id, since ``nodes`` ascends."""
+        return np.argsort(-self.values, kind="stable")
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        return dict(zip(self.nodes, self.values.tolist()))
 
     @cached_property
     def ranking(self) -> tuple[str, ...]:
@@ -91,16 +96,12 @@ def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankV
         if residual <= params.tolerance:
             converged = True
             break
-    return PageRankVector(
-        scores=dict(zip(s.nodes, x.tolist())),
-        iterations=iterations,
-        converged=converged,
-        residuals=tuple(residuals),
-    )
+    return PageRankVector(s.nodes, x, iterations, converged, tuple(residuals))
 
 
 def write_scores_tsv(pr: PageRankVector, path, comments: Sequence[str] = ()) -> None:
     """TSV export: node<TAB>score<TAB>rank (scores to 12 significant digits)."""
-    ranked = enumerate(pr.ranking, start=1)
+    nodes, values = pr.nodes, pr.values.tolist()
+    ranked = enumerate(pr.order.tolist(), start=1)
     write_lines(path, comments,
-                (f"{node}\t{pr.scores[node]:.12g}\t{rank}" for rank, node in ranked))
+                (f"{nodes[i]}\t{values[i]:.12g}\t{rank}" for rank, i in ranked))

@@ -15,9 +15,10 @@ tests call), its propagation probabilities, the reference cascade,
 modularity and transposed PageRank the snapshot's out-strength (whose
 summation order the pinned artifacts fix), and the reference placement its
 mixed tag and retry budget; the other package classes used are EventLog,
-CooccurrenceGraph and NetworkSnapshot, which `make_log`, `make_cooccurrence`
-and `make_snapshot` build for the tests through the constructors production
-uses, and which the oracles read only through their arrays
+CooccurrenceGraph, NetworkSnapshot and PageRankVector, which `make_log`,
+`make_cooccurrence`, `make_snapshot` and `make_ranking` build for the tests
+through the constructors production uses, and which the oracles read only
+through their arrays
 (`reference_degrees` through the `edges` mapping built from them).
 `kernel_edge_weight` is no oracle: it is the tests' way into the production
 decay kernel. `masked_decay_sums` is the kernel's earlier formula, over the
@@ -41,6 +42,7 @@ from scipy.integrate import odeint
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.ifs import CommunityAssignment, _probability, select_origins
+from tieflow.pagerank import PageRankVector
 from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
 from tieflow.tiedecay import NetworkSnapshot, decay_sums
 
@@ -133,6 +135,14 @@ def make_snapshot(weights: dict, nodes, time: float = 0.0) -> NetworkSnapshot:
     order = np.lexsort((dst, src))
     values = np.array(list(weights.values()), dtype=float)
     return NetworkSnapshot(time, nodes, src[order], dst[order], values[order])
+
+
+def make_ranking(scores: dict) -> PageRankVector:
+    """A converged PageRank result of {node: score}, in any order: the names
+    sorted, as a snapshot's index space, and the scores by node index."""
+    nodes = tuple(sorted(scores))
+    return PageRankVector(nodes, np.array([scores[node] for node in nodes], dtype=float),
+                          iterations=1, converged=True)
 
 
 def dense_weights(snapshot) -> np.ndarray:
@@ -364,10 +374,10 @@ def transposed_pagerank(s, damping: float = 0.85, tolerance: float = 1e-10,
 # ----------------------------------------------------------------- ranking
 
 
-def reference_rank_nodes(pr) -> list[str]:
-    """PageRankVector.ranking as one key sort: descending score, then
-    ascending node id."""
-    return sorted(pr.scores, key=lambda node: (-pr.scores[node], node))
+def reference_rank_nodes(scores: dict) -> list[str]:
+    """PageRankVector.ranking as one key sort of {node: score}: descending
+    score, then ascending node id."""
+    return sorted(scores, key=lambda node: (-scores[node], node))
 
 
 # -------------------------------------------------------------- modularity

@@ -61,6 +61,20 @@ def test_help_lists_defaults(capsys):
     assert "604800" in help_text
 
 
+def test_parser_defaults_are_the_params_defaults():
+    from tieflow.cli import build_parser
+    from tieflow.ifs import FlowParams
+    from tieflow.pagerank import WalkParams
+
+    for command in ("pagerank", "detect", "sweep"):
+        args = build_parser().parse_args([command, "--graph", "g", "--output", "o"])
+        assert WalkParams(args.damping, args.tolerance, args.max_iterations) == WalkParams()
+        if command != "pagerank":
+            assert FlowParams(args.beta, args.seed, args.max_rounds) == FlowParams()
+    args = build_parser().parse_args(["build", "--events", "e", "--output-dir", "d"])
+    assert args.window == cooccur.DEFAULT_WINDOW
+
+
 def test_ingest_drops_recharge_and_writes_meta(tmp_path, events_csv):
     out = tmp_path / "events.csv"
     assert main(["ingest", "--input", str(events_csv), "--output", str(out)]) == 0

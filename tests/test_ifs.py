@@ -30,7 +30,7 @@ from tieflow.synth import SyntheticConfig, generate
 from tieflow.tiedecay import DEFAULT_HALF_LIFE, DecayParams, NetworkSnapshot, snapshot_at
 
 import oracles
-from oracles import make_snapshot, propagation_probability, rank_priority_bfs
+from oracles import make_ranking, make_snapshot, propagation_probability, rank_priority_bfs
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:
@@ -39,11 +39,7 @@ def uniform_scores(nodes, top=()) -> PageRankVector:
     for position, node in enumerate(top):
         scores[node] = 1.0 - 0.01 * position
     total = sum(scores.values())
-    return PageRankVector(
-        scores={node: value / total for node, value in scores.items()},
-        iterations=1,
-        converged=True,
-    )
+    return make_ranking({node: value / total for node, value in scores.items()})
 
 
 # ------------------------------------------------------------- origins
@@ -78,9 +74,24 @@ def test_epsilon_bounds():
 
 
 def test_empty_vector_rejected():
-    empty = PageRankVector({}, 0, 0.0, True)
+    empty = make_ranking({})
     with pytest.raises(ValueError):
         select_origins(empty, 0.5)
+
+
+@pytest.mark.parametrize("epsilon, count", [(0.01, 1), (0.3, 3), (0.35, 3), (1.0, 10)])
+def test_cascade_origins_are_select_origins(epsilon, count):
+    # On a directed cycle each edge is its source's only out-edge, so every
+    # try succeeds and every node but the origins is labeled.
+    nodes = [f"n{i}" for i in range(10)]
+    snap = make_snapshot(dict.fromkeys(zip(nodes, nodes[1:] + nodes[:1]), 1.0), nodes)
+    shuffled = random.Random(5).sample(nodes, len(nodes))
+    pr = make_ranking({node: 1.0 / (1 + rank // 3) for rank, node in enumerate(shuffled)})
+    origins = select_origins(pr, epsilon)
+    assert len(origins) == count
+    a = detect_communities(snap, pr, epsilon, FlowParams())
+    assert set(nodes).difference(snap.nodes[j] for _, j in a.steps) == set(origins)
+    assert a.origin_of == {k: origins[k - 1] for k in a.values}
 
 
 # --------------------------------------------------------- probability
@@ -466,6 +477,19 @@ def test_node_set_mismatch_rejected():
             detect_communities(snap, pr, 0.5, FlowParams())
         with pytest.raises(ValueError, match=mismatch):
             sweep_epsilon(snap, pr, [0.5], FlowParams())
+
+
+def test_ranking_over_an_equal_node_tuple_is_accepted():
+    snap = random_weighted_snapshot(random.Random(63), 20, density=0.3)
+    pr = pagerank(snap)
+    equal = PageRankVector(tuple(list(snap.nodes)), pr.values, pr.iterations, pr.converged)
+    assert equal.nodes is not snap.nodes and equal.nodes == snap.nodes
+    for epsilon in (0.1, 0.5):
+        mine = detect_communities(snap, equal, epsilon, FlowParams(seed=4))
+        assert mine.labels and mine == detect_communities(snap, pr, epsilon, FlowParams(seed=4))
+    other = PageRankVector(snap.nodes[:-1] + (snap.nodes[-1] + "x",), pr.values, 1, True)
+    with pytest.raises(ValueError, match="^snapshot and PageRank cover different node sets$"):
+        detect_communities(snap, other, 0.5, FlowParams())
 
 
 def test_negative_weight_rejected():

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tieflow.pagerank import PageRankVector, WalkParams, pagerank, write_scores_tsv
+from tieflow.pagerank import WalkParams, pagerank, write_scores_tsv
 from tieflow.tiedecay import NetworkSnapshot
 
 from oracles import (
     dense_pagerank,
     dense_rate_matrix,
+    make_ranking,
     make_snapshot,
     reference_rank_nodes,
     transposed_pagerank,
@@ -196,12 +197,12 @@ def test_rank_by_score_descending():
     pr = pagerank(snap)
     scores = dict(pr.scores)
     scores.update({"n00": 0.5, "n01": 0.3, "n02": 0.2})
-    ranked = PageRankVector(scores, 1, True).ranking
+    ranked = make_ranking(scores).ranking
     assert ranked == ("n00", "n01", "n02")
 
 
 def test_ties_break_by_node_id():
-    ranked = PageRankVector({"b": 0.5, "a": 0.5}, 1, True).ranking
+    ranked = make_ranking({"b": 0.5, "a": 0.5}).ranking
     assert ranked == ("a", "b")
 
 
@@ -221,10 +222,36 @@ SCORES = st.sampled_from([0.0, 1e-300, 0.125, 1 / 3, 0.5, 1.0]) | st.floats(0.0,
        st.randoms(use_true_random=False))
 def test_ranking_matches_key_sort(items, rng):
     rng.shuffle(items)  # dict insertion order must not matter
-    pr = PageRankVector(dict(items), 1, True)
-    assert list(pr.ranking) == reference_rank_nodes(pr)
-    assert pr.nodes == tuple(sorted(pr.scores))
+    pr = make_ranking(dict(items))
+    assert list(pr.ranking) == reference_rank_nodes(dict(items))
     assert tuple(pr.nodes[i] for i in pr.order) == pr.ranking
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.dictionaries(st.text(max_size=3), SCORES))
+def test_array_and_views_equal_a_name_keyed_rebuild(scores):
+    pr = make_ranking(scores)
+    nodes = sorted(scores)
+    ranked = reference_rank_nodes(scores)
+    assert pr.nodes == tuple(nodes) and len(pr) == len(scores)
+    assert pr.values.dtype == np.float64
+    assert pr.values.tolist() == [scores[node] for node in nodes]
+    assert list(pr.scores.items()) == [(node, scores[node]) for node in nodes]
+    assert pr.order.tolist() == [nodes.index(node) for node in ranked]
+    assert pr.ranking == tuple(ranked)
+
+
+def test_result_holds_the_snapshot_nodes_and_matches_a_name_keyed_rebuild():
+    # An edgeless snapshot ties every node; a sparse one ties the nodes that
+    # nothing points to.
+    for snap in (snapshot_from_weights({}, 5), random_snapshot(random.Random(9), 30, 0.05)):
+        pr = pagerank(snap)
+        assert pr.nodes is snap.nodes
+        rebuilt = dict(zip(snap.nodes, pr.values.tolist()))
+        assert len(set(rebuilt.values())) < len(rebuilt)
+        assert pr.scores == rebuilt and list(pr.scores) == list(snap.nodes)
+        assert pr.ranking == tuple(reference_rank_nodes(rebuilt))
+        assert pr.order.tolist() == [snap.index[node] for node in pr.ranking]
 
 
 def test_scores_tsv_format(tmp_path):

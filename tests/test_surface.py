@@ -17,6 +17,7 @@ from tieflow import ifs
 from tieflow.cooccur import build_cooccurrence_graph
 from tieflow.events import parse_events_path
 from tieflow.orient import orient_edges
+from tieflow.pagerank import pagerank
 from tieflow.tiedecay import DecayParams, snapshot_at
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,6 +67,25 @@ def test_benchmark_counts_read_graph_edges_and_snapshot_matrix():
     assert calls["cooccur.build"][2]((), pairs) == {"pairs": 3, "matches": 3}
     assert calls["orient.orient"][2]((), graph) == {"edges": 6, "tied_pairs": 3}
     assert calls["tiedecay.snapshot"][2]((), snapshot) == {"snapshots": 1, "snapshot_nnz": 6}
+
+
+def test_benchmark_reads_of_a_pagerank_result(monkeypatch):
+    # timeline.py's analyse reads a result's converged, iterations and
+    # scores.values(); measure.py's pagerank span reads its iterations.
+    measure = load_measure()
+    monkeypatch.setitem(sys.modules, "measure", measure)  # timeline.py imports it by name
+    spec = importlib.util.spec_from_file_location("timeline", ROOT / "perfbench" / "timeline.py")
+    timeline = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(timeline)
+    graph = orient_edges(build_cooccurrence_graph(parse_events_path(GOLDEN / "canonical.csv"),
+                                                  window=120))
+    decay, t = DecayParams(alpha=1e-6), graph.end_time()
+    ranking = pagerank(snapshot_at(graph, decay, t))
+    text, _, _, problems = timeline.analyse(graph, decay, t)
+    assert problems == []
+    assert text.splitlines()[0].endswith(f"\t{ranking.iterations}")
+    assert measure.LAYER_CALLS["pagerank.solve"][2]((), ranking) == {
+        "iterations": ranking.iterations}
 
 
 def test_sweep_records_a_detect_and_a_partition_span_per_fraction(planted_pipeline):
