@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import islice
 from typing import Iterable
+
+_ROWS = 1 << 12  # table rows joined into one write
 
 
 class DataError(Exception):
@@ -58,8 +61,8 @@ def decoding(path, what: str):
 
 def write_lines(path, comments: Iterable[str], rows: Iterable[str]) -> None:
     """`# comment` lines, then the rows, each terminated by a newline."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8") as handle:
-        for comment in comments:
-            handle.write(f"# {comment}\n")
-        for row in rows:
-            handle.write(f"{row}\n")
+        handle.writelines(f"# {comment}\n" for comment in comments)
+        for block in iter(lambda: list(islice(rows, _ROWS)), []):
+            handle.write("\n".join(block) + "\n")

@@ -1,10 +1,11 @@
 """Command-line pipeline: ingest, build, snapshot, pagerank, detect,
 evaluate, sweep, synth, report.
 
-Stages persist their artifacts (canonical event CSV, tie-graph JSON,
-snapshot/score TSVs, community JSON) so expensive steps are reusable, and
-every output embeds the parameters that produced it. Exit codes: 0 success,
-1 usage error, 2 data error, 3 non-convergence flag.
+Stages persist their artifacts (canonical event CSV and its column
+companion, tie-graph JSON, snapshot/score TSVs, community JSON) so
+expensive steps are reusable, and every output embeds the parameters that
+produced it. Exit codes: 0 success, 1 usage error, 2 data error, 3
+non-convergence flag.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .events import (
     filter_events,
     parse_events_path,
     parse_time,
+    write_canonical,
     write_events_csv,
 )
 from .cooccur import DEFAULT_WINDOW, build_cooccurrence_graph, write_pair_counts_tsv
@@ -176,7 +178,7 @@ def _handle_ingest(args) -> int:
         raise UsageError(f"--keep-locations entry {min(unknown)!r} names no location of {args.input}")
     filtered = filter_events(log, keep)
     out = Path(args.output)
-    write_events_csv(filtered, out)
+    write_canonical(filtered, out)
     write_json(
         out.with_suffix(out.suffix + ".meta.json"),
         {

@@ -4,13 +4,22 @@ The canonical input is a CSV stream with header
 ``student_id,timestamp,location_id,kind,amount``. Timestamps are integer
 epoch seconds (UTC); ISO ``YYYY-MM-DDTHH:MM:SS`` is accepted on input and
 interpreted as UTC.
+
+``write_canonical`` also writes a column companion, ``<csv>.columns``: one
+compact JSON header line (the CSV's byte length and sha256, the row count,
+the sorted student and location ids and the layout), then the log's columns
+as little-endian raw bytes in _LAYOUT order. ``parse_events_path`` reads the
+log from the companion while it matches the CSV's current bytes, and parses
+the CSV in every other case; the CSV stays the source of truth.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, filterfalse, islice, repeat
@@ -24,6 +33,10 @@ TIME_LIMIT = 253402300800  # 10000-01-01T00:00:00Z, where datetime's calendar en
 _BREAKS = frozenset("\t\r\n")  # would split the TSV rows that carry student ids
 _BLOCK = 1 << 16  # characters of unquoted event text split at once
 _ROWS = 1 << 12  # rows of event text that the csv module splits, or that are made, at once
+# The column companion's columns in file order, as EventLog fields and their dtypes.
+_LAYOUT = (("student", "<i8"), ("location", "<i8"), ("time", "<i8"), ("amount", "<f8"),
+           ("spend", "u1"))
+_LAYOUT_TAG = ",".join(f"{name}:{dtype}" for name, dtype in _LAYOUT)
 
 
 class ParseError(ValueError):
@@ -159,11 +172,12 @@ def _bad_id(name: str) -> bool:
     return not name or not _BREAKS.isdisjoint(name)
 
 
-def _column(texts: list[str], dtype, fast, slow, bad) -> np.ndarray:
-    """fast(text) per text in one pass; if that fails anywhere, slow(text)
-    per text, and bad where slow raises ValueError."""
+def _column(texts: list[str], dtype, slow, bad) -> np.ndarray:
+    """The texts as numbers of dtype in one pass, which numpy converts with
+    int() or float() (test_events pins that); if that fails anywhere,
+    slow(text) per text, and bad where slow raises ValueError."""
     try:
-        return np.fromiter(map(fast, texts), dtype=dtype, count=len(texts))
+        return np.array(texts, dtype=dtype)
     except (ValueError, OverflowError):
         return np.fromiter((_or(slow, text, bad) for text in texts), dtype=dtype, count=len(texts))
 
@@ -179,11 +193,11 @@ def _or(convert, text: str, bad):
 # surrounding whitespace, except the separators \x1c-\x1f, so the slow
 # paths strip the text first.
 def _times(texts: list[str]) -> np.ndarray:
-    return _column(texts, np.int64, int, lambda text: parse_time(text.strip()), -1)
+    return _column(texts, np.int64, lambda text: parse_time(text.strip()), -1)
 
 
 def _amounts(texts: list[str]) -> np.ndarray:
-    return _column(texts, np.float64, float, lambda text: float(text.strip()), math.nan)
+    return _column(texts, np.float64, lambda text: float(text.strip()), math.nan)
 
 
 def _coded_log(blocks: Iterator[list[str] | None]) -> EventLog | int:
@@ -310,8 +324,61 @@ def _first_fault(reader, first: int) -> ParseError:
 
 
 def parse_events_path(path) -> EventLog:
+    """The log of the CSV file at path: read from its column companion where
+    that matches the file, parsed from the text otherwise."""
+    log = _read_columns(path)
+    if log is not None:
+        return log
     with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         return parse_events(handle)
+
+
+def _columns_path(path) -> str:
+    return os.fspath(path) + ".columns"
+
+
+def _sha256(path) -> str:
+    # hashlib maps OpenSSL, about 3.5 MB resident: imported only here, once a
+    # parse has freed its text, so that ingest peaks no higher than before.
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_columns(path) -> EventLog | None:
+    """The log that the column companion of the CSV file at path holds, or
+    None unless the companion exists, whole, describes the file's current
+    bytes and holds ids and values that the parser accepts."""
+    try:
+        with open(_columns_path(path), "rb") as handle:
+            header = json.loads(handle.readline())
+            data = handle.read()
+        rows, students, locations = header["rows"], header["students"], header["locations"]
+        if type(rows) is not int or rows < 0 or header["layout"] != _LAYOUT_TAG:
+            return None
+        sizes = [rows * np.dtype(dtype).itemsize for _, dtype in _LAYOUT]
+        if (len(data) != sum(sizes) or os.path.getsize(path) != header["csv_bytes"]
+                or _sha256(path) != header["sha256"]):
+            return None
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return None
+    student, location, time, amount, spend = (
+        np.frombuffer(data, dtype=dtype, count=rows, offset=offset)
+        for (_, dtype), offset in zip(_LAYOUT, np.cumsum([0, *sizes]).tolist()))
+    for ids, codes in ((students, student), (locations, location)):
+        if (not isinstance(ids, list) or not all(isinstance(name, str) for name in ids)
+                or any(map(_bad_id, ids)) or any(a >= b for a, b in zip(ids, ids[1:]))
+                or not ((codes >= 0) & (codes < len(ids))).all()):
+            return None
+    if not (((time >= 0) & (time < TIME_LIMIT) & np.isfinite(amount) & (amount >= 0)
+             & (spend <= 1)).all()):
+        return None
+    return EventLog.from_codes(tuple(students), student, tuple(locations), location, time, amount,
+                               spend)
 
 
 def filter_events(log: EventLog, keep_locations: frozenset[str] | set[str]) -> EventLog:
@@ -357,3 +424,16 @@ def _csv_text(log: EventLog) -> Iterator[str]:
 def write_events_csv(log: EventLog, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_csv_text(log))
+
+
+def write_canonical(log: EventLog, path) -> None:
+    """write_events_csv, then the column companion beside the CSV that lets
+    parse_events_path read log back without parsing the text."""
+    write_events_csv(log, path)
+    header = {"csv_bytes": os.path.getsize(path), "sha256": _sha256(path), "rows": len(log),
+              "layout": _LAYOUT_TAG, "students": list(log.students),
+              "locations": list(log.locations)}
+    with open(_columns_path(path), "wb") as handle:
+        handle.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + b"\n")
+        for name, dtype in _LAYOUT:
+            handle.write(getattr(log, name).astype(dtype).tobytes())

@@ -124,19 +124,6 @@ def partition_report(
                            labeled / count if count else 0.0, len(a.nodes) - labeled)
 
 
-def shannon_entropy(counts: Mapping) -> float:
-    """Natural-log entropy of an empirical count distribution."""
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    entropy = 0.0
-    for count in counts.values():
-        if count > 0:
-            p = count / total
-            entropy -= p * math.log(p)
-    return entropy
-
-
 def behavior_profiles(
     log: EventLog,
     category_map: Mapping[str, str],
@@ -171,8 +158,9 @@ def behavior_profiles(
     for name, (start, end) in MEALS.items():
         meal[start:end] = groups.index(name)
     categories = [category_map[name] for name in log.locations]
-    dining = np.array([c == "dining" for c in categories])[location]
-    other = np.array([groups.index(c) if c in groups else -1 for c in categories])[location]
+    dining = np.array([c == "dining" for c in categories], dtype=bool)[location]
+    other = np.array([groups.index(c) if c in groups else -1 for c in categories],
+                     dtype=np.int64)[location]
     group = np.where(dining, meal[hour], other)
     slot = np.where(dining, hour, (day + 3) % 7)
     # Per (student, group): slot counts in first-seen order, the order a
@@ -181,11 +169,20 @@ def behavior_profiles(
     key = (student[rows] * len(groups) + group[rows]) * 24 + slot[rows]
     keys, first, tally = np.unique(key, return_index=True, return_counts=True)
     order = np.lexsort((first, keys // 24))
-    owner, tally = keys[order] // 24, tally[order].tolist()
+    owner, tally = keys[order] // 24, tally[order]
+    # Natural-log entropy of each (student, group) segment: 0.0 minus
+    # p * log(p) per slot in that order, a column of segments at a time;
+    # math.log, as np.log may differ in the last bits.
+    start = np.flatnonzero(np.diff(owner, prepend=-1))
+    size = np.diff(start, append=len(owner))
+    p = tally / np.repeat(np.add.reduceat(tally, start), size)
+    terms = p * np.array([math.log(value) for value in p.tolist()])
+    sums = np.zeros(len(start))
+    for j in range(int(size.max(initial=0))):
+        more = np.flatnonzero(size > j)
+        sums[more] -= terms[start[more] + j]
     entropy = np.zeros((n, len(groups)))
-    bounds = np.flatnonzero(np.diff(owner, append=-1)) + 1
-    for lo, hi in zip([0, *bounds[:-1].tolist()], bounds.tolist()):
-        entropy.flat[owner[lo]] = shannon_entropy(dict(enumerate(tally[lo:hi])))
+    entropy.flat[owner[start]] = sums
     entropy = entropy.tolist()
 
     return {
@@ -206,15 +203,19 @@ def variance_comparison(
     for label, node in sorted((label, node) for node, label in a.labels.items() if node in profiles):
         members[label].append(node)
     eligible = [nodes for nodes in members.values() if len(nodes) >= 2]
+    values = np.array([[getattr(profile, name) for profile in profiles.values()]
+                       for name in INDICATORS], dtype=float)
+    variance_all = [float(np.var(row)) for row in values]  # ddof=0: population variance
+    if not eligible:
+        return {name: (var, math.nan) for name, var in zip(INDICATORS, variance_all)}
 
-    table = {}
-    for name in INDICATORS:
-        value = {node: float(getattr(profile, name)) for node, profile in profiles.items()}
-        variance_all = float(np.var(list(value.values())))  # ddof=0: population variance
-        if eligible:
-            within = [np.var([value[node] for node in nodes]) for nodes in eligible]
-            mean_within = float(np.mean(within))
-        else:
-            mean_within = float("nan")
-        table[name] = (variance_all, mean_within)
-    return table
+    # Each community's variance as np.var takes it: the segment's sum over
+    # its size is the mean, then the sum of squared deviations over its size.
+    index = {node: k for k, node in enumerate(profiles)}
+    inside = values[:, [index[node] for nodes in eligible for node in nodes]]
+    size = np.array([len(nodes) for nodes in eligible])
+    bounds = np.concatenate(([0], np.cumsum(size)))
+    mean = _segment_sums(inside, bounds) / size
+    within = _segment_sums(np.square(inside - np.repeat(mean, size, axis=1)), bounds) / size
+    return {name: (var, float(np.mean(row)))
+            for name, var, row in zip(INDICATORS, variance_all, within)}

@@ -5,10 +5,12 @@ full-list greedy matching, exhaustive enumeration, augmenting-path
 matching, dense eigensolves, power iteration over the entries in transposed
 order, explicit ODE integration, literal double sums, modularity from one
 entry mask per community, the cascade keyed by node name, co-visit
-placement by a scan of (time, tag) tuples, node ranking by a key sort and
-node degrees by counting edge endpoints. None of it shares code with the
-package, except that the reference parser uses its time parser and error
-type, the reference cascade its origin selection,
+placement by a scan of (time, tag) tuples, node ranking by a key sort,
+node degrees by counting edge endpoints, behavior indicators from one slot
+Counter per student and group, and variances by np.var per community. None
+of it shares code with the package, except that the reference parser uses
+its time parser and error type, the reference profiles its meal windows,
+BehaviorProfile and INDICATORS, the reference cascade its origin selection,
 CommunityAssignment.from_names and, through `propagation_probability` (the
 checked scalar-or-array form of the cascade's `_probability`, which only
 tests call), its propagation probabilities, the reference cascade,
@@ -42,6 +44,7 @@ from scipy.integrate import odeint
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.ifs import CommunityAssignment, _probability, select_origins
+from tieflow.metrics import INDICATORS, MEALS, BehaviorProfile
 from tieflow.pagerank import PageRankVector
 from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
 from tieflow.tiedecay import NetworkSnapshot, decay_sums
@@ -429,6 +432,69 @@ def reference_modularity(snapshot, labels: dict, directed: bool = True) -> float
         q += float(np.sum(snapshot.weights[entries])) / total
         q -= float(out_strength[idx].sum()) * float(in_strength[idx].sum()) / (total * total)
     return q
+
+
+# ------------------------------------------------------ behavior indicators
+
+
+def shannon_entropy(counts: dict) -> float:
+    """Natural-log entropy of an empirical count distribution, its terms
+    subtracted in the order the counts are listed in."""
+    total = sum(counts.values())
+    if total == 0:
+        return 0.0
+    entropy = 0.0
+    for count in counts.values():
+        if count > 0:
+            p = count / total
+            entropy -= p * math.log(p)
+    return entropy
+
+
+def reference_behavior_profiles(log: EventLog, category_map: dict, semester) -> dict:
+    """behavior_profiles one row at a time: sums and counts per student in log
+    order, a set of days, and one Counter of slots per (student, meal or
+    bath) fed row by row, whose entropy shannon_entropy takes."""
+    amount, times, days = defaultdict(float), Counter(), defaultdict(set)
+    slots = defaultdict(Counter)
+    for student, t, location, kind, value in log_rows(log):
+        if kind != "spend" or not semester.start <= t < semester.end:
+            continue
+        amount[student] += value
+        times[student] += 1
+        days[student].add(t // 86400)
+        hour, category = t // 3600 % 24, category_map[location]
+        if category == "dining":
+            for meal, (start, end) in MEALS.items():
+                if start <= hour < end:
+                    slots[student, meal][hour] += 1
+        elif category == "bath":
+            slots[student, "bath"][(t // 86400 + 3) % 7] += 1  # 1970-01-01 was a Thursday
+    return {
+        student: BehaviorProfile(
+            amount[student], times[student], len(days[student]),
+            *(shannon_entropy(slots[student, group])
+              for group in ("bath", "breakfast", "lunch", "dinner")))
+        for student in log.students
+    }
+
+
+def reference_variance_comparison(profiles: dict, labels: dict) -> dict:
+    """variance_comparison through np.var per indicator and per community of
+    two or more profiled members, each in ascending node id, the communities
+    in ascending label order."""
+    members = defaultdict(list)
+    for node, label in sorted(labels.items(), key=lambda item: (item[1], item[0])):
+        if node in profiles:
+            members[label].append(node)
+    eligible = [nodes for nodes in members.values() if len(nodes) >= 2]
+    table = {}
+    for name in INDICATORS:
+        value = {node: float(getattr(profile, name)) for node, profile in profiles.items()}
+        within = [np.var([value[node] for node in nodes]) for nodes in eligible]
+        table[name] = (float(np.var(list(value.values()))),
+                       float(np.mean(within)) if within else math.nan)
+    return table
 
 
 # ----------------------------------------------------------------- cascade

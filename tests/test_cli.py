@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tieflow import cooccur
+from tieflow.artifacts import write_lines
 from tieflow.cli import main
 
 EVENTS = (
@@ -122,6 +123,14 @@ def test_build_writes_three_artifacts(tmp_path, built):
     doc = json.loads(built.read_text())
     assert doc["params"]["window"] == 120
     assert doc["edges"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 4096, 4097, 8193])
+def test_table_rows_written_in_blocks_are_each_one_line(tmp_path, count):
+    path = tmp_path / "table.tsv"
+    write_lines(path, ["a = 1", "b = 2"], (f"r{k}\t{k / 7}" for k in range(count)))
+    assert path.read_bytes() == "".join(
+        ["# a = 1\n", "# b = 2\n", *(f"r{k}\t{k / 7}\n" for k in range(count))]).encode()
 
 
 def test_build_rejects_bad_window(tmp_path, events_csv):

@@ -1,16 +1,22 @@
 import csv
 import io
+import json
+import math
 import random
+import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tieflow.events
+from tieflow.cli import main
 from tieflow.events import (
     _BLOCK,
+    KINDS,
     EventLog,
     ParseError,
     TimeRange,
@@ -366,8 +372,10 @@ def test_overlong_plain_field_is_reported_as_the_csv_module_reports_it():
         parse(text)
 
 
-def test_plain_text_is_parsed_without_the_csv_module(monkeypatch):
-    path = Path(__file__).parent / "golden" / "chain" / "canonical.csv"
+def test_plain_text_is_parsed_without_the_csv_module(tmp_path, monkeypatch):
+    # A copy without the golden column companion, so that the text is parsed.
+    path = tmp_path / "canonical.csv"
+    path.write_bytes((Path(__file__).parent / "golden" / "chain" / "canonical.csv").read_bytes())
     expected = reference_parse(io.StringIO(path.read_text(encoding="utf-8"), newline=""))
     monkeypatch.setattr(csv, "reader", no_csv_reader)
     assert log_rows(parse_events_path(path)) == expected != []
@@ -431,3 +439,169 @@ def test_fault_locator_checks_only_rows_the_coder_did_not_pass(monkeypatch):
         with pytest.raises(ParseError, match="^line 5002: unparsable amount 'lots'$"):
             parse(HEADER + body + "s1,1000,caf,spend,lots\n")
         assert lines == [5002]
+
+
+# ------------------------------------------- numbers: numpy against int/float
+
+# Pieces of number text: ASCII and other unicode digits, underscores, signs,
+# points and exponents, padding that int() and float() skip or refuse
+# (\x1c-\x1f among it), the special floats, and values at the ends of int64
+# and float64.
+NUMBER_PIECES = st.sampled_from([
+    "0", "1", "7", "9", "٣", "１", "𝟏", "_", "__", ".", "e", "E", "e-", "+", "-", " ", "\t",
+    "\n", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", " ", "　", "\x00",
+    "nan", "NaN", "-nan", "inf", "-Inf", "infinity", "INFINITY", "1e309", "-1e309", "1e-400",
+    "0x10", "12345678901234567890", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775808", "-9223372036854775809", "1" * 4301])
+NUMBER_TEXTS = st.lists(NUMBER_PIECES | st.characters(codec="utf-8"), max_size=6).map("".join)
+
+
+def python_number(convert, text: str):
+    """("value", convert(text)) where that fits float64 or int64, else ("error",)."""
+    try:
+        value = convert(text)
+    except ValueError:
+        return ("error",)
+    if convert is int and not -2**63 <= value < 2**63:
+        return ("error",)
+    return ("value", repr(value))
+
+
+def numpy_numbers(dtype, texts: list[str]):
+    try:
+        return [("value", repr(value)) for value in np.array(texts, dtype=dtype).tolist()]
+    except (ValueError, OverflowError):
+        return ("error",)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.lists(NUMBER_TEXTS, min_size=1, max_size=4))
+def test_numpy_converts_number_text_as_int_and_float_do(texts):
+    # _column's fast path converts a whole column with np.array(texts, dtype):
+    # it must give int()'s and float()'s values and fail wherever they fail.
+    for dtype, convert in ((np.int64, int), (np.float64, float)):
+        expected = [python_number(convert, text) for text in texts]
+        assert numpy_numbers(dtype, texts) == (("error",) if ("error",) in expected else expected)
+
+
+# ------------------------------------------------------- the column companion
+
+ID_TEXTS = ["s1", "s,2", 's"3', "ü", " padded ", "x\x1cy", "😀", "a b", "'q'"]
+
+
+def same_log(a: EventLog, b: EventLog) -> bool:
+    """Equal in all seven fields, arrays in dtype and bytes."""
+    return (a.students, a.locations) == (b.students, b.locations) and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        for name in ("student", "location", "time", "amount", "spend"))
+
+
+def parsed(path) -> EventLog:
+    """The log of the CSV text at path, whatever lies beside it."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        return parse_events(handle)
+
+
+def ingest(directory: Path, rows, keep=()) -> Path:
+    """Write rows as a raw CSV in directory and ingest it to canonical.csv."""
+    raw = io.StringIO()
+    csv.writer(raw, lineterminator="\n").writerows([HEADER.strip().split(","), *rows])
+    (directory / "raw.csv").write_text(raw.getvalue(), encoding="utf-8")
+    out = directory / "canonical.csv"
+    argv = ["ingest", "--input", str(directory / "raw.csv"), "--output", str(out)]
+    assert main(argv + (["--keep-locations", ",".join(keep)] if keep else [])) == 0
+    return out
+
+
+EVENT_ROWS = st.lists(st.tuples(
+    st.sampled_from(ID_TEXTS), st.sampled_from([0, 1, 1, 1000, 86399, 253402300799]),
+    st.sampled_from(ID_TEXTS), st.sampled_from(KINDS),
+    st.sampled_from(["0", "-0.0", "1", "1.5", "0.1", "1e-300", "12345678.25"])), max_size=30)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(EVENT_ROWS, st.lists(st.sampled_from(ID_TEXTS), max_size=3))
+def test_companion_read_equals_the_parse_of_the_same_file(rows, keep):
+    # Duplicate rows and equal times come from the small value pools;
+    # recharges are filtered out, and --keep-locations drops some places.
+    rows = rows + rows[:3]
+    # --keep-locations is a comma-separated list, so it names no id with a comma.
+    keep = sorted({name.strip() for name in keep if "," not in name}
+                  & {row[2].strip() for row in rows})
+    with tempfile.TemporaryDirectory() as directory:
+        out = ingest(Path(directory), rows, keep)
+        companion = Path(f"{out}.columns")
+        assert companion.is_file()
+        with mock.patch.object(tieflow.events, "parse_events", no_parse):
+            log = parse_events_path(out)
+        companion.unlink()
+        assert same_log(log, parse_events_path(out))
+
+
+def no_parse(stream):
+    raise AssertionError("the companion was not read")
+
+
+def edit_companion(path: Path, header=None, column=None, value=None) -> None:
+    """Rewrite the companion of path with header edits, or with its first row's
+    value in the named column set to value."""
+    companion = Path(f"{path}.columns")
+    line, data = companion.read_bytes().split(b"\n", 1)
+    doc = json.loads(line)
+    doc.update(header or {})
+    if column is not None:
+        offset = 0
+        for name, dtype in tieflow.events._LAYOUT:
+            if name == column:
+                data = data[:offset] + np.array([value], dtype=dtype).tobytes() + data[
+                    offset + np.dtype(dtype).itemsize:]
+            offset += doc["rows"] * np.dtype(dtype).itemsize
+    companion.write_bytes(json.dumps(doc).encode() + b"\n" + data)
+
+
+ROWS_OF_THREE = [("s1", 1000, "caf", "spend", "1.5"), ("s2", 1060, "caf", "spend", "2"),
+                 ("s3", 5000, "shop", "spend", "7.25")]
+STALE = {
+    "one byte edited": lambda path: path.write_bytes(path.read_bytes().replace(b"7.25", b"7.35")),
+    "truncated": lambda path: Path(f"{path}.columns").write_bytes(
+        Path(f"{path}.columns").read_bytes()[:-1]),
+    "wrong rows": lambda path: edit_companion(path, header={"rows": 2}),
+    "code out of range": lambda path: edit_companion(path, column="student", value=3),
+    "negative code": lambda path: edit_companion(path, column="location", value=-1),
+    "nan amount": lambda path: edit_companion(path, column="amount", value=math.nan),
+    "unsorted ids": lambda path: edit_companion(path, header={"students": ["s2", "s1", "s3"]}),
+    "other layout": lambda path: edit_companion(path, header={"layout": "student:<i4"}),
+    "not json": lambda path: Path(f"{path}.columns").write_bytes(b"{\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE))
+def test_a_stale_or_damaged_companion_falls_back_to_the_parse(tmp_path, monkeypatch, case):
+    out = ingest(tmp_path, ROWS_OF_THREE)
+    size = out.stat().st_size
+    STALE[case](out)
+    assert out.stat().st_size == size
+    calls = []
+    monkeypatch.setattr(tieflow.events, "parse_events",
+                        lambda stream: calls.append(1) or parse_events(stream))
+    log = parse_events_path(out)
+    assert calls == [1]
+    assert same_log(log, parsed(out))
+    if case == "one byte edited":
+        assert log.amount.tolist() == [1.5, 2.0, 7.35]
+
+
+def test_companion_bytes_do_not_depend_on_where_ingest_runs(tmp_path):
+    first, second = tmp_path / "a", tmp_path / "elsewhere" / "b"
+    for directory in (first, second):
+        directory.mkdir(parents=True)
+    companions = [Path(f"{ingest(d, ROWS_OF_THREE)}.columns").read_bytes() for d in (first, second)]
+    assert companions[0] == companions[1]
+
+
+def test_synth_and_write_events_csv_write_no_companion(tmp_path):
+    assert main(["synth", "--students", "6", "--communities", "2", "--weeks", "1",
+                 "--output-dir", str(tmp_path)]) == 0
+    write_events_csv(parse(HEADER + "s1,1000,caf,spend,1\n"), tmp_path / "more.csv")
+    assert not list(tmp_path.glob("*.columns"))

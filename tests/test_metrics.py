@@ -11,17 +11,25 @@ from hypothesis import strategies as st
 from tieflow import metrics
 from tieflow.events import TimeRange
 from tieflow.ifs import CommunityAssignment
+from tieflow.synth import SyntheticConfig, default_category_map, generate
 from tieflow.metrics import (
     BehaviorProfile,
     behavior_profiles,
     modularity,
     partition_report,
-    shannon_entropy,
     variance_comparison,
 )
 from tieflow.tiedecay import NetworkSnapshot
 
-from oracles import double_sum_modularity, make_log, make_snapshot, reference_modularity
+from oracles import (
+    double_sum_modularity,
+    make_log,
+    make_snapshot,
+    reference_behavior_profiles,
+    reference_modularity,
+    reference_variance_comparison,
+    shannon_entropy,
+)
 
 
 def assignment(labels: dict, isolated=()) -> CommunityAssignment:
@@ -339,6 +347,56 @@ def test_recharge_events_ignored():
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
     assert profiles["s1"].times == 1
     assert profiles["s1"].amount == pytest.approx(5.0)
+
+
+EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+CATEGORIES = {"caf": "dining", "grill": "dining", "bath1": "bath", "bath2": "bath",
+              "kiosk": "shop", "gym": "other"}
+EVENT_ROWS = st.lists(st.tuples(
+    st.sampled_from(["s1", "s2", "s3", "s4"]),
+    st.integers(0, 3 * 7 * 86400) | st.sampled_from([5 * 3600, 10 * 3600 - 1, 21 * 3600]),
+    st.sampled_from(sorted(CATEGORIES)),
+    st.sampled_from(["spend", "spend", "spend", "recharge"]),
+    st.floats(0, 100, allow_nan=False) | st.sampled_from([0.1, 0.2, 1e-300, 7.0])),
+    max_size=120)
+
+
+@EXACT
+@given(EVENT_ROWS, st.integers(0, 7 * 86400))
+def test_profiles_equal_the_row_by_row_reference_exactly(rows, start):
+    log = make_log(rows)
+    semester = TimeRange(start, start + 2 * 7 * 86400)
+    got = behavior_profiles(log, CATEGORIES, semester)
+    assert got == reference_behavior_profiles(log, CATEGORIES, semester)
+    assert list(got) == list(log.students)
+
+
+def test_indicators_of_a_synthetic_semester_equal_the_references_exactly():
+    config = SyntheticConfig(n_students=60, n_communities=3, semester=TimeRange(0, 3 * 7 * 86400),
+                             intra_rate=3.0, inter_rate=0.2, jitter=60, seed=4)
+    log, truth = generate(config)
+    categories = default_category_map(config)
+    profiles = behavior_profiles(log, categories, config.semester)
+    assert profiles == reference_behavior_profiles(log, categories, config.semester)
+    assert variance_comparison(profiles, assignment(truth)) == reference_variance_comparison(
+        profiles, truth)
+
+
+@EXACT
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=60),
+       st.lists(st.integers(0, 5), max_size=60))
+def test_variance_comparison_equals_per_community_np_var_exactly(amounts, labels):
+    # Communities of up to 60 members: segments longer than 8 are summed pairwise.
+    profiles = {f"s{k:02d}": BehaviorProfile(x, k, k % 7, x / 3, 0.0, x * x, 1.5)
+                for k, x in enumerate(amounts)}
+    names = sorted(profiles, reverse=True)
+    labeled = {names[k % len(names)]: label for k, label in enumerate(labels)}
+    got = variance_comparison(profiles, assignment(labeled) if labeled else
+                              CommunityAssignment.from_names({}, names))
+    expected = reference_variance_comparison(profiles, labeled)
+    assert list(got) == list(expected)
+    for name in got:
+        assert [repr(v) for v in got[name]] == [repr(v) for v in expected[name]], name
 
 
 def test_active_days_bounded_by_semester_span():

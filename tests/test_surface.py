@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tieflow.events
 from tieflow import ifs
 from tieflow.cooccur import build_cooccurrence_graph
 from tieflow.events import parse_events_path
@@ -107,6 +108,22 @@ def test_sweep_records_a_detect_and_a_partition_span_per_fraction(planted_pipeli
     layers = measure.layer_metrics(tracer.spans)
     assert {"ifs.detect_s", "ifs.rounds", "ifs.coverage", "metrics.partition_s"} <= set(layers)
     assert layers["ifs.rounds"] == sum(a.rounds for a in direct)
+
+
+def test_a_companion_read_records_one_parse_span_of_the_log_rows(tmp_path, monkeypatch):
+    # Traced chains show where reading the column companion saves time only
+    # if the read is timed and counted as the parse it replaces.
+    for name in ("canonical.csv", "canonical.csv.columns"):
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    monkeypatch.setattr(tieflow.events, "parse_events", lambda stream: 1 / 0)  # no text parse
+    measure = load_measure()
+    tracer = measure.Tracer(run="pass.0")
+    with measure.instrument(tracer):
+        log = tieflow.events.parse_events_path(tmp_path / "canonical.csv")
+    assert [(span["name"], span["counts"]) for span in tracer.spans] == [
+        ("events.parse", {"rows_in": len(log)})]
+    assert len(log) == 6
+    assert measure.layer_metrics(tracer.spans)["events.rows_in"] == 6
 
 
 def test_no_module_level_function_caches():
