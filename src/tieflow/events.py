@@ -6,11 +6,11 @@ epoch seconds (UTC); ISO ``YYYY-MM-DDTHH:MM:SS`` is accepted on input and
 interpreted as UTC.
 
 ``write_canonical`` also writes a column companion, ``<csv>.columns``: one
-compact JSON header line (the CSV's byte length and sha256, the row count,
-the sorted student and location ids and the layout), then the log's columns
-as little-endian raw bytes in _LAYOUT order. ``parse_events_path`` reads the
-log from the companion while it matches the CSV's current bytes, and parses
-the CSV in every other case; the CSV stays the source of truth.
+compact JSON header line (the sha256 of the CSV and of the columns, the CSV's
+byte length, the row count, the sorted ids and the layout), then the log's
+columns as little-endian raw bytes in _LAYOUT order. ``parse_events_path``
+reads the log from the companion while both digests hold, and parses the
+CSV in every other case; the CSV stays the source of truth.
 """
 
 from __future__ import annotations
@@ -337,22 +337,23 @@ def _columns_path(path) -> str:
     return os.fspath(path) + ".columns"
 
 
-def _sha256(path) -> str:
+def _sha256(path=None, blocks=()) -> str:
+    """The hex sha256 of the bytes-like blocks, then of the file at path if given."""
     # hashlib maps OpenSSL, about 3.5 MB resident: imported only here, once a
     # parse has freed its text, so that ingest peaks no higher than before.
     import hashlib
 
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
+    with open(path, "rb") if path is not None else io.BytesIO() as handle:
+        for block in chain(blocks, iter(lambda: handle.read(1 << 20), b"")):
             digest.update(block)
     return digest.hexdigest()
 
 
 def _read_columns(path) -> EventLog | None:
     """The log that the column companion of the CSV file at path holds, or
-    None unless the companion exists, whole, describes the file's current
-    bytes and holds ids and values that the parser accepts."""
+    None unless the companion exists, whole, matches the file's current bytes
+    and its own column digest, and holds ids and values that the parser accepts."""
     try:
         with open(_columns_path(path), "rb") as handle:
             header = json.loads(handle.readline())
@@ -362,6 +363,7 @@ def _read_columns(path) -> EventLog | None:
             return None
         sizes = [rows * np.dtype(dtype).itemsize for _, dtype in _LAYOUT]
         if (len(data) != sum(sizes) or os.path.getsize(path) != header["csv_bytes"]
+                or _sha256(blocks=[data]) != header["columns_sha256"]
                 or _sha256(path) != header["sha256"]):
             return None
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
@@ -430,10 +432,11 @@ def write_canonical(log: EventLog, path) -> None:
     """write_events_csv, then the column companion beside the CSV that lets
     parse_events_path read log back without parsing the text."""
     write_events_csv(log, path)
+    # The columns as arrays in file layout: views of the log's, not copies, where it matches.
+    columns = [np.ascontiguousarray(getattr(log, name), dtype) for name, dtype in _LAYOUT]
     header = {"csv_bytes": os.path.getsize(path), "sha256": _sha256(path), "rows": len(log),
-              "layout": _LAYOUT_TAG, "students": list(log.students),
-              "locations": list(log.locations)}
+              "columns_sha256": _sha256(blocks=columns), "layout": _LAYOUT_TAG,
+              "students": list(log.students), "locations": list(log.locations)}
     with open(_columns_path(path), "wb") as handle:
         handle.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + b"\n")
-        for name, dtype in _LAYOUT:
-            handle.write(getattr(log, name).astype(dtype).tobytes())
+        handle.writelines(columns)

@@ -63,8 +63,8 @@ class CommunityAssignment:
     ``steps`` lists the cascade's (round, node index) labelings in draw order.
 
     The name-keyed views ``labels``, ``isolated`` and ``trace`` (round, node,
-    label) are built on first use; ``labels`` lists the traced nodes first,
-    then the others by label and node id.
+    label) are built on first use; ``labels`` lists the labeled nodes in node
+    index order. Assignments compare by identity, as ``codes`` is an array.
     """
 
     nodes: tuple[str, ...]
@@ -75,11 +75,11 @@ class CommunityAssignment:
     steps: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def from_names(cls, labels: dict[str, int], isolated=(), origin_of=None, rounds: int = 0,
-                   trace=(), nodes=None) -> "CommunityAssignment":
-        """The assignment of a node -> label map over ``nodes`` (by default the
-        labeled and isolated nodes, sorted); nodes it does not label are isolated."""
-        nodes = tuple(sorted({*labels, *isolated}) if nodes is None else nodes)
+    def from_names(cls, labels: dict[str, int], nodes: Sequence[str], origin_of=None,
+                   rounds: int = 0, trace=()) -> "CommunityAssignment":
+        """The assignment of a node -> label map over ``nodes``, a sorted
+        sequence of node ids; the nodes it does not label are isolated."""
+        nodes = tuple(nodes)
         index = {node: i for i, node in enumerate(nodes)}
         values = tuple(sorted(set(labels.values())))
         number = {label: k for k, label in enumerate(values)}
@@ -90,17 +90,10 @@ class CommunityAssignment:
         return cls(nodes, codes, values, dict(origin_of or {}), rounds,
                    tuple((r, index[node]) for r, node, _ in trace))
 
-    def __eq__(self, other) -> bool:  # field by field: codes is an array
-        return (isinstance(other, CommunityAssignment) and np.array_equal(self.codes, other.codes)
-                and (self.nodes, self.values, self.origin_of, self.rounds, self.steps)
-                == (other.nodes, other.values, other.origin_of, other.rounds, other.steps))
-
     @cached_property
     def labels(self) -> dict[str, int]:
-        order, codes = [j for _, j in self.steps], self.codes.tolist()
-        rest = np.setdiff1d(np.flatnonzero(self.codes >= 0), order, assume_unique=True)
-        order += sorted(rest.tolist(), key=codes.__getitem__)  # stable: by code, then index
-        return {self.nodes[j]: self.values[codes[j]] for j in order}
+        nodes, values, codes = self.nodes, self.values, self.codes.tolist()
+        return {nodes[j]: values[codes[j]] for j in np.flatnonzero(self.codes >= 0).tolist()}
 
     @cached_property
     def isolated(self) -> frozenset[str]:
@@ -126,12 +119,6 @@ def _origin_count(pr: PageRankVector, epsilon: float) -> int:
     if len(pr) == 0:
         raise ValueError("PageRank vector is empty")
     return max(1, math.floor(epsilon * len(pr)))
-
-
-def select_origins(pr: PageRankVector, epsilon: float) -> tuple[str, ...]:
-    """The names of the cascade's origins: the top floor(epsilon * S) ranked
-    nodes (at least one), in descending PageRank; origin k seeds label k + 1."""
-    return pr.ranking[:_origin_count(pr, epsilon)]
 
 
 def _probability(w: np.ndarray, out_strength: np.ndarray, beta: float) -> np.ndarray:

@@ -60,7 +60,10 @@ def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = 
     directed=False is the classic undirected weighted form on the symmetrized
     adjacency w_ij + w_ji. Halved, that adjacency has the same total and the
     same intra-community weights, and out- and in-strength both (out + in) / 2.
+    The assignment must cover the snapshot's own node tuple, or an equal one.
     """
+    if a.nodes is not s.nodes and a.nodes != s.nodes:  # codes index the snapshot's nodes
+        raise ValueError("snapshot and assignment cover different node sets")
     total = s.total_weight
     if total <= 0:
         raise ValueError("snapshot has zero total weight")
@@ -69,10 +72,6 @@ def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = 
         out_strength = in_strength = (out_strength + in_strength) / 2
 
     codes = a.codes
-    if a.nodes is not s.nodes and a.nodes != s.nodes:  # an assignment over another node list
-        labeled = np.flatnonzero(codes >= 0)
-        codes = np.full(len(s.nodes), -1)
-        codes[[s.index[a.nodes[i]] for i in labeled.tolist()]] = a.codes[labeled]
     # Members by (community, node id), and their rows' entries in (community,
     # src, dst) order: the orders a submatrix sum adds them in.
     labeled = np.flatnonzero(codes >= 0)

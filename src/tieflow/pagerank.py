@@ -35,8 +35,8 @@ class WalkParams:
 @dataclass(frozen=True, eq=False)
 class PageRankVector:
     """Scores by node index: values[i] is the score of nodes[i], and ``nodes``
-    is the snapshot's sorted tuple, the same object. ``order``, ``scores``
-    (node -> score, in node order) and ``ranking`` are views built on first use."""
+    is the snapshot's sorted tuple, the same object. ``order`` and ``scores``
+    (node -> score, in node order) are views built on first use."""
 
     nodes: tuple[str, ...]
     values: np.ndarray
@@ -56,12 +56,6 @@ class PageRankVector:
     @cached_property
     def scores(self) -> dict[str, float]:
         return dict(zip(self.nodes, self.values.tolist()))
-
-    @cached_property
-    def ranking(self) -> tuple[str, ...]:
-        """Nodes in descending score order; ties broken by ascending node id."""
-        nodes = self.nodes
-        return tuple(nodes[i] for i in self.order.tolist())
 
 
 def pagerank(s: NetworkSnapshot, params: WalkParams = WalkParams()) -> PageRankVector:

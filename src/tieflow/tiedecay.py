@@ -64,10 +64,6 @@ class NetworkSnapshot:
                              else "edge weight must be finite, not NaN or infinite")
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
-    @cached_property
     def row_offsets(self) -> np.ndarray:
         """Node i's entries are row_offsets[i]:row_offsets[i + 1]."""
         return np.searchsorted(self.src, np.arange(len(self.nodes) + 1))

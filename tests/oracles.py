@@ -5,28 +5,30 @@ full-list greedy matching, exhaustive enumeration, augmenting-path
 matching, dense eigensolves, power iteration over the entries in transposed
 order, explicit ODE integration, literal double sums, modularity from one
 entry mask per community, the cascade keyed by node name, co-visit
-placement by a scan of (time, tag) tuples, node ranking by a key sort,
-node degrees by counting edge endpoints, behavior indicators from one slot
-Counter per student and group, and variances by np.var per community. None
-of it shares code with the package, except that the reference parser uses
-its time parser and error type, the reference profiles its meal windows,
-BehaviorProfile and INDICATORS, the reference cascade its origin selection,
-CommunityAssignment.from_names and, through `propagation_probability` (the
-checked scalar-or-array form of the cascade's `_probability`, which only
-tests call), its propagation probabilities, the reference cascade,
-modularity and transposed PageRank the snapshot's out-strength (whose
-summation order the pinned artifacts fix), and the reference placement its
-mixed tag and retry budget; the other package classes used are EventLog,
-CooccurrenceGraph, NetworkSnapshot and PageRankVector, which `make_log`,
-`make_cooccurrence`, `make_snapshot` and `make_ranking` build for the tests
-through the constructors production uses, and which the oracles read only
-through their arrays
+placement by a scan of (time, tag) tuples, node ranking and the cascade's
+origins by a key sort, node degrees by counting edge endpoints, behavior
+indicators from one slot Counter per student and group, and variances by
+np.var per community. None of it shares code with the package, except that
+the reference parser uses its time parser and error type, the reference
+profiles its meal windows, BehaviorProfile and INDICATORS, the reference
+cascade CommunityAssignment.from_names and, through
+`propagation_probability` (the checked scalar-or-array form of the
+cascade's `_probability`, which only tests call), its propagation
+probabilities, the reference cascade, modularity and transposed PageRank
+the snapshot's out-strength (whose summation order the pinned artifacts
+fix), and the reference placement its mixed tag and retry budget; the
+other package classes used are EventLog, CooccurrenceGraph, NetworkSnapshot
+and PageRankVector, which `make_log`, `make_cooccurrence`, `make_snapshot`
+and `make_ranking` build for the tests through the constructors production
+uses, and which the oracles read only through their arrays
 (`reference_degrees` through the `edges` mapping built from them).
 `kernel_edge_weight` is no oracle: it is the tests' way into the production
-decay kernel. `masked_decay_sums` is the kernel's earlier formula, over the
-events in the graph's slot order rather than sorted by time, kept to check
-that reading only the live prefix of the time index leaves every weight's
-bits unchanged.
+decay kernel. Nor are `ranking`, the names of a PageRank result's order,
+and `same_assignment`, which compares two assignments field by field.
+`masked_decay_sums` is the kernel's earlier formula, over the events in the
+graph's slot order rather than sorted by time, kept to check that reading
+only the live prefix of the time index leaves every weight's bits
+unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from scipy.integrate import odeint
 
 from tieflow.cooccur import CooccurrenceGraph
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
-from tieflow.ifs import CommunityAssignment, _probability, select_origins
+from tieflow.ifs import CommunityAssignment, _probability
 from tieflow.metrics import INDICATORS, MEALS, BehaviorProfile
 from tieflow.pagerank import PageRankVector
 from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
@@ -378,9 +380,22 @@ def transposed_pagerank(s, damping: float = 0.85, tolerance: float = 1e-10,
 
 
 def reference_rank_nodes(scores: dict) -> list[str]:
-    """PageRankVector.ranking as one key sort of {node: score}: descending
-    score, then ascending node id."""
+    """The PageRank order by name, as one key sort of {node: score}:
+    descending score, then ascending node id."""
     return sorted(scores, key=lambda node: (-scores[node], node))
+
+
+def ranking(pr: PageRankVector) -> tuple[str, ...]:
+    """The names of a PageRank result's nodes in its ``order``; no oracle,
+    the tests' name view of the production order."""
+    return tuple(pr.nodes[i] for i in pr.order.tolist())
+
+
+def reference_origins(pr: PageRankVector, epsilon: float) -> list[str]:
+    """The cascade's origins by name: the top floor(epsilon * S) of the S
+    nodes in reference_rank_nodes order, and at least one."""
+    ranked = reference_rank_nodes(pr.scores)
+    return ranked[:max(1, math.floor(epsilon * len(ranked)))]
 
 
 # -------------------------------------------------------------- modularity
@@ -521,15 +536,15 @@ def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:
     round's new relays merged into re-sorted transmitter lists."""
     if set(pr.scores) != set(s.nodes):
         raise ValueError("snapshot and PageRank cover different node sets")
-    origin_label = {origin: k for k, origin in enumerate(select_origins(pr, epsilon), start=1)}
+    origin_label = {origin: k for k, origin in enumerate(reference_origins(pr, epsilon), start=1)}
 
     edge_probability = propagation_probability(s.weights, s.out_strength[s.src], params.beta)
-    offsets = s.row_offsets
+    offsets, index = s.row_offsets, {node: i for i, node in enumerate(s.nodes)}
 
     @functools.cache
     def attempts_from(node: str) -> list[tuple[str, float]]:
         """(destination, probability) per out-edge, in ascending node id."""
-        start, stop = offsets[s.index[node]], offsets[s.index[node] + 1]
+        start, stop = offsets[index[node]], offsets[index[node] + 1]
         return list(zip([s.nodes[j] for j in s.dst[start:stop].tolist()],
                         edge_probability[start:stop].tolist()))
 
@@ -560,19 +575,24 @@ def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:
         if new_count == 0 or len(labels) == non_origin_count:
             break
 
+    # An origin that labeled no node stays unlabeled, so isolated.
     member_counts = {label: 0 for label in origin_label.values()}
     for label in labels.values():
         member_counts[label] += 1
-    isolated = set()
     origin_of: dict[int, str] = {}
     for origin, label in origin_label.items():
         if member_counts[label] > 0:
             labels[origin] = label
             origin_of[label] = origin
-        else:
-            isolated.add(origin)
-    isolated.update(node for node in s.nodes if node not in labels)
-    return CommunityAssignment.from_names(labels, isolated, origin_of, rounds_run, trace)
+    return CommunityAssignment.from_names(labels, s.nodes, origin_of, rounds_run, trace)
+
+
+def same_assignment(a: CommunityAssignment, b: CommunityAssignment) -> bool:
+    """Whether two assignments hold equal fields, their code arrays compared
+    element by element (an assignment itself compares by identity)."""
+    return (np.array_equal(a.codes, b.codes)
+            and (a.nodes, a.values, a.origin_of, a.rounds, a.steps)
+            == (b.nodes, b.values, b.origin_of, b.rounds, b.steps))
 
 
 # --------------------------------------------------------------------- BFS

@@ -38,14 +38,24 @@ JSON_VALUES = st.recursive(
 
 
 @st.composite
-def mutated_text(draw, text: str) -> str:
-    """Up to three splices: a slice of at most 20 characters replaced by up
-    to 8 drawn ones."""
+def mutated_text(draw, text, pieces=st.text(ALPHABET, max_size=8)):
+    """Up to three splices: a slice of at most 20 characters (or bytes)
+    replaced by a drawn piece, by default up to 8 characters."""
     for _ in range(draw(st.integers(1, 3))):
         start = draw(st.integers(0, len(text)))
         stop = draw(st.integers(start, min(len(text), start + 20)))
-        text = text[:start] + draw(st.text(ALPHABET, max_size=8)) + text[stop:]
+        text = text[:start] + draw(pieces) + text[stop:]
     return text
+
+
+@st.composite
+def flipped(draw, data: bytes) -> bytes:
+    """One to three bytes after the first line XORed with a nonzero mask: a
+    column file's values change, and its header and length hold."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        data[draw(st.integers(data.index(b"\n") + 1, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
 
 
 def _slots(node):
@@ -135,6 +145,35 @@ def test_mutated_artifact_never_crashes(workdir, artifact):
             shutil.copyfile(GOLDEN / artifact, path)
 
     check()
+
+
+COLUMNS = "canonical.csv.columns"
+
+
+@FUZZ
+@given(data=mutated_text((GOLDEN / COLUMNS).read_bytes(), st.binary(max_size=8))
+       | flipped((GOLDEN / COLUMNS).read_bytes()))
+def test_mutated_column_companion_reads_as_its_csv(workdir, monkeypatch, data):
+    # The companion's bytes never change what a command reads from the CSV:
+    # build and evaluate either refuse the input or write the golden bytes.
+    monkeypatch.chdir(workdir)  # relative paths, as the golden chain's parameters hold
+    # golden artifact -> the command that reads the companion, and what it writes
+    reads = {
+        "graph/tie_graph.json": (
+            ["build", "--events", "canonical.csv", "--output-dir", "fuzzgraph"],
+            "fuzzgraph/tie_graph.json"),
+        "report.json": (["evaluate", "--graph", "graph/tie_graph.json", "--communities",
+                         "communities.json", "--events", "canonical.csv", "--categories",
+                         "categories.json", "--output", "fuzzreport.json"], "fuzzreport.json"),
+    }
+    (workdir / COLUMNS).write_bytes(data)
+    try:
+        for golden, (argv, written) in reads.items():
+            (workdir / written).unlink(missing_ok=True)
+            if run(workdir, argv) != 2:
+                assert (workdir / written).read_bytes() == (GOLDEN / golden).read_bytes(), argv
+    finally:
+        shutil.copyfile(GOLDEN / COLUMNS, workdir / COLUMNS)
 
 
 SYNTH = ["synth", "--students", "6", "--communities", "2", "--intra-rate", "2",

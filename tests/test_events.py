@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -543,13 +544,14 @@ def no_parse(stream):
     raise AssertionError("the companion was not read")
 
 
-def edit_companion(path: Path, header=None, column=None, value=None) -> None:
+def edit_companion(path: Path, header=None, column=None, value=None, digest=True) -> None:
     """Rewrite the companion of path with header edits, or with its first row's
-    value in the named column set to value."""
+    value in the named column set to value. With digest, the header's column
+    digest is made to match the new bytes, so that the edit reaches the
+    reader's value checks; without, the header stays as it was."""
     companion = Path(f"{path}.columns")
     line, data = companion.read_bytes().split(b"\n", 1)
     doc = json.loads(line)
-    doc.update(header or {})
     if column is not None:
         offset = 0
         for name, dtype in tieflow.events._LAYOUT:
@@ -557,6 +559,9 @@ def edit_companion(path: Path, header=None, column=None, value=None) -> None:
                 data = data[:offset] + np.array([value], dtype=dtype).tobytes() + data[
                     offset + np.dtype(dtype).itemsize:]
             offset += doc["rows"] * np.dtype(dtype).itemsize
+        if digest:
+            doc["columns_sha256"] = hashlib.sha256(data).hexdigest()
+    doc.update(header or {})
     companion.write_bytes(json.dumps(doc).encode() + b"\n" + data)
 
 
@@ -570,6 +575,9 @@ STALE = {
     "code out of range": lambda path: edit_companion(path, column="student", value=3),
     "negative code": lambda path: edit_companion(path, column="location", value=-1),
     "nan amount": lambda path: edit_companion(path, column="amount", value=math.nan),
+    "time edited, header unchanged": lambda path: edit_companion(path, column="time", value=1030,
+                                                                 digest=False),
+    "column digest edited": lambda path: edit_companion(path, header={"columns_sha256": "0" * 64}),
     "unsorted ids": lambda path: edit_companion(path, header={"students": ["s2", "s1", "s3"]}),
     "other layout": lambda path: edit_companion(path, header={"layout": "student:<i4"}),
     "not json": lambda path: Path(f"{path}.columns").write_bytes(b"{\n"),
@@ -590,6 +598,7 @@ def test_a_stale_or_damaged_companion_falls_back_to_the_parse(tmp_path, monkeypa
     assert same_log(log, parsed(out))
     if case == "one byte edited":
         assert log.amount.tolist() == [1.5, 2.0, 7.35]
+    assert log.time.tolist() == [1000, 1060, 5000]
 
 
 def test_companion_bytes_do_not_depend_on_where_ingest_runs(tmp_path):

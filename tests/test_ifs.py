@@ -19,7 +19,6 @@ from tieflow.ifs import (
     assignment_to_doc,
     detect_communities,
     read_assignment_json,
-    select_origins,
     sweep_epsilon,
     write_assignment_json,
 )
@@ -30,7 +29,13 @@ from tieflow.synth import SyntheticConfig, generate
 from tieflow.tiedecay import DEFAULT_HALF_LIFE, DecayParams, NetworkSnapshot, snapshot_at
 
 import oracles
-from oracles import make_ranking, make_snapshot, propagation_probability, rank_priority_bfs
+from oracles import (
+    make_ranking,
+    make_snapshot,
+    propagation_probability,
+    rank_priority_bfs,
+    same_assignment,
+)
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:
@@ -45,53 +50,71 @@ def uniform_scores(nodes, top=()) -> PageRankVector:
 # ------------------------------------------------------------- origins
 
 
+def cycle_cascade(pr: PageRankVector, epsilon: float) -> tuple[CommunityAssignment, set]:
+    """detect_communities on the directed cycle over pr's nodes, and its
+    origins: each edge is its source's only out-edge, so every try succeeds
+    and every node but the origins is labeled."""
+    nodes = pr.nodes
+    snap = make_snapshot(dict.fromkeys(zip(nodes, nodes[1:] + nodes[:1]), 1.0), nodes)
+    a = detect_communities(snap, pr, epsilon, FlowParams())
+    return a, set(nodes).difference(snap.nodes[j] for _, j in a.steps)
+
+
 def test_top_fraction_selected():
     pr = uniform_scores([f"n{i}" for i in range(10)], top=["n3", "n7"])
-    assert select_origins(pr, 0.2) == ("n3", "n7")
+    assert ifs._origin_count(pr, 0.2) == 2
+    a, origins = cycle_cascade(pr, 0.2)
+    assert origins == {"n3", "n7"} and a.origin_of == {1: "n3", 2: "n7"}
 
 
 def test_full_selection():
     pr = uniform_scores([f"n{i}" for i in range(10)])
-    assert len(select_origins(pr, 1.0)) == 10
+    assert ifs._origin_count(pr, 1.0) == 10
+    assert cycle_cascade(pr, 1.0)[1] == set(pr.nodes)
 
 
 def test_floor_rule():
     pr = uniform_scores([f"n{i}" for i in range(7)])
-    assert len(select_origins(pr, 0.5)) == 3  # floor(3.5)
+    assert ifs._origin_count(pr, 0.5) == 3  # floor(3.5)
+    assert cycle_cascade(pr, 0.5)[1] == {"n0", "n1", "n2"}  # tied: by node id
 
 
 def test_at_least_one_origin():
     pr = uniform_scores(["a", "b", "c"])
-    assert len(select_origins(pr, 0.01)) == 1
+    assert ifs._origin_count(pr, 0.01) == 1
+    assert cycle_cascade(pr, 0.01)[1] == {"a"}
 
 
 def test_epsilon_bounds():
     pr = uniform_scores(["a", "b"])
-    with pytest.raises(ValueError):
-        select_origins(pr, 0.0)
-    with pytest.raises(ValueError):
-        select_origins(pr, 1.5)
+    snap = make_snapshot({("a", "b"): 1.0}, pr.nodes)
+    for epsilon in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\]$"):
+            ifs._origin_count(pr, epsilon)
+        with pytest.raises(ValueError, match=r"^epsilon must lie in \(0, 1\]$"):
+            detect_communities(snap, pr, epsilon, FlowParams())
 
 
 def test_empty_vector_rejected():
     empty = make_ranking({})
-    with pytest.raises(ValueError):
-        select_origins(empty, 0.5)
+    with pytest.raises(ValueError, match="^PageRank vector is empty$"):
+        ifs._origin_count(empty, 0.5)
+    with pytest.raises(ValueError, match="^PageRank vector is empty$"):
+        detect_communities(make_snapshot({}, []), empty, 0.5, FlowParams())
 
 
 @pytest.mark.parametrize("epsilon, count", [(0.01, 1), (0.3, 3), (0.35, 3), (1.0, 10)])
 def test_cascade_origins_are_select_origins(epsilon, count):
-    # On a directed cycle each edge is its source's only out-edge, so every
-    # try succeeds and every node but the origins is labeled.
+    # The origins production selects are the reference's, by name, at the
+    # floor and at-least-one counts, with ties in score three nodes wide.
     nodes = [f"n{i}" for i in range(10)]
-    snap = make_snapshot(dict.fromkeys(zip(nodes, nodes[1:] + nodes[:1]), 1.0), nodes)
     shuffled = random.Random(5).sample(nodes, len(nodes))
     pr = make_ranking({node: 1.0 / (1 + rank // 3) for rank, node in enumerate(shuffled)})
-    origins = select_origins(pr, epsilon)
-    assert len(origins) == count
-    a = detect_communities(snap, pr, epsilon, FlowParams())
-    assert set(nodes).difference(snap.nodes[j] for _, j in a.steps) == set(origins)
-    assert a.origin_of == {k: origins[k - 1] for k in a.values}
+    expected = oracles.reference_origins(pr, epsilon)
+    assert len(expected) == ifs._origin_count(pr, epsilon) == count
+    a, origins = cycle_cascade(pr, epsilon)
+    assert origins == set(expected)
+    assert a.origin_of == {k: expected[k - 1] for k in a.values}
 
 
 # --------------------------------------------------------- probability
@@ -219,7 +242,7 @@ def test_fixed_seed_is_reproducible():
     pr = pagerank(snap)
     first = detect_communities(snap, pr, 0.2, FlowParams(seed=99))
     second = detect_communities(snap, pr, 0.2, FlowParams(seed=99))
-    assert first == second
+    assert same_assignment(first, second)
 
 
 def random_weighted_snapshot(rng, n, density=0.12) -> NetworkSnapshot:
@@ -239,12 +262,13 @@ def test_detected_partition_equals_and_scores_as_its_name_rebuild(seed, epsilon,
     snap = random_weighted_snapshot(rng, rng.randrange(2, 60), density=rng.choice([0.03, 0.12]))
     pr = pagerank(snap)
     detected = detect_communities(snap, pr, epsilon, FlowParams(seed=seed, beta=beta, relay=relay))
-    rebuilt = CommunityAssignment.from_names(detected.labels, detected.isolated, detected.origin_of,
-                                             detected.rounds, detected.trace)
-    assert rebuilt == detected
-    # The labels view lists the traced nodes in draw order, then the origins by label.
-    traced = [node for _, node, _ in detected.trace]
-    assert list(detected.labels) == traced + list(detected.origin_of.values())
+    # Rebuilt over an equal node tuple that is another object.
+    rebuilt = CommunityAssignment.from_names(detected.labels, tuple(list(snap.nodes)),
+                                             detected.origin_of, detected.rounds, detected.trace)
+    assert rebuilt.nodes is not snap.nodes and same_assignment(rebuilt, detected)
+    # The labels view lists the labeled nodes in node index order.
+    assert list(detected.labels) == [node for node in snap.nodes if node in detected.labels]
+    assert detected.isolated == set(snap.nodes).difference(detected.labels)
     if snap.total_weight > 0:
         for directed in (True, False):
             assert (metrics.modularity(snap, detected, directed)
@@ -261,7 +285,7 @@ def test_no_node_labeled_twice_and_origins_keep_own_labels():
         assignment = detect_communities(snap, pr, 0.3, FlowParams(seed=rng.randrange(1000)))
         seen = [node for _, node, _ in assignment.trace]
         assert len(seen) == len(set(seen))
-        for label, origin in enumerate(select_origins(pr, 0.3), start=1):
+        for label, origin in enumerate(oracles.reference_origins(pr, 0.3), start=1):
             if origin in assignment.labels:
                 assert assignment.labels[origin] == label
 
@@ -329,7 +353,7 @@ def test_deterministic_probabilities_match_bfs_oracle():
         n = rng.randrange(4, 101)
         snap = functional_snapshot(rng, n)
         pr = pagerank(snap)
-        origins = select_origins(pr, 0.2)
+        origins = oracles.reference_origins(pr, 0.2)
         assignment = detect_communities(snap, pr, 0.2, FlowParams(seed=trial))
         out_edges: dict = {}
         for src, dst, _ in snap.edges():
@@ -396,7 +420,8 @@ def test_cascade_matches_name_keyed_reference(monkeypatch, cascade_graphs, graph
                 assert (mine_rngs[-1].draws == 0) == (epsilon == 1.0), case
                 if max_rounds == 100:
                     full_rounds = mine.rounds
-                    isolated_origins += len(mine.isolated.intersection(select_origins(pr, epsilon)))
+                    isolated_origins += len(mine.isolated.intersection(
+                        oracles.reference_origins(pr, epsilon)))
                 else:
                     cut_while_running += full_rounds > 2
     assert graph == "planted" or isolated_origins > 0
@@ -486,7 +511,8 @@ def test_ranking_over_an_equal_node_tuple_is_accepted():
     assert equal.nodes is not snap.nodes and equal.nodes == snap.nodes
     for epsilon in (0.1, 0.5):
         mine = detect_communities(snap, equal, epsilon, FlowParams(seed=4))
-        assert mine.labels and mine == detect_communities(snap, pr, epsilon, FlowParams(seed=4))
+        assert mine.labels and same_assignment(
+            mine, detect_communities(snap, pr, epsilon, FlowParams(seed=4)))
     other = PageRankVector(snap.nodes[:-1] + (snap.nodes[-1] + "x",), pr.values, 1, True)
     with pytest.raises(ValueError, match="^snapshot and PageRank cover different node sets$"):
         detect_communities(snap, other, 0.5, FlowParams())

@@ -28,13 +28,15 @@ from oracles import (
     reference_behavior_profiles,
     reference_modularity,
     reference_variance_comparison,
+    same_assignment,
     shannon_entropy,
 )
 
 
-def assignment(labels: dict, isolated=()) -> CommunityAssignment:
+def assignment(labels: dict, nodes) -> CommunityAssignment:
+    """The assignment of labels over nodes, the others isolated."""
     origin_of = {label: min(n for n, l in labels.items() if l == label) for label in set(labels.values())}
-    return CommunityAssignment.from_names(labels, isolated, origin_of, rounds=1)
+    return CommunityAssignment.from_names(labels, nodes, origin_of, rounds=1)
 
 
 # ----------------------------------------------------------- modularity
@@ -42,7 +44,7 @@ def assignment(labels: dict, isolated=()) -> CommunityAssignment:
 
 def test_mutual_pair_single_community_is_zero():
     snap = make_snapshot({("a", "b"): 2.0, ("b", "a"): 2.0}, ["a", "b"])
-    a = assignment({"a": 1, "b": 1})
+    a = assignment({"a": 1, "b": 1}, snap.nodes)
     value = modularity(snap, a)
     assert value == pytest.approx(0.0, abs=1e-15)
     assert value == pytest.approx(double_sum_modularity(snap, a.labels), abs=1e-15)
@@ -53,7 +55,7 @@ def test_two_disjoint_mutual_pairs_score_half():
         {("a", "b"): 1.0, ("b", "a"): 1.0, ("c", "d"): 1.0, ("d", "c"): 1.0},
         ["a", "b", "c", "d"],
     )
-    a = assignment({"a": 1, "b": 1, "c": 2, "d": 2})
+    a = assignment({"a": 1, "b": 1, "c": 2, "d": 2}, snap.nodes)
     value = modularity(snap, a)
     assert value == pytest.approx(0.5, abs=1e-15)
     assert value == pytest.approx(double_sum_modularity(snap, a.labels), abs=1e-15)
@@ -63,7 +65,7 @@ def test_singleton_partition_never_positive():
     rng = random.Random(1)
     snap = random_snapshot(rng, 12)
     labels = {node: i for i, node in enumerate(snap.nodes)}
-    assert modularity(snap, assignment(labels)) <= 0.0
+    assert modularity(snap, assignment(labels, snap.nodes)) <= 0.0
 
 
 def random_snapshot(rng, n, density=0.25) -> NetworkSnapshot:
@@ -87,7 +89,7 @@ def test_matches_double_sum_oracle_on_random_graphs():
         labels = {node: rng.randrange(k) for node in snap.nodes}
         if rng.random() < 0.3:  # leave some nodes unlabeled
             labels = {node: label for node, label in labels.items() if rng.random() < 0.7}
-        a = assignment(labels) if labels else CommunityAssignment.from_names({})
+        a = assignment(labels, snap.nodes)
         mine = modularity(snap, a)
         reference = double_sum_modularity(snap, labels) if labels else 0.0
         assert mine == pytest.approx(reference, abs=1e-12)
@@ -99,7 +101,7 @@ def test_undirected_variant_matches_symmetrized_oracle():
     for _ in range(10):
         snap = random_snapshot(rng, 15)
         labels = {node: rng.randrange(3) for node in snap.nodes}
-        mine = modularity(snap, assignment(labels), directed=False)
+        mine = modularity(snap, assignment(labels, snap.nodes), directed=False)
         reference = double_sum_modularity(snap, labels, directed=False)
         assert mine == pytest.approx(reference, abs=1e-12)
 
@@ -117,7 +119,8 @@ def test_full_labelings_match_networkx_directed_modularity():
         communities = [{node for node in labels if labels[node] == label}
                        for label in set(labels.values())]
         reference = nx.community.modularity(graph, communities, weight="weight")
-        assert modularity(snap, assignment(labels)) == pytest.approx(reference, abs=1e-12)
+        mine = modularity(snap, assignment(labels, snap.nodes))
+        assert mine == pytest.approx(reference, abs=1e-12)
 
 
 def test_segment_sums_equal_np_sum_of_each_segment_exactly():
@@ -152,18 +155,33 @@ def test_index_partition_scores_equal_its_name_rebuild(seed, drawn):
     rng = random.Random(seed)
     snap = random_snapshot(rng, len(drawn), density=rng.choice([0.1, 0.4]))
     labels = {node: label for node, label in zip(snap.nodes, drawn) if label is not None}
-    own = CommunityAssignment.from_names(labels, nodes=snap.nodes)  # the snapshot's tuple
-    rebuilt = CommunityAssignment.from_names(labels, set(snap.nodes) - set(labels))  # an equal one
-    labeled_only = CommunityAssignment.from_names(labels)  # another node list, unless all labeled
-    assert own == rebuilt and own.labels == labels and own.isolated == set(snap.nodes) - set(labels)
+    own = CommunityAssignment.from_names(labels, snap.nodes)  # the snapshot's tuple
+    rebuilt = CommunityAssignment.from_names(labels, tuple(sorted(snap.nodes)))  # an equal one
+    assert own.nodes is snap.nodes and rebuilt.nodes is not snap.nodes
+    assert same_assignment(own, rebuilt) and own.labels == labels
+    assert own.isolated == set(snap.nodes) - set(labels)
     for directed in (True, False):
         assert (modularity(snap, own, directed) == modularity(snap, rebuilt, directed)
-                == modularity(snap, labeled_only, directed)
                 == reference_modularity(snap, labels, directed))
     report = partition_report(snap, own)
     assert report == partition_report(snap, rebuilt)
     assert report.community_count == len(set(labels.values()))
     assert report.isolated_count == len(snap.nodes) - len(labels)
+
+
+@pytest.mark.parametrize("nodes", [("a", "b"), ("a", "b", "c", "d"), ("a", "b", "x")],
+                         ids=["labeled-only", "one-more", "one-id-differs"])
+def test_an_assignment_over_another_node_tuple_is_rejected(nodes):
+    # Codes index the snapshot's nodes: production passes the snapshot's own
+    # tuple, and a library caller's other tuple is an error, not a remap.
+    snap = make_snapshot({("a", "b"): 1.0, ("b", "c"): 2.0}, ["a", "b", "c"])
+    a = assignment({"a": 1, "b": 1}, nodes)
+    mismatch = "^snapshot and assignment cover different node sets$"
+    for directed in (True, False):
+        with pytest.raises(ValueError, match=mismatch):
+            modularity(snap, a, directed)
+        with pytest.raises(ValueError, match=mismatch):
+            partition_report(snap, a, directed)
 
 
 def test_modularity_equals_per_community_reference_exactly():
@@ -180,7 +198,7 @@ def test_modularity_equals_per_community_reference_exactly():
             labels.update((node, 100 + k) for k, node in enumerate(nodes[: len(nodes) // 3]))
         kinds.add((len(labels) < len(nodes), 1 in Counter(labels.values()).values()))
         for directed in (True, False):
-            assert (modularity(snap, assignment(labels), directed)
+            assert (modularity(snap, assignment(labels, snap.nodes), directed)
                     == reference_modularity(snap, labels, directed))
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
@@ -195,7 +213,7 @@ def test_scores_ignore_the_order_the_labels_are_listed_in():
                     for node in snap.nodes}
         items = list(labels.items())
         rng.shuffle(items)
-        listed, shuffled = assignment(labels), assignment(dict(items))
+        listed, shuffled = assignment(labels, snap.nodes), assignment(dict(items), snap.nodes)
         for directed in (True, False):
             assert modularity(snap, shuffled, directed) == modularity(snap, listed, directed)
         assert partition_report(snap, shuffled) == partition_report(snap, listed)
@@ -208,14 +226,14 @@ def test_random_labels_have_small_modularity_on_average():
     values = []
     for _ in range(100):
         labels = {node: rng.randrange(4) for node in snap.nodes}
-        values.append(modularity(snap, assignment(labels)))
+        values.append(modularity(snap, assignment(labels, snap.nodes)))
     assert abs(float(np.mean(values))) < 0.1
 
 
 def test_zero_weight_snapshot_rejected():
     snap = make_snapshot({}, ["a", "b"])
     with pytest.raises(ValueError):
-        modularity(snap, assignment({"a": 1, "b": 1}))
+        modularity(snap, assignment({"a": 1, "b": 1}, snap.nodes))
 
 
 # ----------------------------------------------------- partition report
@@ -223,7 +241,7 @@ def test_zero_weight_snapshot_rejected():
 
 def test_partition_report_counts():
     snap = make_snapshot({("a", "b"): 1.0, ("b", "c"): 1.0}, ["a", "b", "c", "d"])
-    a = assignment({"a": 1, "b": 1, "c": 2}, isolated={"d"})
+    a = assignment({"a": 1, "b": 1, "c": 2}, snap.nodes)  # "d" isolated
     report = partition_report(snap, a)
     assert report.community_count == 2
     assert report.avg_size == pytest.approx(1.5)
@@ -232,7 +250,7 @@ def test_partition_report_counts():
 
 def test_partition_report_empty_labels():
     snap = make_snapshot({("a", "b"): 1.0}, ["a", "b", "c"])
-    a = CommunityAssignment.from_names({}, {"a", "b", "c"})
+    a = CommunityAssignment.from_names({}, snap.nodes)
     report = partition_report(snap, a)
     assert report.community_count == 0
     assert report.avg_size == 0.0
@@ -378,8 +396,8 @@ def test_indicators_of_a_synthetic_semester_equal_the_references_exactly():
     categories = default_category_map(config)
     profiles = behavior_profiles(log, categories, config.semester)
     assert profiles == reference_behavior_profiles(log, categories, config.semester)
-    assert variance_comparison(profiles, assignment(truth)) == reference_variance_comparison(
-        profiles, truth)
+    assert variance_comparison(profiles, assignment(truth, sorted(truth))) == (
+        reference_variance_comparison(profiles, truth))
 
 
 @EXACT
@@ -391,8 +409,7 @@ def test_variance_comparison_equals_per_community_np_var_exactly(amounts, labels
                 for k, x in enumerate(amounts)}
     names = sorted(profiles, reverse=True)
     labeled = {names[k % len(names)]: label for k, label in enumerate(labels)}
-    got = variance_comparison(profiles, assignment(labeled) if labeled else
-                              CommunityAssignment.from_names({}, names))
+    got = variance_comparison(profiles, assignment(labeled, sorted(profiles)))
     expected = reference_variance_comparison(profiles, labeled)
     assert list(got) == list(expected)
     for name in got:
@@ -416,7 +433,7 @@ def profile_with(amount: float) -> BehaviorProfile:
 
 def test_identity_partition_gives_equal_columns():
     profiles = {f"s{i}": profile_with(float(i)) for i in range(10)}
-    a = assignment({f"s{i}": 1 for i in range(10)})
+    a = assignment({f"s{i}": 1 for i in range(10)}, sorted(profiles))
     table = variance_comparison(profiles, a)
     for name, (variance_all, within) in table.items():
         assert within == pytest.approx(variance_all, abs=1e-15), name
@@ -427,7 +444,7 @@ def test_separated_clusters_have_zero_within_variance():
     profiles.update({f"b{i}": profile_with(50.0) for i in range(5)})
     labels = {f"a{i}": 1 for i in range(5)}
     labels.update({f"b{i}": 2 for i in range(5)})
-    table = variance_comparison(profiles, assignment(labels))
+    table = variance_comparison(profiles, assignment(labels, sorted(profiles)))
     variance_all, within = table["amount"]
     assert within == pytest.approx(0.0, abs=1e-15)
     assert variance_all > 0
@@ -442,7 +459,7 @@ def test_random_partitions_show_no_reduction_on_homogeneous_data():
     ratios = []
     for _ in range(100):
         labels = {s: rng.randrange(4) for s in students}
-        table = variance_comparison(profiles, assignment(labels))
+        table = variance_comparison(profiles, assignment(labels, sorted(profiles)))
         ratios.append(table["amount"][1] / variance_all)
     assert float(np.mean(ratios)) == pytest.approx(1.0, abs=0.05)
 
@@ -450,12 +467,12 @@ def test_random_partitions_show_no_reduction_on_homogeneous_data():
 def test_small_communities_skipped():
     profiles = {f"s{i}": profile_with(float(i)) for i in range(4)}
     labels = {"s0": 1, "s1": 1, "s2": 2}  # community 2 has a single member
-    table = variance_comparison(profiles, assignment(labels))
+    table = variance_comparison(profiles, assignment(labels, sorted(profiles)))
     _, within = table["amount"]
     assert within == pytest.approx(np.var([0.0, 1.0]), abs=1e-15)
 
 
 def test_no_eligible_communities_gives_nan():
     profiles = {"s0": profile_with(1.0), "s1": profile_with(2.0)}
-    table = variance_comparison(profiles, assignment({"s0": 1}))
+    table = variance_comparison(profiles, assignment({"s0": 1}, sorted(profiles)))
     assert math.isnan(table["amount"][1])
