@@ -29,7 +29,8 @@ MAX_WINDOW_PAIRS = 10_000_000
 class TimedEdges:
     """Edges in columnar form: edge e joins nodes[src[e]] to nodes[dst[e]]
     with ascending int64 times[offsets[e] : offsets[e + 1]]. Edges are in
-    (src, dst) order; the sorted ``nodes`` are the index space."""
+    (src, dst) order; the sorted ``nodes`` are the index space. A co-occurrence
+    graph holds each pair once, with src < dst; orient_edges returns directed edges."""
 
     nodes: tuple[str, ...]
     src: np.ndarray
@@ -51,13 +52,26 @@ class TimedEdges:
         counts = np.diff(self.offsets).tolist()
         return map("{}\t{}\t{}".format, names[self.src], names[self.dst], counts)
 
+    @cached_property
+    def edge_of(self) -> np.ndarray:
+        """Per time, its edge e (times[offsets[e] : offsets[e + 1]]); built on first
+        use and kept, so the reader's checks, snapshots and curves share it."""
+        return np.repeat(np.arange(len(self.src)), np.diff(self.offsets))
 
-class CooccurrenceGraph(TimedEdges):
-    """Undirected graph; edge payload is the sorted list of co-occurrence times.
+    @cached_property
+    def by_time(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every time (float64: an instant's search casts nothing) and its edge,
+        ascending in time; built on first use and kept for snapshots and curves."""
+        order = np.argsort(self.times)
+        return self.times[order].astype(float), self.edge_of[order]
 
-    Edge keys are ordered pairs (a, b) with a < b lexicographically. The edge
-    count is len(times); zero-count pairs are never stored.
-    """
+    def start_time(self) -> int:
+        """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
+        return int(self.times.min())
+
+    def end_time(self) -> int:
+        """Latest co-occurrence timestamp over all edges (ValueError if none)."""
+        return int(self.times.max())
 
 
 def _ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -133,7 +147,7 @@ def _matches(student: np.ndarray, time: np.ndarray, within: np.ndarray, m: int, 
     return np.repeat(a[firsts] * m + b[firsts], counts), np.array(times, dtype=np.int64)
 
 
-def build_cooccurrence_graph(log: EventLog, window: int = DEFAULT_WINDOW) -> CooccurrenceGraph:
+def build_cooccurrence_graph(log: EventLog, window: int = DEFAULT_WINDOW) -> TimedEdges:
     """Sum per-location co-occurrence counts over all locations.
 
     One time-ordered pass per location finds every pair of events by
@@ -162,9 +176,9 @@ def build_cooccurrence_graph(log: EventLog, window: int = DEFAULT_WINDOW) -> Coo
     pairs, times = pairs[order], times[order]
     edge = np.flatnonzero(np.diff(pairs, prepend=-1))
     src, dst = np.divmod(pairs[edge], m)
-    return CooccurrenceGraph(log.students, src, dst, np.append(edge, len(times)), times)
+    return TimedEdges(log.students, src, dst, np.append(edge, len(times)), times)
 
 
-def write_pair_counts_tsv(g: CooccurrenceGraph, path, comments: Sequence[str] = ()) -> None:
+def write_pair_counts_tsv(g: TimedEdges, path, comments: Sequence[str] = ()) -> None:
     """TSV export: student_a<TAB>student_b<TAB>count, student_a < student_b."""
     write_lines(path, comments, g._count_lines())

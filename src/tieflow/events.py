@@ -159,15 +159,6 @@ def _row_fault(row: list[str], line: int) -> ParseError | None:
         return ParseError(line, f"negative amount {raw_amount!r}")
 
 
-def _interned(raw: dict[str, int], codes, bad) -> tuple:
-    """The distinct stripped forms of the texts interned in raw, each row's
-    index among them, and whether bad(stripped text) holds for each row."""
-    names: dict[str, int] = {}
-    remap = np.array([names.setdefault(text.strip(), len(names)) for text in raw], dtype=np.int64)
-    rows = remap[np.asarray(codes, dtype=np.int64)]
-    return tuple(names), rows, np.array([bad(name) for name in names], dtype=bool)[rows]
-
-
 def _bad_id(name: str) -> bool:
     return not name or not _BREAKS.isdisjoint(name)
 
@@ -207,31 +198,34 @@ def _coded_log(blocks: Iterator[list[str] | None]) -> EventLog | int:
     if [h.strip() for h in next(blocks) or ()] != CSV_HEADER:
         return 0
     ids: tuple[dict[str, int], ...] = ({}, {}, {})  # raw student, location and kind texts
+    names: tuple[dict[str, int], ...] = ({}, {}, {})  # their stripped forms
     columns = []
     for fields in chain([[]], blocks):  # an empty block first, so a log may have no rows
         if fields is None:
             break
-        columns.append((_code(ids[0], fields[0::5]), _code(ids[1], fields[2::5]),
-                        _code(ids[2], fields[3::5]), _times(fields[1::5]), _amounts(fields[4::5])))
-    *codes, time, amount = (np.concatenate(column) for column in zip(*columns))
-    student_ids, student_of, bad_student = _interned(ids[0], codes[0], _bad_id)
-    location_ids, location_of, bad_location = _interned(ids[1], codes[1], _bad_id)
-    kind_ids, kind_of, bad_kind = _interned(ids[2], codes[2], lambda name: name not in KINDS)
-    bad = (bad_student | bad_location | bad_kind | (time < 0) | (time >= TIME_LIMIT)
-           | ~np.isfinite(amount) | (amount < 0))
+        columns.append((_code(ids[0], names[0], fields[0::5]), _code(ids[1], names[1], fields[2::5]),
+                        _code(ids[2], names[2], fields[3::5]), _times(fields[1::5]),
+                        _amounts(fields[4::5])))
+    student, location, kind, time, amount = (np.concatenate(column) for column in zip(*columns))
+    students, locations, kinds = (tuple(n) for n in names)
+    bad = (np.array([_bad_id(name) for name in students], dtype=bool)[student]
+           | np.array([_bad_id(name) for name in locations], dtype=bool)[location]
+           | np.array([name not in KINDS for name in kinds], dtype=bool)[kind]
+           | (time < 0) | (time >= TIME_LIMIT) | ~np.isfinite(amount) | (amount < 0))
     if bad.any():
         return int(np.argmax(bad))
     if fields is None:
         return len(time)
-    spend = np.array([name == "spend" for name in kind_ids], dtype=bool)[kind_of]
-    return EventLog.from_codes(student_ids, student_of, location_ids, location_of, time, amount,
-                               spend)
+    spend = np.array([name == "spend" for name in kinds], dtype=bool)[kind]
+    return EventLog.from_codes(students, student, locations, location, time, amount, spend)
 
 
-def _code(ids: dict[str, int], texts: list[str]) -> np.ndarray:
-    """Each text's code in ids, adding the texts that ids lacks."""
+def _code(ids: dict[str, int], names: dict[str, int], texts: list[str]) -> np.ndarray:
+    """Each text's code, that of its stripped form in names. ids caches the
+    code of each raw text, so each distinct text is stripped once; both gain
+    the texts they lack."""
     for text in filterfalse(ids.__contains__, dict.fromkeys(texts)):
-        ids[text] = len(ids)
+        ids[text] = names.setdefault(text.strip(), len(names))
     return np.fromiter(map(ids.__getitem__, texts), dtype=np.int64, count=len(texts))
 
 

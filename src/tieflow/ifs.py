@@ -34,6 +34,7 @@ import numpy as np
 
 from . import metrics
 from .artifacts import DataError, decoding, read_json, write_json
+from .cooccur import _ragged
 from .pagerank import PageRankVector
 from .tiedecay import NetworkSnapshot
 
@@ -77,10 +78,15 @@ class CommunityAssignment:
     @classmethod
     def from_names(cls, labels: dict[str, int], nodes: Sequence[str], origin_of=None,
                    rounds: int = 0, trace=()) -> "CommunityAssignment":
-        """The assignment of a node -> label map over ``nodes``, a sorted
-        sequence of node ids; the nodes it does not label are isolated."""
+        """The assignment of a node -> label map over ``nodes``, strictly
+        ascending node ids (ValueError if not, or if they lack a labeled
+        node); the nodes it does not label are isolated."""
         nodes = tuple(nodes)
+        if any(a >= b for a, b in zip(nodes, nodes[1:])):
+            raise ValueError("nodes must be distinct and ascending")
         index = {node: i for i, node in enumerate(nodes)}
+        if not labels.keys() <= index.keys():
+            raise ValueError(f"labeled node {min(labels.keys() - index.keys())!r} is not in nodes")
         values = tuple(sorted(set(labels.values())))
         number = {label: k for k, label in enumerate(values)}
         codes = np.full(len(nodes), -1)
@@ -150,12 +156,10 @@ def detect_communities(s: NetworkSnapshot, pr: PageRankVector, epsilon: float,
     draw = random.Random(params.seed).random
     steps: list[tuple[int, int]] = []
     for round_no in range(1, params.max_rounds + 1):
-        # The relays' out-edges as keys: _ragged with the label folded into its repeat.
-        starts = offsets[relays]
-        counts = offsets[relays + 1] - starts
-        ends = np.cumsum(counts)
-        new = np.repeat(relay_labels * m + starts - ends + counts, counts)
-        tries = np.concatenate([tries, new + np.arange(len(new))])
+        # The relays' out-edges, as keys.
+        counts = offsets[relays + 1] - offsets[relays]
+        new = _ragged(offsets[relays], counts) + np.repeat(relay_labels * m, counts)
+        tries = np.concatenate([tries, new])
         tries = np.sort(tries[label[dst[tries % m]] == 0])
         senders, edges = np.divmod(tries, m)
         probability = _probability(weights[edges], strength[src[edges]], params.beta)

@@ -7,51 +7,21 @@ equal-degree endpoints get both directions, each carrying the full payload.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .artifacts import decoding, read_json, write_json, write_lines
-from .cooccur import CooccurrenceGraph, TimedEdges, _ragged
+from .cooccur import TimedEdges, _ragged
 from .events import TIME_LIMIT, _bad_id
 
 
-@dataclass(frozen=True, eq=False)
-class DirectedTieGraph(TimedEdges):
-    """Directed graph whose edges keep the originating co-occurrence times,
-    in the columnar form of TimedEdges: edge e runs from nodes[src[e]] to
-    nodes[dst[e]]."""
-
-    @cached_property
-    def edge_of(self) -> np.ndarray:
-        """Per time, its edge e (times[offsets[e] : offsets[e + 1]]); built on first
-        use and kept, so the reader's checks, snapshots and curves share it."""
-        return np.repeat(np.arange(len(self.src)), np.diff(self.offsets))
-
-    @cached_property
-    def by_time(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every time (float64: an instant's search casts nothing) and its edge,
-        ascending in time; built on first use and kept for snapshots and curves."""
-        order = np.argsort(self.times)
-        return self.times[order].astype(float), self.edge_of[order]
-
-    def start_time(self) -> int:
-        """Earliest co-occurrence timestamp over all edges (ValueError if none)."""
-        return int(self.times.min())
-
-    def end_time(self) -> int:
-        """Latest co-occurrence timestamp over all edges (ValueError if none)."""
-        return int(self.times.max())
-
-
-def _degrees(g: CooccurrenceGraph) -> np.ndarray:
+def _degrees(g: TimedEdges) -> np.ndarray:
     """Number of distinct neighbors per node index."""
     return np.bincount(np.concatenate([g.src, g.dst]), minlength=len(g.nodes))
 
 
-def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
+def orient_edges(g: TimedEdges) -> TimedEdges:
     """Apply the degree-comparison rules to every undirected edge.
 
     Higher degree points to lower degree; ties produce both directions
@@ -67,15 +37,15 @@ def orient_edges(g: CooccurrenceGraph) -> DirectedTieGraph:
     counts = np.diff(g.offsets)[edge]
     offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     times = g.times[_ragged(g.offsets[edge], counts)]
-    return DirectedTieGraph(g.nodes, src[order], dst[order], offsets, times)
+    return TimedEdges(g.nodes, src[order], dst[order], offsets, times)
 
 
-def write_directed_edges_tsv(g: DirectedTieGraph, path, comments: Sequence[str] = ()) -> None:
+def write_directed_edges_tsv(g: TimedEdges, path, comments: Sequence[str] = ()) -> None:
     """TSV export: src<TAB>dst<TAB>count."""
     write_lines(path, comments, g._count_lines())
 
 
-def write_tie_graph_json(g: DirectedTieGraph, path, params: dict | None = None) -> None:
+def write_tie_graph_json(g: TimedEdges, path, params: dict | None = None) -> None:
     """Lossless compact JSON of the graph's columns (keeps per-edge times for
     later snapshots): edge e runs from nodes[edges[2e]] to
     nodes[edges[2e + 1]] with times[offsets[e] : offsets[e + 1]]."""
@@ -93,7 +63,7 @@ def _int64_column(values: list, column: str) -> np.ndarray:
         raise ValueError(f"{column!r} entry {k} is beyond int64") from None
 
 
-def read_tie_graph_json(path) -> DirectedTieGraph:
+def read_tie_graph_json(path) -> TimedEdges:
     """Load a tie graph as write_tie_graph_json writes it, checking its order
     instead of restoring it. Rejects one whose nodes are not distinct,
     ascending string ids that an event log accepts, whose columns are not
@@ -138,7 +108,7 @@ def read_tie_graph_json(path) -> DirectedTieGraph:
         if times and not (0 <= min(times) and max(times) < TIME_LIMIT):
             times = [tau if 0 <= tau < TIME_LIMIT else -1 for tau in times]  # -1 marks the outliers
         src, dst = ends.reshape(-1, 2).T.copy()  # contiguous: snapshots gather them faster
-        g = DirectedTieGraph(tuple(nodes), src, dst, offsets, np.array(times, dtype=np.int64))
+        g = TimedEdges(tuple(nodes), src, dst, offsets, np.array(times, dtype=np.int64))
         edge_of = g.edge_of
         step = np.diff(g.src * len(nodes) + g.dst)  # the (src, dst) order, as one key
         for fault, bad in (

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .artifacts import write_lines
-from .orient import DirectedTieGraph
+from .cooccur import TimedEdges
 
 DEFAULT_HALF_LIFE = 7 * 86400.0  # seconds; alpha = ln(2) / half_life
 SNAPSHOT_FLOOR = 1e-12  # weights at or below this are dropped from snapshots
@@ -123,7 +123,7 @@ def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: floa
     return np.bincount(edge_of[:upto], weights=decayed, minlength=n_edges)
 
 
-def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnapshot:
+def _snapshot(g: TimedEdges, t: float, weights: np.ndarray) -> NetworkSnapshot:
     """The edges above SNAPSHOT_FLOOR; owns ``weights``, a fresh array, and holds
     read-only views of the graph's endpoints when every edge survives."""
     kept = np.flatnonzero(weights > SNAPSHOT_FLOOR)  # faster than three boolean masks
@@ -134,7 +134,7 @@ def _snapshot(g: DirectedTieGraph, t: float, weights: np.ndarray) -> NetworkSnap
     return NetworkSnapshot(t, g.nodes, g.src[kept], g.dst[kept], weights[kept])
 
 
-def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSnapshot:
+def snapshot_at(g: TimedEdges, params: DecayParams, t: float) -> NetworkSnapshot:
     """Evaluate every edge's tie-decay weight at time t.
 
     Edges whose weight is at or below SNAPSHOT_FLOOR are omitted from the
@@ -146,7 +146,7 @@ def snapshot_at(g: DirectedTieGraph, params: DecayParams, t: float) -> NetworkSn
 
 
 def sample_snapshots(
-    g: DirectedTieGraph,
+    g: TimedEdges,
     params: DecayParams,
     t_start: float,
     t_end: float,

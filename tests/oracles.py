@@ -17,7 +17,7 @@ cascade's `_probability`, which only tests call), its propagation
 probabilities, the reference cascade, modularity and transposed PageRank
 the snapshot's out-strength (whose summation order the pinned artifacts
 fix), and the reference placement its mixed tag and retry budget; the
-other package classes used are EventLog, CooccurrenceGraph, NetworkSnapshot
+other package classes used are EventLog, TimedEdges, NetworkSnapshot
 and PageRankVector, which `make_log`, `make_cooccurrence`, `make_snapshot`
 and `make_ranking` build for the tests through the constructors production
 uses, and which the oracles read only through their arrays
@@ -43,7 +43,7 @@ from itertools import chain
 import numpy as np
 from scipy.integrate import odeint
 
-from tieflow.cooccur import CooccurrenceGraph
+from tieflow.cooccur import TimedEdges
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.ifs import CommunityAssignment, _probability
 from tieflow.metrics import INDICATORS, MEALS, BehaviorProfile
@@ -194,13 +194,14 @@ def per_location_lists(log) -> dict:
     return by_location
 
 
-def make_cooccurrence(nodes, edges: dict) -> CooccurrenceGraph:
-    """The co-occurrence graph of {(a, b): times} edges (a < b) over nodes."""
+def make_cooccurrence(nodes, edges: dict) -> TimedEdges:
+    """The co-occurrence graph of {(a, b): times} edges (a < b) over nodes,
+    as the TimedEdges that build_cooccurrence_graph returns."""
     nodes = tuple(sorted(nodes))
     index = {node: i for i, node in enumerate(nodes)}
     keys = sorted(edges)
     counts = [len(edges[key]) for key in keys]
-    return CooccurrenceGraph(
+    return TimedEdges(
         nodes,
         np.array([index[a] for a, _ in keys], dtype=np.int64),
         np.array([index[b] for _, b in keys], dtype=np.int64),

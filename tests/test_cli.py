@@ -62,6 +62,22 @@ def test_help_lists_defaults(capsys):
     assert "604800" in help_text
 
 
+HELP = Path(__file__).parent / "golden" / "help"
+COMMANDS = ("ingest", "build", "snapshot", "pagerank", "detect", "evaluate", "sweep", "synth",
+            "report")
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out --help differently in other Python minor versions; "
+                           "the golden files were rendered by Python 3.11")
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_matches_golden_text(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([command, "--help"] if command else ["--help"]) == 0
+    name = f"tieflow-{command}.txt" if command else "tieflow.txt"
+    assert capsys.readouterr().out == (HELP / name).read_text(encoding="utf-8")
+
+
 def test_parser_defaults_are_the_params_defaults():
     from tieflow.cli import build_parser
     from tieflow.ifs import FlowParams

@@ -1,10 +1,13 @@
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tieflow import cooccur
 from tieflow.cooccur import build_cooccurrence_graph
-from tieflow.events import EventLog
+from tieflow.events import EventLog, parse_events_path
+from tieflow.orient import orient_edges
 
 from oracles import (
     all_pairs_cooccurrence_counts,
@@ -224,3 +227,19 @@ def test_export_tsv_sorted_pairs(tmp_path):
     pairs = [tuple(line.split("\t")[:2]) for line in lines]
     assert pairs == sorted(pairs)
     assert all(a < b for a, b in pairs)
+
+
+def test_time_index_of_the_golden_graph_agrees_with_its_columns():
+    golden = Path(__file__).parent / "golden" / "chain" / "canonical.csv"
+    g = build_cooccurrence_graph(parse_events_path(golden), window=120)
+    assert len(g.src) and (g.src < g.dst).all()
+    assert (g.start_time(), g.end_time()) == (g.times.min(), g.times.max())
+    bounds = g.offsets.tolist()
+    slots = [(t, e) for e, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+             for t in g.times[lo:hi].tolist()]
+    assert g.edge_of.tolist() == [e for _, e in slots]
+    times, edges = g.by_time
+    assert times.dtype == np.float64 and (np.diff(times) >= 0).all()
+    assert sorted(zip(times.tolist(), edges.tolist())) == sorted(slots)
+    directed = orient_edges(g)
+    assert (directed.start_time(), directed.end_time()) == (g.start_time(), g.end_time())

@@ -277,6 +277,16 @@ def test_detected_partition_equals_and_scores_as_its_name_rebuild(seed, epsilon,
         assert partition_report(snap, detected) == partition_report(snap, rebuilt)
 
 
+@pytest.mark.parametrize("labels, nodes, fault", [
+    ({"z": 1}, ("a", "b"), "labeled node 'z' is not in nodes"),
+    ({"a": 1}, ("b", "a"), "nodes must be distinct and ascending"),
+    ({"a": 1}, ("a", "a"), "nodes must be distinct and ascending"),
+])
+def test_from_names_rejects_unsorted_nodes_and_a_labeled_node_they_lack(labels, nodes, fault):
+    with pytest.raises(ValueError, match=fault):
+        CommunityAssignment.from_names(labels, nodes)
+
+
 def test_no_node_labeled_twice_and_origins_keep_own_labels():
     rng = random.Random(10)
     for _ in range(10):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from tieflow.artifacts import DataError
-from tieflow.cooccur import CooccurrenceGraph
+from tieflow.cooccur import TimedEdges
 from tieflow.orient import _degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
 
 from oracles import make_cooccurrence, reference_degrees
 
 
-def undirected(edge_list) -> CooccurrenceGraph:
+def undirected(edge_list) -> TimedEdges:
     nodes = set()
     edges = {}
     for a, b in edge_list:
@@ -23,7 +23,7 @@ def undirected(edge_list) -> CooccurrenceGraph:
     return make_cooccurrence(nodes, edges)
 
 
-def random_undirected(rng, max_nodes=200) -> CooccurrenceGraph:
+def random_undirected(rng, max_nodes=200) -> TimedEdges:
     n = rng.randrange(2, max_nodes + 1)
     names = [f"n{i:03d}" for i in range(n)]
     edges = {}
