@@ -244,7 +244,7 @@ def _handle_detect(args) -> int:
         rounds_run=assignment.rounds, pagerank_converged=ranking.converged))
     write_assignment_json(doc, args.output)
     print(f"wrote {args.output} ({len(assignment.origin_of)} communities, "
-          f"{len(assignment.isolated)} isolated)")
+          f"{len(doc['isolated'])} isolated)")
     return EXIT_OK if ranking.converged else EXIT_NOT_CONVERGED
 
 
@@ -268,9 +268,13 @@ def _behavior(args, assignment) -> dict:
         profiles = metrics.behavior_profiles(log, category_map, semester)
     except ValueError as exc:
         raise DataError(f"categories file {args.categories}: {exc}") from None
-    table = metrics.variance_comparison(profiles, assignment)
-    return {
-        name: {"variance_all": pair[0], "mean_within_community_variance": pair[1]}
+    table = metrics.variance_comparison(log.students, profiles, assignment)
+    if assignment.values and math.isnan(table["times"][1]):  # a count: NaN iff none qualifies
+        raise DataError(f"communities file {args.communities} has no community with two members "
+                        f"in events file {args.events}")
+    return {  # with no community there is no within-community variance: null
+        name: {"variance_all": pair[0],
+               "mean_within_community_variance": pair[1] if assignment.values else None}
         for name, pair in table.items()
     }
 
@@ -415,7 +419,8 @@ def _evaluation_table(path) -> list[str]:
                     ["indicator", "variance all", "mean within community"],
                     [
                         [name, f"{cell['variance_all']:.4f}",
-                         f"{cell['mean_within_community_variance']:.4f}"]
+                         "none" if cell["mean_within_community_variance"] is None
+                         else f"{cell['mean_within_community_variance']:.4f}"]
                         for name, cell in sorted(doc["behavior"].items())
                     ],
                 )

@@ -16,8 +16,8 @@ the Python loop runs only over the tries left.
 
 The cascade runs on node indices and keeps nothing between calls. Its
 origins are the first indices of the PageRank order, and its result holds a
-community code per node index: node names are views built on first use,
-which a sweep never reads.
+community code per node index. Names are attached as the document is
+written; the node -> label view, which a sweep never reads, is built on use.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class CommunityAssignment:
     is isolated. ``origin_of`` maps each label to its seeding origin, and
     ``steps`` lists the cascade's (round, node index) labelings in draw order.
 
-    The name-keyed views ``labels``, ``isolated`` and ``trace`` (round, node,
-    label) are built on first use; ``labels`` lists the labeled nodes in node
-    index order. Assignments compare by identity, as ``codes`` is an array.
+    The name-keyed view ``labels`` is built on first use and lists the labeled
+    nodes in node index order. Assignments compare by identity, as ``codes``
+    is an array.
     """
 
     nodes: tuple[str, ...]
@@ -76,8 +76,8 @@ class CommunityAssignment:
     steps: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def from_names(cls, labels: dict[str, int], nodes: Sequence[str], origin_of=None,
-                   rounds: int = 0, trace=()) -> "CommunityAssignment":
+    def from_names(cls, labels: dict[str, int], nodes: Sequence[str],
+                   origin_of=None) -> "CommunityAssignment":
         """The assignment of a node -> label map over ``nodes``, strictly
         ascending node ids (ValueError if not, or if they lack a labeled
         node); the nodes it does not label are isolated."""
@@ -91,31 +91,12 @@ class CommunityAssignment:
         number = {label: k for k, label in enumerate(values)}
         codes = np.full(len(nodes), -1)
         codes[[index[node] for node in labels]] = [number[label] for label in labels.values()]
-        if any(labels.get(node) != label for _, node, label in trace):
-            raise ValueError("a trace entry disagrees with its node's label")
-        return cls(nodes, codes, values, dict(origin_of or {}), rounds,
-                   tuple((r, index[node]) for r, node, _ in trace))
+        return cls(nodes, codes, values, dict(origin_of or {}), 0)
 
     @cached_property
     def labels(self) -> dict[str, int]:
         nodes, values, codes = self.nodes, self.values, self.codes.tolist()
         return {nodes[j]: values[codes[j]] for j in np.flatnonzero(self.codes >= 0).tolist()}
-
-    @cached_property
-    def isolated(self) -> frozenset[str]:
-        return frozenset(self.nodes[j] for j in np.flatnonzero(self.codes < 0).tolist())
-
-    @cached_property
-    def trace(self) -> tuple[tuple[int, str, int], ...]:
-        codes = self.codes.tolist()
-        return tuple((r, self.nodes[j], self.values[codes[j]]) for r, j in self.steps)
-
-    def communities(self) -> dict[int, list[str]]:
-        """Label -> its members, sorted, in ascending label order."""
-        members: dict[int, list[str]] = {label: [] for label in self.values}
-        for node, label in sorted(self.labels.items()):
-            members[label].append(node)
-        return members
 
 
 def _origin_count(pr: PageRankVector, epsilon: float) -> int:
@@ -209,18 +190,21 @@ def sweep_epsilon(s: NetworkSnapshot, pr: PageRankVector, epsilons: Sequence[flo
 
 def assignment_to_doc(a: CommunityAssignment, time: float, epsilon: float, params: FlowParams,
                       extra_params: dict | None = None) -> dict:
-    """JSON-ready document with per-community origin and member lists."""
-    communities = a.communities()
+    """JSON-ready document with per-community origin and member lists: the
+    communities in ascending label order, members and isolated in node order."""
+    members: list[list[str]] = [[] for _ in range(len(a.values) + 1)]  # code -1: isolated
+    for node, code in zip(a.nodes, a.codes.tolist()):
+        members[code].append(node)
     doc = {
         "time": time,
         "epsilon": epsilon,
         "beta": params.beta,
         "seed": params.seed,
         "communities": [
-            {"label": label, "origin": a.origin_of[label], "members": communities[label]}
-            for label in sorted(communities)
+            {"label": label, "origin": a.origin_of[label], "members": nodes}
+            for label, nodes in zip(a.values, members)
         ],
-        "isolated": sorted(a.isolated),
+        "isolated": members[-1],
     }
     if extra_params:
         doc["params"] = extra_params
@@ -237,7 +221,7 @@ def read_assignment_json(path, nodes: Sequence[str]) -> CommunityAssignment:
     not lists of string ids, that lists a node or a label twice, whose
     members and isolated do not partition the snapshot's nodes, or whose
     community origin is not among its members.
-    Rounds and the trace are not stored, so they come back as 0 and empty."""
+    Rounds and steps are not stored, so they come back as 0 and empty."""
     what = "communities file"
     doc = read_json(path, what)
     with decoding(path, what):

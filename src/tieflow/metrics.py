@@ -11,9 +11,8 @@ label map alone: community terms are added in ascending label order.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -36,20 +35,8 @@ class PartitionReport:
     isolated_count: int
 
 
-@dataclass(frozen=True)
-class BehaviorProfile:
-    """One student's indicators; INDICATORS lists their names in field order."""
-
-    amount: float
-    times: int
-    days: int
-    bath_entropy: float
-    breakfast_entropy: float
-    lunch_entropy: float
-    dinner_entropy: float
-
-
-INDICATORS = tuple(f.name for f in fields(BehaviorProfile))
+INDICATORS = ("amount", "times", "days",  # the rows of behavior_profiles' matrix, in order
+              "bath_entropy", "breakfast_entropy", "lunch_entropy", "dinner_entropy")
 
 
 def modularity(s: "NetworkSnapshot", a: "CommunityAssignment", directed: bool = True) -> float:
@@ -127,8 +114,10 @@ def behavior_profiles(
     log: EventLog,
     category_map: Mapping[str, str],
     semester: TimeRange,
-) -> dict[str, BehaviorProfile]:
-    """Aggregate spend behavior per student over the semester.
+) -> np.ndarray:
+    """Aggregate spend behavior per student over the semester: a float64
+    matrix with one row per INDICATORS entry, in that order, and one column
+    per student of log.students.
 
     Meal entropies bin a student's dining events by hour-of-day inside each
     meal window; bath entropy bins by day of week. Point-mass
@@ -144,14 +133,14 @@ def behavior_profiles(
     n = len(log.students)
     keep = log.spend & (semester.start <= log.time) & (log.time < semester.end)
     student, day, location = log.student[keep], log.time[keep] // 86400, log.location[keep]
-    amounts = np.bincount(student, weights=log.amount[keep], minlength=n).tolist()
-    counts = np.bincount(student, minlength=n).tolist()
+    amounts = np.bincount(student, weights=log.amount[keep], minlength=n)
+    counts = np.bincount(student, minlength=n)
     per_day = TIME_LIMIT // 86400
-    days = np.bincount(_distinct(student * per_day + day) // per_day, minlength=n).tolist()
+    days = np.bincount(_distinct(student * per_day + day) // per_day, minlength=n)
 
     # Slots: the hour of a dining event inside a meal window, the weekday
     # (1970-01-01 was a Thursday) of a bath event.
-    groups = ("breakfast", "lunch", "dinner", "bath")
+    groups = ("bath", "breakfast", "lunch", "dinner")  # the entropy rows of INDICATORS
     hour = log.time[keep] // 3600 % 24
     meal = np.full(24, -1)
     for name, (start, end) in MEALS.items():
@@ -182,37 +171,34 @@ def behavior_profiles(
         sums[more] -= terms[start[more] + j]
     entropy = np.zeros((n, len(groups)))
     entropy.flat[owner[start]] = sums
-    entropy = entropy.tolist()
-
-    return {
-        student_id: BehaviorProfile(amounts[k], counts[k], days[k], bath, breakfast, lunch, dinner)
-        for k, (student_id, (breakfast, lunch, dinner, bath)) in enumerate(zip(log.students, entropy))
-    }
+    return np.vstack((amounts, counts, days, entropy.T))
 
 
 def variance_comparison(
-    profiles: Mapping[str, BehaviorProfile], a: "CommunityAssignment"
+    students: Sequence[str], profiles: np.ndarray, a: "CommunityAssignment"
 ) -> dict[str, tuple[float, float]]:
-    """Per indicator: (variance over all students, mean within-community variance).
+    """Per indicator: (variance over all students, mean within-community variance),
+    from the indicator matrix of behavior_profiles, whose columns are students.
 
     Communities need at least two profiled members to contribute; if none
     qualify the within column is NaN.
     """
-    members: dict[int, list[str]] = defaultdict(list)  # in (label, node id) order
-    for label, node in sorted((label, node) for node, label in a.labels.items() if node in profiles):
-        members[label].append(node)
-    eligible = [nodes for nodes in members.values() if len(nodes) >= 2]
-    values = np.array([[getattr(profile, name) for profile in profiles.values()]
-                       for name in INDICATORS], dtype=float)
-    variance_all = [float(np.var(row)) for row in values]  # ddof=0: population variance
-    if not eligible:
+    variance_all = [float(np.var(row)) for row in profiles]  # ddof=0: population variance
+    # Each profiled member's column, by (community, node id): codes ascend
+    # with labels and node indices with ids.
+    column = {student: k for k, student in enumerate(students)}
+    columns = np.array([column.get(node, -1) for node in a.nodes], dtype=np.int64)
+    members = np.flatnonzero((a.codes >= 0) & (columns >= 0))
+    members = members[np.argsort(a.codes[members], kind="stable")]
+    size = np.bincount(a.codes[members], minlength=len(a.values))
+    members = members[size[a.codes[members]] >= 2]
+    size = size[size >= 2]
+    if not len(size):
         return {name: (var, math.nan) for name, var in zip(INDICATORS, variance_all)}
 
     # Each community's variance as np.var takes it: the segment's sum over
     # its size is the mean, then the sum of squared deviations over its size.
-    index = {node: k for k, node in enumerate(profiles)}
-    inside = values[:, [index[node] for nodes in eligible for node in nodes]]
-    size = np.array([len(nodes) for nodes in eligible])
+    inside = profiles[:, columns[members]]
     bounds = np.concatenate(([0], np.cumsum(size)))
     mean = _segment_sums(inside, bounds) / size
     within = _segment_sums(np.square(inside - np.repeat(mean, size, axis=1)), bounds) / size

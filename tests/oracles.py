@@ -10,8 +10,8 @@ origins by a key sort, node degrees by counting edge endpoints, behavior
 indicators from one slot Counter per student and group, and variances by
 np.var per community. None of it shares code with the package, except that
 the reference parser uses its time parser and error type, the reference
-profiles its meal windows, BehaviorProfile and INDICATORS, the reference
-cascade CommunityAssignment.from_names and, through
+profiles its meal windows and INDICATORS, the reference cascade
+CommunityAssignment.from_names and, through
 `propagation_probability` (the checked scalar-or-array form of the
 cascade's `_probability`, which only tests call), its propagation
 probabilities, the reference cascade, modularity and transposed PageRank
@@ -34,6 +34,7 @@ unchanged.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import math
 import random
@@ -46,7 +47,7 @@ from scipy.integrate import odeint
 from tieflow.cooccur import TimedEdges
 from tieflow.events import CSV_HEADER, KINDS, EventLog, ParseError, parse_time
 from tieflow.ifs import CommunityAssignment, _probability
-from tieflow.metrics import INDICATORS, MEALS, BehaviorProfile
+from tieflow.metrics import INDICATORS, MEALS
 from tieflow.pagerank import PageRankVector
 from tieflow.synth import _MIXED, _PLACEMENT_RETRIES
 from tieflow.tiedecay import NetworkSnapshot, decay_sums
@@ -467,10 +468,11 @@ def shannon_entropy(counts: dict) -> float:
     return entropy
 
 
-def reference_behavior_profiles(log: EventLog, category_map: dict, semester) -> dict:
+def reference_behavior_profiles(log: EventLog, category_map: dict, semester) -> np.ndarray:
     """behavior_profiles one row at a time: sums and counts per student in log
     order, a set of days, and one Counter of slots per (student, meal or
-    bath) fed row by row, whose entropy shannon_entropy takes."""
+    bath) fed row by row, whose entropy shannon_entropy takes; each
+    indicator is looked up by its name in INDICATORS."""
     amount, times, days = defaultdict(float), Counter(), defaultdict(set)
     slots = defaultdict(Counter)
     for student, t, location, kind, value in log_rows(log):
@@ -486,30 +488,30 @@ def reference_behavior_profiles(log: EventLog, category_map: dict, semester) -> 
                     slots[student, meal][hour] += 1
         elif category == "bath":
             slots[student, "bath"][(t // 86400 + 3) % 7] += 1  # 1970-01-01 was a Thursday
-    return {
-        student: BehaviorProfile(
-            amount[student], times[student], len(days[student]),
-            *(shannon_entropy(slots[student, group])
-              for group in ("bath", "breakfast", "lunch", "dinner")))
-        for student in log.students
-    }
+    value = {"amount": amount, "times": times,
+             "days": {student: len(days[student]) for student in log.students}}
+    for group in ("bath", "breakfast", "lunch", "dinner"):
+        value[f"{group}_entropy"] = {student: shannon_entropy(slots[student, group])
+                                     for student in log.students}
+    return np.array([[value[name][student] for student in log.students] for name in INDICATORS],
+                    dtype=float)
 
 
-def reference_variance_comparison(profiles: dict, labels: dict) -> dict:
+def reference_variance_comparison(students, profiles: np.ndarray, labels: dict) -> dict:
     """variance_comparison through np.var per indicator and per community of
-    two or more profiled members, each in ascending node id, the communities
-    in ascending label order."""
+    two or more profiled members (the labeled nodes among students, whose
+    columns profiles holds), each in ascending node id, the communities in
+    ascending label order."""
+    column = {student: k for k, student in enumerate(students)}
     members = defaultdict(list)
     for node, label in sorted(labels.items(), key=lambda item: (item[1], item[0])):
-        if node in profiles:
-            members[label].append(node)
-    eligible = [nodes for nodes in members.values() if len(nodes) >= 2]
+        if node in column:
+            members[label].append(column[node])
+    eligible = [columns for columns in members.values() if len(columns) >= 2]
     table = {}
-    for name in INDICATORS:
-        value = {node: float(getattr(profile, name)) for node, profile in profiles.items()}
-        within = [np.var([value[node] for node in nodes]) for nodes in eligible]
-        table[name] = (float(np.var(list(value.values()))),
-                       float(np.mean(within)) if within else math.nan)
+    for name, row in zip(INDICATORS, profiles.tolist()):
+        within = [np.var([row[k] for k in columns]) for columns in eligible]
+        table[name] = (float(np.var(row)), float(np.mean(within)) if within else math.nan)
     return table
 
 
@@ -585,7 +587,9 @@ def reference_cascade(s, pr, epsilon: float, params) -> CommunityAssignment:
         if member_counts[label] > 0:
             labels[origin] = label
             origin_of[label] = origin
-    return CommunityAssignment.from_names(labels, s.nodes, origin_of, rounds_run, trace)
+    return dataclasses.replace(CommunityAssignment.from_names(labels, s.nodes, origin_of),
+                               rounds=rounds_run,
+                               steps=tuple((r, index[node]) for r, node, _ in trace))
 
 
 def same_assignment(a: CommunityAssignment, b: CommunityAssignment) -> bool:

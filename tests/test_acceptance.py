@@ -336,7 +336,7 @@ def test_criterion_9_variance_reduction_property():
     )
     log, truth = generate(dependent)
     profiles = behavior_profiles(log, default_category_map(dependent), semester)
-    table = variance_comparison(profiles, truth_assignment(truth))
+    table = variance_comparison(log.students, profiles, truth_assignment(truth))
     variance_all, within = table["amount"]
     reduced = within < variance_all
 
@@ -348,16 +348,16 @@ def test_criterion_9_variance_reduction_property():
     )
     log_h, _ = generate(homogeneous)
     profiles_h = behavior_profiles(log_h, default_category_map(homogeneous), semester)
-    students = sorted(profiles_h)
+    students = log_h.students
     base = variance_comparison(
-        profiles_h, truth_assignment({s: 0 for s in students})
+        students, profiles_h, truth_assignment({s: 0 for s in students})
     )["amount"][0]
     rng = random.Random(0)
     ratios = []
     for _ in range(100):
         labels = {s: rng.randrange(4) for s in students}
         ratios.append(
-            variance_comparison(profiles_h, truth_assignment(labels))["amount"][1] / base
+            variance_comparison(students, profiles_h, truth_assignment(labels))["amount"][1] / base
         )
     mean_ratio = float(np.mean(ratios))
     ratio_ok = abs(mean_ratio - 1.0) <= 0.05

@@ -654,6 +654,38 @@ def test_build_without_co_occurrence_writes_nothing(chain, capsys):
     assert main(["build", "--events", "apart.csv", "--output-dir", "rebuilt", "--window", "200"]) == 0
 
 
+@pytest.mark.parametrize("students", [("zz1", "zz2"), ("s1", "zz2")],
+                         ids=["none-in-the-graph", "one-in-the-graph"])
+def test_evaluate_events_sharing_no_community_is_data_error(chain, capsys, students):
+    # communities.json has one community, s1, s2 and s3: no two of its
+    # members are in these events, so no within-community variance exists.
+    rows = "".join(f"{student},{1000 + k},caf,spend,1\n" for k, student in enumerate(students))
+    (chain / "apart.csv").write_text("student_id,timestamp,location_id,kind,amount\n" + rows,
+                                     encoding="utf-8")
+    capsys.readouterr()
+    assert main(EVALUATE + ["--events", "apart.csv", "--categories", "categories.json"]) == 2
+    assert capsys.readouterr().err == ("error: communities file communities.json has no community "
+                                       "with two members in events file apart.csv\n")
+    assert not (chain / "e.json").exists()
+
+
+def test_evaluate_events_on_a_partition_without_communities_writes_null(chain):
+    # A detection may label nothing: then no within-community variance exists,
+    # and report.json says so in standard JSON.
+    path = chain / "communities.json"
+    path.write_text(edit_json(lambda doc: doc.update(communities=[], isolated=["s1", "s2", "s3"]))(
+        path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(EVALUATE + ["--events", "canonical.csv", "--categories", "categories.json"]) == 0
+    doc = json.loads((chain / "e.json").read_text(encoding="utf-8"),
+                     parse_constant=lambda name: pytest.fail(f"e.json holds {name}"))
+    assert [cell["mean_within_community_variance"] for cell in doc["behavior"].values()] == [
+        None] * 7
+    assert all(cell["variance_all"] >= 0 for cell in doc["behavior"].values())
+    assert main(["report", "--evaluation", "e.json", "--output", "t.txt"]) == 0
+    rows = (chain / "t.txt").read_text(encoding="utf-8").splitlines()
+    assert [row.split()[-1] for row in rows if "entropy" in row] == ["none"] * 4
+
+
 def test_build_refuses_a_window_past_the_pair_cap(tmp_path, events_csv, capsys, monkeypatch):
     # EVENTS has 3 event pairs within 120 s at one location, and 8 within 1000 s.
     monkeypatch.setattr(cooccur, "MAX_WINDOW_PAIRS", 3)

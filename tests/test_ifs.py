@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import random
@@ -36,6 +37,11 @@ from oracles import (
     rank_priority_bfs,
     same_assignment,
 )
+
+
+def isolated(a: CommunityAssignment) -> set:
+    """The nodes an assignment leaves isolated, by name."""
+    return {a.nodes[j] for j in np.flatnonzero(a.codes < 0).tolist()}
 
 
 def uniform_scores(nodes, top=()) -> PageRankVector:
@@ -171,7 +177,7 @@ def test_zero_edges_means_everyone_isolated():
     assignment = detect_communities(snap, pr, 0.5, FlowParams(seed=1))
     assert assignment.labels == {}
     assert assignment.origin_of == {}
-    assert assignment.isolated == frozenset(snap.nodes)
+    assert isolated(assignment) == set(snap.nodes)
 
 
 def _star_coverage_oracle(p: float, trials: int, max_rounds: int, seed: int) -> float:
@@ -255,7 +261,7 @@ def random_weighted_snapshot(rng, n, density=0.12) -> NetworkSnapshot:
     return make_snapshot(weights, names)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0), st.sampled_from([0.25, 0.9]), st.booleans())
 def test_detected_partition_equals_and_scores_as_its_name_rebuild(seed, epsilon, beta, relay):
     rng = random.Random(seed)
@@ -264,11 +270,13 @@ def test_detected_partition_equals_and_scores_as_its_name_rebuild(seed, epsilon,
     detected = detect_communities(snap, pr, epsilon, FlowParams(seed=seed, beta=beta, relay=relay))
     # Rebuilt over an equal node tuple that is another object.
     rebuilt = CommunityAssignment.from_names(detected.labels, tuple(list(snap.nodes)),
-                                             detected.origin_of, detected.rounds, detected.trace)
+                                             detected.origin_of)
+    assert (rebuilt.rounds, rebuilt.steps) == (0, ())
+    rebuilt = dataclasses.replace(rebuilt, rounds=detected.rounds, steps=detected.steps)
     assert rebuilt.nodes is not snap.nodes and same_assignment(rebuilt, detected)
     # The labels view lists the labeled nodes in node index order.
     assert list(detected.labels) == [node for node in snap.nodes if node in detected.labels]
-    assert detected.isolated == set(snap.nodes).difference(detected.labels)
+    assert isolated(detected) == set(snap.nodes).difference(detected.labels)
     if snap.total_weight > 0:
         for directed in (True, False):
             assert (metrics.modularity(snap, detected, directed)
@@ -287,13 +295,38 @@ def test_from_names_rejects_unsorted_nodes_and_a_labeled_node_they_lack(labels, 
         CommunityAssignment.from_names(labels, nodes)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.one_of(st.none(), st.integers(-3, 3), st.integers(-(2**80), 2**80)),
+                max_size=25),
+       st.booleans())
+def test_document_groups_the_labels_as_a_name_level_grouping_does(seed, drawn, equal_tuple):
+    # Labels ascending, each community's members in node order, isolated sorted;
+    # over the nodes themselves or an equal tuple that is another object.
+    rng = random.Random(seed)
+    nodes = tuple(sorted({f"n{rng.randrange(10**6):06d}" for _ in drawn}))
+    items = [(node, label) for node, label in zip(nodes, drawn) if label is not None]
+    rng.shuffle(items)  # from_names takes the map in any order
+    labels = dict(items)
+    origin_of = {label: rng.choice([node for node, own in items if own == label])
+                 for label in set(labels.values())}
+    a = CommunityAssignment.from_names(labels, tuple(list(nodes)) if equal_tuple else nodes,
+                                       origin_of)
+    doc = assignment_to_doc(a, 1.5, 0.2, FlowParams(seed=3))
+    assert doc["communities"] == [
+        {"label": label, "origin": origin_of[label],
+         "members": sorted(node for node, own in labels.items() if own == label)}
+        for label in sorted(set(labels.values()))]
+    assert doc["isolated"] == sorted(set(nodes).difference(labels))
+
+
 def test_no_node_labeled_twice_and_origins_keep_own_labels():
     rng = random.Random(10)
     for _ in range(10):
         snap = random_weighted_snapshot(rng, 30)
         pr = pagerank(snap)
         assignment = detect_communities(snap, pr, 0.3, FlowParams(seed=rng.randrange(1000)))
-        seen = [node for _, node, _ in assignment.trace]
+        seen = [j for _, j in assignment.steps]
         assert len(seen) == len(set(seen))
         for label, origin in enumerate(oracles.reference_origins(pr, 0.3), start=1):
             if origin in assignment.labels:
@@ -318,8 +351,8 @@ def test_labels_and_isolated_partition_nodes():
     pr = pagerank(snap)
     assignment = detect_communities(snap, pr, 0.25, FlowParams(seed=4))
     labeled = set(assignment.labels)
-    assert labeled | set(assignment.isolated) == set(snap.nodes)
-    assert labeled & set(assignment.isolated) == set()
+    assert labeled | isolated(assignment) == set(snap.nodes)
+    assert labeled & isolated(assignment) == set()
 
 
 def test_every_labeled_node_reachable_from_its_origin():
@@ -423,14 +456,14 @@ def test_cascade_matches_name_keyed_reference(monkeypatch, cascade_graphs, graph
                 case = f"seed {seed}, epsilon {epsilon}, max_rounds {max_rounds}"
                 assert list(mine.labels.items()) == list(reference.labels.items()), case
                 assert list(mine.origin_of.items()) == list(reference.origin_of.items()), case
-                assert mine.isolated == reference.isolated, case
+                assert isolated(mine) == isolated(reference), case
                 assert mine.rounds == reference.rounds, case
-                assert mine.trace == reference.trace, case
+                assert mine.steps == reference.steps, case
                 assert mine_rngs[-1].draws == reference_rngs[-1].draws, case
                 assert (mine_rngs[-1].draws == 0) == (epsilon == 1.0), case
                 if max_rounds == 100:
                     full_rounds = mine.rounds
-                    isolated_origins += len(mine.isolated.intersection(
+                    isolated_origins += len(isolated(mine).intersection(
                         oracles.reference_origins(pr, epsilon)))
                 else:
                     cut_while_running += full_rounds > 2
@@ -462,13 +495,14 @@ def test_long_cascades_match_name_keyed_reference(monkeypatch):
         case = f"seed {seed}, epsilon {epsilon}"
         assert list(mine.labels.items()) == list(reference.labels.items()), case
         assert mine.rounds == reference.rounds, case
-        assert mine.trace == reference.trace, case
+        assert mine.steps == reference.steps, case
         assert mine_rngs[-1].draws == reference_rngs[-1].draws, case
         longest = max(longest, mine.rounds)
         # A relay of label k joins the round after label k first spreads, while
         # a higher label k2 still labels nodes: its tries go in before k2's.
         first, last = {}, {}
-        for r, _, k in mine.trace:
+        for r, j in mine.steps:
+            k = mine.values[mine.codes[j]]
             first.setdefault(k, r)
             last[k] = r
         overtaken |= any(last[k2] > first[k] for k in first for k2 in last if k2 > k)
@@ -484,9 +518,9 @@ def test_second_try_into_a_node_labeled_this_round_draws_nothing(monkeypatch):
     mine_rngs, reference_rngs = counting_rngs(monkeypatch, ifs), counting_rngs(monkeypatch, oracles)
     mine = detect_communities(snap, pr, 0.7, FlowParams(seed=3))
     reference = oracles.reference_cascade(snap, pr, 0.7, FlowParams(seed=3))
-    assert mine.trace == reference.trace == ((1, "x", 1),)
+    assert mine.steps == reference.steps == ((1, 2),)  # "x", at index 2
     assert mine.labels == reference.labels == {"x": 1, "a": 1}
-    assert mine.isolated == reference.isolated == {"b"}
+    assert isolated(mine) == isolated(reference) == {"b"}
     assert mine_rngs[-1].draws == reference_rngs[-1].draws == 1
 
 

@@ -13,7 +13,7 @@ from tieflow.events import TimeRange
 from tieflow.ifs import CommunityAssignment
 from tieflow.synth import SyntheticConfig, default_category_map, generate
 from tieflow.metrics import (
-    BehaviorProfile,
+    INDICATORS,
     behavior_profiles,
     modularity,
     partition_report,
@@ -36,7 +36,7 @@ from oracles import (
 def assignment(labels: dict, nodes) -> CommunityAssignment:
     """The assignment of labels over nodes, the others isolated."""
     origin_of = {label: min(n for n, l in labels.items() if l == label) for label in set(labels.values())}
-    return CommunityAssignment.from_names(labels, nodes, origin_of, rounds=1)
+    return CommunityAssignment.from_names(labels, nodes, origin_of)
 
 
 # ----------------------------------------------------------- modularity
@@ -147,7 +147,7 @@ def test_shared_segment_passes_equal_one_dimensional_reduces_exactly():
 ANY_LABEL = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.lists(st.one_of(st.none(), ANY_LABEL), min_size=2, max_size=25))
 @example(0, [None] * 6)  # nothing labeled: every node isolated
 @example(1, [2**63, -(2**63) - 1, 2**63, 5])  # labels beyond int64, every node labeled
@@ -159,7 +159,7 @@ def test_index_partition_scores_equal_its_name_rebuild(seed, drawn):
     rebuilt = CommunityAssignment.from_names(labels, tuple(sorted(snap.nodes)))  # an equal one
     assert own.nodes is snap.nodes and rebuilt.nodes is not snap.nodes
     assert same_assignment(own, rebuilt) and own.labels == labels
-    assert own.isolated == set(snap.nodes) - set(labels)
+    assert {snap.nodes[j] for j in np.flatnonzero(own.codes < 0)} == set(snap.nodes) - set(labels)
     for directed in (True, False):
         assert (modularity(snap, own, directed) == modularity(snap, rebuilt, directed)
                 == reference_modularity(snap, labels, directed))
@@ -208,16 +208,16 @@ def test_scores_ignore_the_order_the_labels_are_listed_in():
     for _ in range(20):
         snap = random_snapshot(rng, rng.randrange(10, 41), density=rng.choice([0.1, 0.3]))
         labels = {node: rng.randrange(1, 9) for node in snap.nodes}
-        profiles = {node: BehaviorProfile(*(rng.random() * 10.0 ** rng.randrange(-3, 4)
-                                            for _ in metrics.INDICATORS))
-                    for node in snap.nodes}
+        profiles = matrix([[rng.random() * 10.0 ** rng.randrange(-3, 4) for _ in INDICATORS]
+                           for _ in snap.nodes])
         items = list(labels.items())
         rng.shuffle(items)
         listed, shuffled = assignment(labels, snap.nodes), assignment(dict(items), snap.nodes)
         for directed in (True, False):
             assert modularity(snap, shuffled, directed) == modularity(snap, listed, directed)
         assert partition_report(snap, shuffled) == partition_report(snap, listed)
-        assert variance_comparison(profiles, shuffled) == variance_comparison(profiles, listed)
+        assert (variance_comparison(snap.nodes, profiles, shuffled)
+                == variance_comparison(snap.nodes, profiles, listed))
 
 
 def test_random_labels_have_small_modularity_on_average():
@@ -296,6 +296,16 @@ def test_entropy_permutation_invariant_and_uniform_maximal():
 SEMESTER = TimeRange(0, 12 * 7 * 86400)
 
 
+def indicators(profiles: np.ndarray, column: int = 0) -> dict:
+    """One student's indicators, by name, from an indicator matrix."""
+    return dict(zip(INDICATORS, profiles[:, column].tolist()))
+
+
+def matrix(rows) -> np.ndarray:
+    """The indicator matrix of one row of INDICATORS values per student."""
+    return np.ascontiguousarray(np.array(rows, dtype=float).reshape(-1, len(INDICATORS)).T)
+
+
 def spend(student, ts, location, amount=5.0):
     return (student, ts, location, "spend", amount)
 
@@ -313,13 +323,13 @@ def test_profiles_basic_aggregates():
     profiles = behavior_profiles(
         log, {"caf": "dining", "bath1": "bath"}, SEMESTER
     )
-    profile = profiles["s1"]
-    assert profile.amount == pytest.approx(23.0)
-    assert profile.times == 4
-    assert profile.days == 3
-    assert profile.breakfast_entropy == 0.0  # both breakfasts in the 06h slot
-    assert profile.lunch_entropy == 0.0
-    assert profile.bath_entropy == 0.0
+    profile = indicators(profiles)
+    assert profile["amount"] == pytest.approx(23.0)
+    assert profile["times"] == 4
+    assert profile["days"] == 3
+    assert profile["breakfast_entropy"] == 0.0  # both breakfasts in the 06h slot
+    assert profile["lunch_entropy"] == 0.0
+    assert profile["bath_entropy"] == 0.0
 
 
 def test_breakfast_spread_over_slots_gives_positive_entropy():
@@ -327,7 +337,7 @@ def test_breakfast_spread_over_slots_gives_positive_entropy():
         [spend("s1", d * 86400 + h * 3600, "caf") for d, h in [(0, 5), (1, 6), (2, 7), (3, 8)]]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
-    assert profiles["s1"].breakfast_entropy == pytest.approx(math.log(4), rel=1e-12)
+    assert indicators(profiles)["breakfast_entropy"] == pytest.approx(math.log(4), rel=1e-12)
 
 
 def test_bath_entropy_uses_weekday_slots():
@@ -336,7 +346,7 @@ def test_bath_entropy_uses_weekday_slots():
         [spend("s1", d * 86400 + 12 * 3600, "bath1") for d in range(7)]
     )
     profiles = behavior_profiles(log, {"bath1": "bath"}, SEMESTER)
-    assert profiles["s1"].bath_entropy == pytest.approx(math.log(7), rel=1e-12)
+    assert indicators(profiles)["bath_entropy"] == pytest.approx(math.log(7), rel=1e-12)
 
 
 def test_missing_category_rejected():
@@ -352,7 +362,7 @@ def test_events_outside_semester_ignored():
         [spend("s1", 100, "caf"), spend("s1", SEMESTER.end + 50, "caf")]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
-    assert profiles["s1"].times == 1
+    assert indicators(profiles)["times"] == 1
 
 
 def test_recharge_events_ignored():
@@ -363,8 +373,8 @@ def test_recharge_events_ignored():
         ]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
-    assert profiles["s1"].times == 1
-    assert profiles["s1"].amount == pytest.approx(5.0)
+    assert indicators(profiles)["times"] == 1
+    assert indicators(profiles)["amount"] == pytest.approx(5.0)
 
 
 EXACT = settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -385,8 +395,8 @@ def test_profiles_equal_the_row_by_row_reference_exactly(rows, start):
     log = make_log(rows)
     semester = TimeRange(start, start + 2 * 7 * 86400)
     got = behavior_profiles(log, CATEGORIES, semester)
-    assert got == reference_behavior_profiles(log, CATEGORIES, semester)
-    assert list(got) == list(log.students)
+    assert got.shape == (len(INDICATORS), len(log.students)) and got.dtype == np.float64
+    assert got.tolist() == reference_behavior_profiles(log, CATEGORIES, semester).tolist()
 
 
 def test_indicators_of_a_synthetic_semester_equal_the_references_exactly():
@@ -395,9 +405,10 @@ def test_indicators_of_a_synthetic_semester_equal_the_references_exactly():
     log, truth = generate(config)
     categories = default_category_map(config)
     profiles = behavior_profiles(log, categories, config.semester)
-    assert profiles == reference_behavior_profiles(log, categories, config.semester)
-    assert variance_comparison(profiles, assignment(truth, sorted(truth))) == (
-        reference_variance_comparison(profiles, truth))
+    reference = reference_behavior_profiles(log, categories, config.semester)
+    assert profiles.tolist() == reference.tolist()
+    assert variance_comparison(log.students, profiles, assignment(truth, sorted(truth))) == (
+        reference_variance_comparison(log.students, profiles, truth))
 
 
 @EXACT
@@ -405,12 +416,12 @@ def test_indicators_of_a_synthetic_semester_equal_the_references_exactly():
        st.lists(st.integers(0, 5), max_size=60))
 def test_variance_comparison_equals_per_community_np_var_exactly(amounts, labels):
     # Communities of up to 60 members: segments longer than 8 are summed pairwise.
-    profiles = {f"s{k:02d}": BehaviorProfile(x, k, k % 7, x / 3, 0.0, x * x, 1.5)
-                for k, x in enumerate(amounts)}
-    names = sorted(profiles, reverse=True)
+    students = [f"s{k:02d}" for k in range(len(amounts))]
+    profiles = matrix([[x, k, k % 7, x / 3, 0.0, x * x, 1.5] for k, x in enumerate(amounts)])
+    names = sorted(students, reverse=True)
     labeled = {names[k % len(names)]: label for k, label in enumerate(labels)}
-    got = variance_comparison(profiles, assignment(labeled, sorted(profiles)))
-    expected = reference_variance_comparison(profiles, labeled)
+    got = variance_comparison(students, profiles, assignment(labeled, students))
+    expected = reference_variance_comparison(students, profiles, labeled)
     assert list(got) == list(expected)
     for name in got:
         assert [repr(v) for v in got[name]] == [repr(v) for v in expected[name]], name
@@ -421,30 +432,33 @@ def test_active_days_bounded_by_semester_span():
         [spend("s1", d * 86400 + 3600, "caf") for d in range(30)]
     )
     profiles = behavior_profiles(log, {"caf": "dining"}, SEMESTER)
-    assert profiles["s1"].days == 30 <= SEMESTER.span_seconds / 86400
+    assert indicators(profiles)["days"] == 30 <= SEMESTER.span_seconds / 86400
 
 
 # --------------------------------------------------- variance comparison
 
 
-def profile_with(amount: float) -> BehaviorProfile:
-    return BehaviorProfile(amount, 1, 1, 0.0, 0.0, 0.0, 0.0)
+def profiles_with(amounts: dict) -> tuple[list, np.ndarray]:
+    """Students and their indicator matrix: the given amounts, every other
+    indicator the same for all."""
+    return list(amounts), matrix([[x, 1, 1, 0.0, 0.0, 0.0, 0.0] for x in amounts.values()])
 
 
 def test_identity_partition_gives_equal_columns():
-    profiles = {f"s{i}": profile_with(float(i)) for i in range(10)}
-    a = assignment({f"s{i}": 1 for i in range(10)}, sorted(profiles))
-    table = variance_comparison(profiles, a)
+    students, profiles = profiles_with({f"s{i}": float(i) for i in range(10)})
+    a = assignment({f"s{i}": 1 for i in range(10)}, sorted(students))
+    table = variance_comparison(students, profiles, a)
     for name, (variance_all, within) in table.items():
         assert within == pytest.approx(variance_all, abs=1e-15), name
 
 
 def test_separated_clusters_have_zero_within_variance():
-    profiles = {f"a{i}": profile_with(10.0) for i in range(5)}
-    profiles.update({f"b{i}": profile_with(50.0) for i in range(5)})
+    amounts = {f"a{i}": 10.0 for i in range(5)}
+    amounts.update({f"b{i}": 50.0 for i in range(5)})
+    students, profiles = profiles_with(amounts)
     labels = {f"a{i}": 1 for i in range(5)}
     labels.update({f"b{i}": 2 for i in range(5)})
-    table = variance_comparison(profiles, assignment(labels, sorted(profiles)))
+    table = variance_comparison(students, profiles, assignment(labels, sorted(students)))
     variance_all, within = table["amount"]
     assert within == pytest.approx(0.0, abs=1e-15)
     assert variance_all > 0
@@ -452,27 +466,50 @@ def test_separated_clusters_have_zero_within_variance():
 
 def test_random_partitions_show_no_reduction_on_homogeneous_data():
     rng = random.Random(6)
-    students = [f"s{i:03d}" for i in range(200)]
-    profiles = {s: profile_with(rng.gauss(20.0, 4.0)) for s in students}
-    all_values = [p.amount for p in profiles.values()]
-    variance_all = float(np.var(all_values))
+    students, profiles = profiles_with({f"s{i:03d}": rng.gauss(20.0, 4.0) for i in range(200)})
+    variance_all = float(np.var(profiles[INDICATORS.index("amount")]))
     ratios = []
     for _ in range(100):
         labels = {s: rng.randrange(4) for s in students}
-        table = variance_comparison(profiles, assignment(labels, sorted(profiles)))
+        table = variance_comparison(students, profiles, assignment(labels, sorted(students)))
         ratios.append(table["amount"][1] / variance_all)
     assert float(np.mean(ratios)) == pytest.approx(1.0, abs=0.05)
 
 
 def test_small_communities_skipped():
-    profiles = {f"s{i}": profile_with(float(i)) for i in range(4)}
+    students, profiles = profiles_with({f"s{i}": float(i) for i in range(4)})
     labels = {"s0": 1, "s1": 1, "s2": 2}  # community 2 has a single member
-    table = variance_comparison(profiles, assignment(labels, sorted(profiles)))
+    table = variance_comparison(students, profiles, assignment(labels, sorted(students)))
     _, within = table["amount"]
     assert within == pytest.approx(np.var([0.0, 1.0]), abs=1e-15)
 
 
 def test_no_eligible_communities_gives_nan():
-    profiles = {"s0": profile_with(1.0), "s1": profile_with(2.0)}
-    table = variance_comparison(profiles, assignment({"s0": 1}, sorted(profiles)))
+    students, profiles = profiles_with({"s0": 1.0, "s1": 2.0})
+    table = variance_comparison(students, profiles, assignment({"s0": 1}, sorted(students)))
     assert math.isnan(table["amount"][1])
+
+
+def test_nodes_and_students_that_partly_overlap_give_the_reference_exactly():
+    # Graph nodes missing from the log and log students missing from the
+    # graph, the students in the log's sorted order or in any other.
+    rng = random.Random(11)
+    ids = [f"u{k:02d}" for k in range(60)]
+    kinds = set()
+    for trial in range(80):
+        students = rng.sample(ids, rng.randrange(2, 40))
+        if trial % 2:
+            students.sort()
+        nodes = sorted(rng.sample(ids, rng.randrange(1, 40)))
+        labels = {node: rng.randrange(1, rng.randrange(2, 8)) for node in nodes
+                  if rng.random() < 0.8}
+        profiles = matrix([[rng.random() * 10.0 ** rng.randrange(-3, 4) for _ in INDICATORS]
+                           for _ in students])
+        got = variance_comparison(students, profiles, assignment(labels, nodes))
+        expected = reference_variance_comparison(students, profiles, labels)
+        assert list(got) == list(expected) == list(INDICATORS)
+        for name in got:
+            assert [repr(v) for v in got[name]] == [repr(v) for v in expected[name]], name
+        kinds.add((set(nodes) <= set(students), set(students) <= set(nodes),
+                   math.isnan(got["amount"][1])))
+    assert {(False, False, False), (False, False, True)} <= kinds
