@@ -18,33 +18,15 @@ from pathlib import Path
 
 from . import metrics, synth
 from .artifacts import DataError, decoding, read_json, read_text, write_json, write_lines
-from .events import (
-    TIME_LIMIT,
-    ParseError,
-    TimeRange,
-    filter_events,
-    parse_events_path,
-    parse_time,
-    write_canonical,
-    write_events_csv,
-)
+from .events import (TIME_LIMIT, ParseError, TimeRange, filter_events, parse_events_path,
+                     parse_time, write_canonical, write_events_csv)
 from .cooccur import DEFAULT_WINDOW, build_cooccurrence_graph, write_pair_counts_tsv
-from .ifs import (
-    FlowParams,
-    assignment_to_doc,
-    detect_communities,
-    read_assignment_json,
-    sweep_epsilon,
-    write_assignment_json,
-)
-from .orient import (
-    orient_edges,
-    read_tie_graph_json,
-    write_directed_edges_tsv,
-    write_tie_graph_json,
-)
+from .ifs import (FlowParams, assignment_to_doc, detect_communities, read_assignment_json,
+                  sweep_epsilon, write_assignment_json)
+from .orient import orient_edges, read_tie_graph_json, write_directed_edges_tsv, write_tie_graph_json
 from .pagerank import WalkParams, pagerank, write_scores_tsv
-from .tiedecay import DEFAULT_HALF_LIFE, DecayParams, sample_snapshots, snapshot_at, write_snapshot_tsv
+from .tiedecay import (DEFAULT_HALF_LIFE, DecayParams, live_totals, sample_snapshots, snapshot_at,
+                       write_snapshot_tsv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -268,7 +250,10 @@ def _behavior(args, assignment) -> dict:
         profiles = metrics.behavior_profiles(log, category_map, semester)
     except ValueError as exc:
         raise DataError(f"categories file {args.categories}: {exc}") from None
-    table = metrics.variance_comparison(log.students, profiles, assignment)
+    try:
+        table = metrics.variance_comparison(log.students, profiles, assignment)
+    except ValueError as exc:  # an indicator too large to take a variance of
+        raise DataError(f"events file {args.events}: {exc}") from None
     if assignment.values and math.isnan(table["times"][1]):  # a count: NaN iff none qualifies
         raise DataError(f"communities file {args.communities} has no community with two members "
                         f"in events file {args.events}")
@@ -323,33 +308,19 @@ def _handle_synth(args) -> int:
         weeks = min(args.weeks, TIME_LIMIT)  # still ends past TIME_LIMIT; seconds stay finite
         semester = TimeRange(args.start, args.start + int(weeks * synth.WEEK_SECONDS))
         config = synth.SyntheticConfig(
-            n_students=args.students,
-            n_communities=args.communities,
-            semester=semester,
-            intra_rate=args.intra_rate,
-            inter_rate=args.inter_rate,
-            jitter=args.jitter,
-            seed=args.seed,
-            locations_per_category=locations,
-        )
+            n_students=args.students, n_communities=args.communities, semester=semester,
+            intra_rate=args.intra_rate, inter_rate=args.inter_rate, jitter=args.jitter,
+            seed=args.seed, locations_per_category=locations)
         log, truth = synth.generate(config)  # validates the config; ValueError if infeasible
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_events_csv(log, out_dir / "events.csv")
-    params = {
-        "students": args.students,
-        "communities": args.communities,
-        "intra_rate": args.intra_rate,
-        "inter_rate": args.inter_rate,
-        "weeks": args.weeks,
-        "jitter": args.jitter,
-        "seed": args.seed,
-        "semester_start": semester.start,
-        "semester_end": semester.end,
-        "locations": locations,
-    }
+    params = {"students": args.students, "communities": args.communities,
+              "intra_rate": args.intra_rate, "inter_rate": args.inter_rate, "weeks": args.weeks,
+              "jitter": args.jitter, "seed": args.seed, "semester_start": semester.start,
+              "semester_end": semester.end, "locations": locations}
     write_json(out_dir / "ground_truth.json", {"params": params, "labels": truth})
     write_json(out_dir / "categories.json", synth.default_category_map(config))
     print(f"wrote {out_dir}/events.csv ({len(log)} events)")
@@ -375,10 +346,10 @@ def _curve(args) -> int:
 
     def rows():
         yield "time,active_edges,total_weight,mean_weight"
-        for snapshot in sample_snapshots(graph, args.decay, t_start, t_end, n_points):
-            total, count = snapshot.total_weight, snapshot.edge_count
+        for t, weights in sample_snapshots(graph, args.decay, t_start, t_end, n_points):
+            count, total = live_totals(weights)
             mean = total / count if count else 0.0
-            yield f"{snapshot.time:.12g},{count},{total:.12g},{mean:.12g}"
+            yield f"{t:.12g},{count},{total:.12g},{mean:.12g}"
 
     write_lines(args.output, _param_comments(params), rows())
     print(f"wrote {args.output} ({n_points} curve points)")
@@ -414,17 +385,12 @@ def _evaluation_table(path) -> list[str]:
         )
         if "behavior" in doc:
             lines.append("")
-            lines.extend(
-                _format_table(
-                    ["indicator", "variance all", "mean within community"],
-                    [
-                        [name, f"{cell['variance_all']:.4f}",
-                         "none" if cell["mean_within_community_variance"] is None
-                         else f"{cell['mean_within_community_variance']:.4f}"]
-                        for name, cell in sorted(doc["behavior"].items())
-                    ],
-                )
-            )
+            lines.extend(_format_table(
+                ["indicator", "variance all", "mean within community"],
+                [[name, f"{cell['variance_all']:.4f}",
+                  "none" if cell["mean_within_community_variance"] is None
+                  else f"{cell['mean_within_community_variance']:.4f}"]
+                 for name, cell in sorted(doc["behavior"].items())]))
     return lines
 
 
@@ -434,20 +400,14 @@ def _handle_report(args) -> int:
     _reject_given({"--time": args.time, "--alpha": args.alpha, "--half-life": args.half_life,
                    "--start-time": args.start_time, "--n-points": args.n_points},
                   "apply only to a --graph curve")
-    if args.sweep is not None:
-        lines = _sweep_table(args.sweep)
-    else:
-        lines = _evaluation_table(args.evaluation)
+    lines = _sweep_table(args.sweep) if args.sweep is not None else _evaluation_table(args.evaluation)
     write_lines(args.output, (), lines)
     print(f"wrote {args.output}")
     return EXIT_OK
 
 
 def _format_table(header: list[str], rows: list[list[str]]) -> list[str]:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     def fmt(cells):
         return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells)).rstrip()
     lines = [fmt(header), fmt(["-" * w for w in widths])]
@@ -476,14 +436,10 @@ def _add_graph_arguments(parser, graph_group=None) -> None:
                         help="epoch seconds, ISO timestamp, or 'end' (default end)")
     parser.add_argument("--output", required=True)
     decay = parser.add_mutually_exclusive_group()
-    decay.add_argument(
-        "--half-life", type=float, default=None,
-        help="tie half-life in seconds (default 604800 = 7 days; mutually exclusive with --alpha)",
-    )
-    decay.add_argument(
-        "--alpha", type=float, default=None,
-        help="decay rate per second (mutually exclusive with --half-life)",
-    )
+    decay.add_argument("--half-life", type=float, default=None, help="tie half-life in seconds "
+                       "(default 604800 = 7 days; mutually exclusive with --alpha)")
+    decay.add_argument("--alpha", type=float, default=None,
+                       help="decay rate per second (mutually exclusive with --half-life)")
 
 
 def _add_walk_arguments(parser) -> None:
@@ -507,10 +463,8 @@ def _add_flow_arguments(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tieflow",
-        description="Tie-decay friendship networks and flow-based community detection",
-    )
+    parser = _Parser(prog="tieflow",
+                     description="Tie-decay friendship networks and flow-based community detection")
     parser.set_defaults(handler=None)
     sub = parser.add_subparsers(dest="command", metavar="command")
 

@@ -5,27 +5,26 @@ The canonical input is a CSV stream with header
 epoch seconds (UTC); ISO ``YYYY-MM-DDTHH:MM:SS`` is accepted on input and
 interpreted as UTC.
 
-``write_canonical`` also writes a column companion, ``<csv>.columns``: one
-compact JSON header line (the sha256 of the CSV and of the columns, the CSV's
-byte length, the row count, the sorted ids and the layout), then the log's
-columns as little-endian raw bytes in _LAYOUT order. ``parse_events_path``
-reads the log from the companion while both digests hold, and parses the
-CSV in every other case; the CSV stays the source of truth.
+``write_canonical`` also writes the CSV's column companion (see artifacts),
+``<csv>.columns``, whose header adds the row count and the sorted ids to the
+digests, and whose columns are the log's in _LAYOUT order.
+``parse_events_path`` reads the log from the companion while both digests
+hold, and parses the CSV in every other case.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
-import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, filterfalse, islice, repeat
 from typing import IO, Iterator
 
 import numpy as np
+
+from .artifacts import read_columns, write_columns
 
 CSV_HEADER = ["student_id", "timestamp", "location_id", "kind", "amount"]
 KINDS = ("spend", "recharge")
@@ -36,7 +35,6 @@ _ROWS = 1 << 12  # rows of event text that the csv module splits, or that are ma
 # The column companion's columns in file order, as EventLog fields and their dtypes.
 _LAYOUT = (("student", "<i8"), ("location", "<i8"), ("time", "<i8"), ("amount", "<f8"),
            ("spend", "u1"))
-_LAYOUT_TAG = ",".join(f"{name}:{dtype}" for name, dtype in _LAYOUT)
 
 
 class ParseError(ValueError):
@@ -65,8 +63,10 @@ class TimeRange:
 
 def _compact(names, codes: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """The sorted tuple of the distinct names that codes use, and the codes
-    re-indexed into it."""
+    re-indexed into it: codes itself if names are sorted and all used."""
     used = np.flatnonzero(np.bincount(codes, minlength=len(names)))
+    if len(used) == len(names) and all(a < b for a, b in zip(names, names[1:])):
+        return tuple(names), codes
     ranked = sorted(range(len(used)), key=lambda k: names[used[k]])
     remap = np.zeros(len(names), dtype=np.int64)
     remap[used[ranked]] = np.arange(len(used))
@@ -93,14 +93,19 @@ class EventLog:
     @classmethod
     def from_codes(cls, students, student, locations, location, time, amount, spend) -> "EventLog":
         """The log of rows (students[student[k]], time[k], locations[location[k]],
-        spend[k], amount[k]); the distinct id sequences may be in any order."""
+        spend[k], amount[k]); the distinct id sequences may be in any order.
+        Rows already in (location, time) order are not sorted again, and the
+        columns are the given arrays where their dtypes match the log's."""
         students, student = _compact(students, np.asarray(student, dtype=np.int64))
         locations, location = _compact(locations, np.asarray(location, dtype=np.int64))
         time = np.asarray(time, dtype=np.int64)
-        order = np.lexsort((time, location))
         amount, spend = np.asarray(amount, dtype=np.float64), np.asarray(spend, dtype=bool)
-        return cls(students, locations, student[order], location[order], time[order],
-                   amount[order], spend[order])
+        step = np.diff(location)
+        if not ((step > 0) | ((step == 0) & (np.diff(time) >= 0))).all():  # O(n), not a sort
+            order = np.lexsort((time, location))
+            student, location, time, amount, spend = (
+                column[order] for column in (student, location, time, amount, spend))
+        return cls(students, locations, student, location, time, amount, spend)
 
     def __len__(self) -> int:
         return len(self.time)
@@ -327,44 +332,15 @@ def parse_events_path(path) -> EventLog:
         return parse_events(handle)
 
 
-def _columns_path(path) -> str:
-    return os.fspath(path) + ".columns"
-
-
-def _sha256(path=None, blocks=()) -> str:
-    """The hex sha256 of the bytes-like blocks, then of the file at path if given."""
-    # hashlib maps OpenSSL, about 3.5 MB resident: imported only here, once a
-    # parse has freed its text, so that ingest peaks no higher than before.
-    import hashlib
-
-    digest = hashlib.sha256()
-    with open(path, "rb") if path is not None else io.BytesIO() as handle:
-        for block in chain(blocks, iter(lambda: handle.read(1 << 20), b"")):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _read_columns(path) -> EventLog | None:
     """The log that the column companion of the CSV file at path holds, or
-    None unless the companion exists, whole, matches the file's current bytes
-    and its own column digest, and holds ids and values that the parser accepts."""
-    try:
-        with open(_columns_path(path), "rb") as handle:
-            header = json.loads(handle.readline())
-            data = handle.read()
-        rows, students, locations = header["rows"], header["students"], header["locations"]
-        if type(rows) is not int or rows < 0 or header["layout"] != _LAYOUT_TAG:
-            return None
-        sizes = [rows * np.dtype(dtype).itemsize for _, dtype in _LAYOUT]
-        if (len(data) != sum(sizes) or os.path.getsize(path) != header["csv_bytes"]
-                or _sha256(blocks=[data]) != header["columns_sha256"]
-                or _sha256(path) != header["sha256"]):
-            return None
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+    None unless read_columns accepts it and it holds ids and values that the
+    parser accepts."""
+    read = read_columns(path, "csv", _LAYOUT, lambda header: [header["rows"]] * len(_LAYOUT))
+    if read is None:
         return None
-    student, location, time, amount, spend = (
-        np.frombuffer(data, dtype=dtype, count=rows, offset=offset)
-        for (_, dtype), offset in zip(_LAYOUT, np.cumsum([0, *sizes]).tolist()))
+    header, (student, location, time, amount, spend) = read
+    students, locations = header.get("students"), header.get("locations")
     for ids, codes in ((students, student), (locations, location)):
         if (not isinstance(ids, list) or not all(isinstance(name, str) for name in ids)
                 or any(map(_bad_id, ids)) or any(a >= b for a, b in zip(ids, ids[1:]))
@@ -373,8 +349,8 @@ def _read_columns(path) -> EventLog | None:
     if not (((time >= 0) & (time < TIME_LIMIT) & np.isfinite(amount) & (amount >= 0)
              & (spend <= 1)).all()):
         return None
-    return EventLog.from_codes(tuple(students), student, tuple(locations), location, time, amount,
-                               spend)
+    return EventLog.from_codes(students, student, locations, location, time, amount,
+                               spend.view(bool))
 
 
 def filter_events(log: EventLog, keep_locations: frozenset[str] | set[str]) -> EventLog:
@@ -426,11 +402,5 @@ def write_canonical(log: EventLog, path) -> None:
     """write_events_csv, then the column companion beside the CSV that lets
     parse_events_path read log back without parsing the text."""
     write_events_csv(log, path)
-    # The columns as arrays in file layout: views of the log's, not copies, where it matches.
-    columns = [np.ascontiguousarray(getattr(log, name), dtype) for name, dtype in _LAYOUT]
-    header = {"csv_bytes": os.path.getsize(path), "sha256": _sha256(path), "rows": len(log),
-              "columns_sha256": _sha256(blocks=columns), "layout": _LAYOUT_TAG,
-              "students": list(log.students), "locations": list(log.locations)}
-    with open(_columns_path(path), "wb") as handle:
-        handle.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + b"\n")
-        handle.writelines(columns)
+    write_columns(path, "csv", _LAYOUT, [getattr(log, name) for name, _ in _LAYOUT],
+                  rows=len(log), students=list(log.students), locations=list(log.locations))

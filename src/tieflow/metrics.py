@@ -181,9 +181,9 @@ def variance_comparison(
     from the indicator matrix of behavior_profiles, whose columns are students.
 
     Communities need at least two profiled members to contribute; if none
-    qualify the within column is NaN.
+    qualify the within column is NaN. A variance that overflows raises
+    ValueError naming the indicator's first infinite value, or else its largest.
     """
-    variance_all = [float(np.var(row)) for row in profiles]  # ddof=0: population variance
     # Each profiled member's column, by (community, node id): codes ascend
     # with labels and node indices with ids.
     column = {student: k for k, student in enumerate(students)}
@@ -193,14 +193,20 @@ def variance_comparison(
     size = np.bincount(a.codes[members], minlength=len(a.values))
     members = members[size[a.codes[members]] >= 2]
     size = size[size >= 2]
-    if not len(size):
-        return {name: (var, math.nan) for name, var in zip(INDICATORS, variance_all)}
-
-    # Each community's variance as np.var takes it: the segment's sum over
-    # its size is the mean, then the sum of squared deviations over its size.
-    inside = profiles[:, columns[members]]
-    bounds = np.concatenate(([0], np.cumsum(size)))
-    mean = _segment_sums(inside, bounds) / size
-    within = _segment_sums(np.square(inside - np.repeat(mean, size, axis=1)), bounds) / size
-    return {name: (var, float(np.mean(row)))
-            for name, var, row in zip(INDICATORS, variance_all, within)}
+    within = [math.nan] * len(profiles)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        variance_all = [float(np.var(row)) for row in profiles]  # ddof=0: population variance
+        if len(size):
+            # Each community's variance as np.var takes it: the segment's sum over its
+            # size is the mean, then the sum of squared deviations over its size.
+            inside = profiles[:, columns[members]]
+            bounds = np.concatenate(([0], np.cumsum(size)))
+            mean = _segment_sums(inside, bounds) / size
+            within = [float(np.mean(row)) for row in _segment_sums(
+                np.square(inside - np.repeat(mean, size, axis=1)), bounds) / size]
+    for name, row, var, mean in zip(INDICATORS, profiles, variance_all, within):
+        if not math.isfinite(var) or (len(size) and not math.isfinite(mean)):
+            k = int(np.argmax(row))  # indicators are never negative
+            raise ValueError(f"student {students[k]!r} has {name} {float(row[k])!r}, "
+                             "too large to take a variance of")
+    return dict(zip(INDICATORS, zip(variance_all, within)))

@@ -8,7 +8,8 @@ the live events are a prefix that one binary search finds: a snapshot
 (`snapshot_at`) passes the whole index, and each point of a sampled curve a
 slice. A curve starts from zero weights, and every point, the first
 included, decays the previous weights by the semigroup law and adds the
-impulses since. ODE integration exists only as a test oracle.
+impulses since into the edges they land on; `live_totals` reads a point's
+edge count and total weight. ODE integration exists only as a test oracle.
 """
 
 from __future__ import annotations
@@ -123,15 +124,28 @@ def decay_sums(times: np.ndarray, edge_of: np.ndarray, n_edges: int, alpha: floa
     return np.bincount(edge_of[:upto], weights=decayed, minlength=n_edges)
 
 
+def _kept(weights: np.ndarray) -> np.ndarray | None:
+    """The indices of the weights above SNAPSHOT_FLOOR, or None if that is every one."""
+    kept = np.flatnonzero(weights > SNAPSHOT_FLOOR)  # faster than three boolean masks
+    return None if len(kept) == len(weights) else kept
+
+
 def _snapshot(g: TimedEdges, t: float, weights: np.ndarray) -> NetworkSnapshot:
     """The edges above SNAPSHOT_FLOOR; owns ``weights``, a fresh array, and holds
     read-only views of the graph's endpoints when every edge survives."""
-    kept = np.flatnonzero(weights > SNAPSHOT_FLOOR)  # faster than three boolean masks
-    if len(kept) == len(weights):
+    kept = _kept(weights)
+    if kept is None:
         src, dst = g.src.view(), g.dst.view()
         src.flags.writeable = dst.flags.writeable = False
         return NetworkSnapshot(t, g.nodes, src, dst, weights)
     return NetworkSnapshot(t, g.nodes, g.src[kept], g.dst[kept], weights[kept])
+
+
+def live_totals(weights: np.ndarray) -> tuple[int, float]:
+    """The edge count and total weight, bit for bit, of the snapshot of weights."""
+    kept = _kept(weights)
+    live = weights if kept is None else weights[kept]
+    return len(live), float(np.sum(live))
 
 
 def snapshot_at(g: TimedEdges, params: DecayParams, t: float) -> NetworkSnapshot:
@@ -145,19 +159,15 @@ def snapshot_at(g: TimedEdges, params: DecayParams, t: float) -> NetworkSnapshot
     return _snapshot(g, t, decay_sums(*g.by_time, len(g.src), params.alpha, t))
 
 
-def sample_snapshots(
-    g: TimedEdges,
-    params: DecayParams,
-    t_start: float,
-    t_end: float,
-    n_points: int,
-) -> Iterator[NetworkSnapshot]:
-    """Snapshots at n_points equally spaced times, both endpoints included.
+def sample_snapshots(g: TimedEdges, params: DecayParams, t_start: float, t_end: float,
+                     n_points: int) -> Iterator[tuple[float, np.ndarray]]:
+    """Per point of n_points equally spaced times, both endpoints included,
+    (t, every edge's weight at t); _snapshot(g, t, weights) is its snapshot.
 
-    Lazily yields one snapshot at a time so long grids over large graphs
-    stay memory-bounded. Weights advance incrementally with the exact
-    semigroup law w(t2) = w(t1)*exp(-alpha*(t2-t1)) plus the impulses
-    landing in (t1, t2].
+    Lazily yields one point at a time so long grids over large graphs stay
+    memory-bounded. Weights advance incrementally with the exact semigroup
+    law w(t2) = w(t1)*exp(-alpha*(t2-t1)) plus the impulses landing in
+    (t1, t2], which are added only to the edges they land on.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -172,12 +182,12 @@ def sample_snapshots(
 
     weights, cursor, prev_t = np.zeros(len(g.src)), 0, t_start
     for t, upto in zip(grid, uptos):
-        # A new array each point, never an update in place: a snapshot may own the last.
-        weights = weights * math.exp(-params.alpha * (t - prev_t)) + decay_sums(
-            sorted_times[cursor:upto], sorted_edges[cursor:upto], len(weights), params.alpha, t
-        )
+        # A new array each point, updated in place only before it is yielded.
+        weights = weights * math.exp(-params.alpha * (t - prev_t))
+        edges, slots = np.unique(sorted_edges[cursor:upto], return_inverse=True)
+        weights[edges] += decay_sums(sorted_times[cursor:upto], slots, len(edges), params.alpha, t)
         cursor, prev_t = upto, t
-        yield _snapshot(g, t, weights)
+        yield t, weights
 
 
 def write_snapshot_tsv(s: NetworkSnapshot, params: DecayParams, path,

@@ -686,6 +686,56 @@ def test_evaluate_events_on_a_partition_without_communities_writes_null(chain):
     assert [row.split()[-1] for row in rows if "entropy" in row] == ["none"] * 4
 
 
+SPENDS = "student_id,timestamp,location_id,kind,amount\n"
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ("s1,1000,caf,spend,1e308\ns1,1001,caf,spend,1e308\ns2,1060,caf,spend,5\n",
+     "student 's1' has amount inf"),
+    ("s1,1000,caf,spend,1e200\ns2,1060,caf,spend,3e200\ns3,2030,caf,spend,2\n",
+     "student 's2' has amount 3e+200"),
+], ids=["total-overflows", "squared-deviation-overflows"])
+def test_evaluate_events_with_an_indicator_too_large_for_a_variance_is_data_error(
+        chain, capsys, rows, fault):
+    # The variances of these amounts are not finite: report.json would hold
+    # NaN or Infinity, which standard JSON has no value for.
+    (chain / "large.csv").write_text(SPENDS + rows, encoding="utf-8")
+    capsys.readouterr()
+    assert main(EVALUATE + ["--events", "large.csv", "--categories", "categories.json"]) == 2
+    assert capsys.readouterr().err == (f"error: events file large.csv: {fault}, "
+                                       "too large to take a variance of\n")
+    assert not (chain / "e.json").exists()
+
+
+def test_curve_where_edges_appear_and_fall_below_the_floor_matches_golden_bytes(chain):
+    # At a 200 s half-life the chain's edges appear at 1000, 2000 and 5000 s and
+    # drop below SNAPSHOT_FLOOR about 40 half-lives later: the curve holds 0, 2,
+    # 4, 6 (every edge kept), 4, 2 and again 0 edges. The file was written by
+    # the code that built each point's snapshot; both reads of the graph give it.
+    argv = ["report", "--graph", GRAPH, "--half-life", "200", "--start-time", "0", "--time",
+            "14000", "--n-points", "300", "--output", "curve_floor.csv"]
+    golden = (GOLDEN.parent / "curve_floor.csv").read_bytes()
+    for companion in (True, False):
+        if not companion:
+            (chain / f"{GRAPH}.columns").unlink()
+        assert main(argv) == 0
+        assert (chain / "curve_floor.csv").read_bytes() == golden, companion
+
+
+def test_a_rewritten_tie_graph_is_read_from_its_json_not_its_stale_companion(chain):
+    # A valid rewrite: every time one second later, so the snapshot at the end
+    # is at t = 5001 with the golden weights.
+    path = chain / GRAPH
+    path.write_text(edit_json(lambda doc: doc.update(times=[t + 1 for t in doc["times"]]))(
+        path.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["snapshot", "--graph", GRAPH, "--output", "stale.tsv"]) == 0
+    (chain / f"{GRAPH}.columns").unlink()
+    assert main(["snapshot", "--graph", GRAPH, "--output", "json.tsv"]) == 0
+    stale = (chain / "stale.tsv").read_text(encoding="utf-8")
+    assert stale == (chain / "json.tsv").read_text(encoding="utf-8")
+    assert stale.startswith("# t = 5001\n") and stale != (GOLDEN / "snapshot.tsv").read_text()
+
+
 def test_build_refuses_a_window_past_the_pair_cap(tmp_path, events_csv, capsys, monkeypatch):
     # EVENTS has 3 event pairs within 120 s at one location, and 8 within 1000 s.
     monkeypatch.setattr(cooccur, "MAX_WINDOW_PAIRS", 3)

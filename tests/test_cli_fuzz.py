@@ -176,6 +176,31 @@ def test_mutated_column_companion_reads_as_its_csv(workdir, monkeypatch, data):
         shutil.copyfile(GOLDEN / COLUMNS, workdir / COLUMNS)
 
 
+GRAPH_COLUMNS = "graph/tie_graph.json.columns"
+
+
+@FUZZ
+@given(data=mutated_text((GOLDEN / GRAPH_COLUMNS).read_bytes(), st.binary(max_size=8))
+       | flipped((GOLDEN / GRAPH_COLUMNS).read_bytes()))
+def test_mutated_tie_graph_companion_reads_as_its_json(workdir, monkeypatch, data):
+    # The JSON beside the companion is whole, so whatever the companion holds,
+    # snapshot and detect succeed and write the golden bytes.
+    monkeypatch.chdir(workdir)  # relative paths, as the golden chain's parameters hold
+    # golden artifact -> the command that writes it, to fuzz.out
+    reads = {
+        "snapshot.tsv": ["snapshot", "--graph", "graph/tie_graph.json"],
+        "communities.json": ["detect", "--graph", "graph/tie_graph.json", "--epsilon", "0.5",
+                             "--seed", "7"],
+    }
+    (workdir / GRAPH_COLUMNS).write_bytes(data)
+    try:
+        for golden, argv in reads.items():
+            assert run(workdir, argv + ["--output", "fuzz.out"]) == 0, argv
+            assert (workdir / "fuzz.out").read_bytes() == (GOLDEN / golden).read_bytes(), argv
+    finally:
+        shutil.copyfile(GOLDEN / GRAPH_COLUMNS, workdir / GRAPH_COLUMNS)
+
+
 SYNTH = ["synth", "--students", "6", "--communities", "2", "--intra-rate", "2",
          "--inter-rate", "0.5", "--weeks", "1", "--output-dir", "{dir}/synth"]
 DETECT = ["detect", "--graph", GRAPH, "--output", "{dir}/out.json"]

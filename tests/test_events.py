@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tieflow.events
+from tieflow.artifacts import write_columns
 from tieflow.cli import main
 from tieflow.cooccur import build_cooccurrence_graph
 from tieflow.events import (
@@ -607,6 +608,36 @@ def test_a_stale_or_damaged_companion_falls_back_to_the_parse(tmp_path, monkeypa
     if case == "one byte edited":
         assert log.amount.tolist() == [1.5, 2.0, 7.35]
     assert log.time.tolist() == [1000, 1060, 5000]
+
+
+CANONICAL_FORM = {  # the columns of ROWS_OF_THREE's log, and its ids, as a companion holds them
+    "in canonical form": lambda columns, students, locations: (columns, students, locations),
+    "locations out of order": lambda columns, students, locations: (
+        [column[::-1] for column in columns], students, locations),
+    "times out of order": lambda columns, students, locations: (  # rows 0 and 1 are both at caf
+        [column[[1, 0, 2]] for column in columns], students, locations),
+    "ids listed but unused": lambda columns, students, locations: (
+        [columns[0] + 1, columns[1], *columns[2:]], ["s0", *students], [*locations, "zz"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_FORM))
+def test_a_companion_out_of_canonical_form_is_sorted_as_from_codes_sorts(tmp_path, case):
+    # from_codes keeps the companion's rows as they are only if every id is
+    # used and the rows are in (location, time) order; it sorts any others.
+    out = ingest(tmp_path, ROWS_OF_THREE)
+    log = parse_events_path(out)
+    columns, students, locations = CANONICAL_FORM[case](
+        [log.student, log.location, log.time, log.amount, log.spend],
+        list(log.students), list(log.locations))
+    write_columns(out, "csv", tieflow.events._LAYOUT, columns, rows=len(log), students=students,
+                  locations=locations)
+    with mock.patch.object(tieflow.events, "parse_events", no_parse):
+        read = parse_events_path(out)
+    assert same_log(read, EventLog.from_codes(students, columns[0], locations, *columns[1:]))
+    assert same_log(read, log)
+    # Kept as they are, the codes are a read-only view of the companion's bytes.
+    assert read.student.flags.writeable == (case != "in canonical form")
 
 
 def test_companion_bytes_do_not_depend_on_where_ingest_runs(tmp_path):

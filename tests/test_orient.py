@@ -2,11 +2,13 @@ import json
 import random
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from tieflow.artifacts import DataError
+import tieflow.orient
+from tieflow.artifacts import DataError, write_columns
 from tieflow.cooccur import TimedEdges
 from tieflow.orient import _degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
 
@@ -211,3 +213,82 @@ def test_end_time_is_latest_event(tmp_path):
     g = make_cooccurrence(g.nodes, {("a", "b"): (100, 900)})
     tie = orient_edges(g)
     assert tie.end_time() == 900
+
+
+# ------------------------------------------------------- the column companion
+
+
+def no_json(path, what):
+    raise AssertionError("the JSON was read")
+
+
+def from_columns(path) -> TimedEdges:
+    """The graph read from the column companion of path, the JSON unread."""
+    with mock.patch.object(tieflow.orient, "read_json", no_json):
+        return read_tie_graph_json(path)
+
+
+def from_json(path) -> TimedEdges:
+    """The graph read from the JSON at path, its companion set aside."""
+    companion = Path(f"{path}.columns")
+    data = companion.read_bytes()
+    companion.unlink()
+    try:
+        return read_tie_graph_json(path)
+    finally:
+        companion.write_bytes(data)
+
+
+def test_both_reads_give_equal_aligned_contiguous_columns(tmp_path):
+    rng = random.Random(9)
+    odd_ids = make_cooccurrence(["a b", "ü", "😀", "x\x1cy", '"q"'], {
+        ("a b", "ü"): (5, 7), ("ü", "😀"): (3,), ('"q"', "x\x1cy"): (1, 1, 9)})
+    path = tmp_path / "tie.json"
+    for tie in [orient_edges(odd_ids)] + [orient_edges(random_undirected(rng, max_nodes=60))
+                                          for _ in range(10)]:
+        write_tie_graph_json(tie, path)
+        columns, plain = from_columns(path), from_json(path)
+        assert columns.nodes == plain.nodes == tie.nodes
+        for name in COLUMNS:
+            got, want = getattr(columns, name), getattr(plain, name)
+            assert got.dtype == want.dtype == np.int64, name
+            assert got.tobytes() == want.tobytes() == getattr(tie, name).tobytes(), name
+            for array in (got, want):
+                assert array.flags.aligned and array.flags.c_contiguous, name
+            assert not got.flags.writeable, name  # a view of the companion's bytes
+
+
+def forge(path, g: TimedEdges, nodes=None, **columns) -> None:
+    """Write a companion of path that holds g's columns with the given ones in
+    their place, under digests that match: only the reader's checks can tell."""
+    columns = {name: getattr(g, name) for name in COLUMNS} | columns
+    text = np.frombuffer(json.dumps(list(g.nodes if nodes is None else nodes)).encode(), np.uint8)
+    write_columns(path, "json", tieflow.orient._LAYOUT, [*columns.values(), text],
+                  edges=len(columns["src"]), times=len(columns["times"]), node_bytes=len(text))
+
+
+FORGED = {
+    "nodes out of order": lambda g: {"nodes": g.nodes[::-1]},
+    "nodes not a list": lambda g: {"nodes": {"a": 1}},
+    "edge to a missing node": lambda g: {"dst": g.dst + len(g.nodes)},
+    "edges out of order": lambda g: {"src": g.src[::-1].copy(), "dst": g.dst[::-1].copy()},
+    "time before 1970": lambda g: {"times": g.times - 10**9},
+    "no edges": lambda g: {"src": g.src[:0], "dst": g.dst[:0], "offsets": g.offsets[:1] * 0,
+                           "times": g.times[:0]},
+}
+
+
+@pytest.mark.parametrize("case", ["the graph itself", *sorted(FORGED)])
+def test_a_companion_that_fails_the_checks_falls_back_to_the_json(tmp_path, case):
+    tie = orient_edges(random_undirected(random.Random(11), max_nodes=30))
+    path = tmp_path / "tie.json"
+    write_tie_graph_json(tie, path)
+    forge(path, tie, **FORGED.get(case, lambda g: {})(tie))
+    if case == "the graph itself":  # the checks alone send the others to the JSON
+        assert from_columns(path).times.tolist() == tie.times.tolist()
+        return
+    with pytest.raises(AssertionError, match="the JSON was read"):
+        from_columns(path)
+    loaded = read_tie_graph_json(path)
+    assert loaded.nodes == tie.nodes
+    assert all(getattr(loaded, name).tolist() == getattr(tie, name).tolist() for name in COLUMNS)

@@ -8,7 +8,9 @@ from tieflow.orient import orient_edges, read_tie_graph_json, write_tie_graph_js
 from tieflow.tiedecay import (
     SNAPSHOT_FLOOR,
     DecayParams,
+    _snapshot,
     decay_sums,
+    live_totals,
     sample_snapshots,
     snapshot_at,
     write_snapshot_tsv,
@@ -28,6 +30,12 @@ def toy_graph(edges: dict) -> "orient_edges":
     for a, b in edges:
         nodes.update((a, b))
     return orient_edges(make_cooccurrence(nodes, edges))
+
+
+def curve_snapshots(g, params, t_start, t_end, n_points):
+    """The snapshot at each point of a sampled curve."""
+    return [_snapshot(g, t, weights)
+            for t, weights in sample_snapshots(g, params, t_start, t_end, n_points)]
 
 
 # ------------------------------------------------------------ weights
@@ -227,7 +235,7 @@ def test_edge_of_is_built_once_per_graph(tmp_path):
         graph.__dict__["by_time"] = (times, np.zeros_like(edges))
         params = DecayParams(alpha=0.003)
         for snap in (snapshot_at(graph, params, 1_000),
-                     list(sample_snapshots(graph, params, 0, 1_000, 3))[-1]):
+                     curve_snapshots(graph, params, 0, 1_000, 3)[-1]):
             assert (snap.src.tolist(), snap.dst.tolist()) == ([graph.src[0]], [graph.dst[0]])
             assert snap.weights[0] == pytest.approx(np.exp(-0.003 * (1_000 - times)).sum())
 
@@ -236,7 +244,7 @@ def test_snapshot_of_every_edge_holds_the_graphs_endpoints_read_only():
     tie = split_graph()
     src, dst = tie.src.copy(), tie.dst.copy()
     params = DecayParams(alpha=0.003)
-    for snap in (snapshot_at(tie, params, 1_000), list(sample_snapshots(tie, params, 500, 1_000, 3))[-1]):
+    for snap in (snapshot_at(tie, params, 1_000), curve_snapshots(tie, params, 500, 1_000, 3)[-1]):
         assert snap.edge_count == len(tie.src)
         assert np.shares_memory(snap.src, tie.src) and np.shares_memory(snap.dst, tie.dst)
         for column in (snap.src, snap.dst):
@@ -263,9 +271,9 @@ def test_snapshot_drops_weights_at_floor():
 def test_sample_endpoints_and_spacing():
     tie = toy_graph({("a", "b"): (100,)})
     params = DecayParams(alpha=0.01)
-    snaps = list(sample_snapshots(tie, params, 0, 1_000, 2))
+    snaps = curve_snapshots(tie, params, 0, 1_000, 2)
     assert [s.time for s in snaps] == [0, 1_000]
-    five = list(sample_snapshots(tie, params, 0, 1_000, 5))
+    five = curve_snapshots(tie, params, 0, 1_000, 5)
     assert [s.time for s in five] == pytest.approx([0, 250, 500, 750, 1_000])
 
 
@@ -304,9 +312,9 @@ def test_incremental_sampling_matches_direct_evaluation():
     params = DecayParams(alpha=0.0004)
     # The first point takes the same impulse step as every later one, and
     # sums each edge's impulses in the order snapshot_at does.
-    first = next(sample_snapshots(tie, params, 2_500, 6_000, 23))
+    first = curve_snapshots(tie, params, 2_500, 6_000, 23)[0]
     assert first.weights.tobytes() == snapshot_at(tie, params, 2_500).weights.tobytes()
-    for snap in sample_snapshots(tie, params, 0, 6_000, 23):
+    for snap in curve_snapshots(tie, params, 0, 6_000, 23):
         direct = snapshot_at(tie, params, snap.time)
         sampled = {(s, d): w for s, d, w in snap.edges()}
         exact = {(s, d): w for s, d, w in direct.edges()}
@@ -320,7 +328,7 @@ def test_incremental_sampling_matches_direct_evaluation():
 def test_curve_with_fractional_spacing_includes_an_event_on_a_point():
     tie = toy_graph({("a", "b"): (1, 5, 9), ("a", "c"): (3, 5), ("b", "c"): (7, 12)})
     params = DecayParams(alpha=0.1)
-    snaps = list(sample_snapshots(tie, params, 0.5, 11, 8))  # spacing 1.5
+    snaps = curve_snapshots(tie, params, 0.5, 11, 8)  # spacing 1.5
     assert [s.time for s in snaps] == [0.5, 2.0, 3.5, 5.0, 6.5, 8.0, 9.5, 11]
     on = {(s, d): w for s, d, w in snaps[3].edges()}  # t = 5.0, an event time of a-b and a-c
     assert on[("a", "b")] == pytest.approx(1.0 + math.exp(-0.4), rel=1e-9)
