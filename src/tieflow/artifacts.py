@@ -7,7 +7,9 @@ produced them, then one line per row. Readers raise DataError with a
 message that names the file and the fault.
 
 A column companion, ``<file>.columns``, holds the columns of ``<file>`` as
-raw bytes; it is read only while its digests match them and ``<file>``.
+raw bytes under a JSON header line, both covered by the digest on its first
+line; it is read only while that digest and the header's digest of ``<file>``
+hold.
 """
 
 from __future__ import annotations
@@ -86,37 +88,39 @@ def _sha256(path=None, blocks=()) -> str:
     return digest.hexdigest()
 
 
-def write_columns(source, kind: str, layout, columns, **fields) -> None:
+def write_columns(source, layout, columns, **fields) -> None:
     """Write the column companion of the file at source, its columns as layout's
-    (name, dtype) pairs give them. The header holds fields, the source's
-    ``<kind>_bytes`` and ``sha256``, ``columns_sha256`` and the ``layout`` tag. A
-    layout puts its one-byte columns last, so that the others read back aligned."""
+    (name, dtype) pairs give them. Line 1 is the sha256 of everything after it;
+    line 2 the header: fields, the source's ``source_bytes`` and ``sha256``, the
+    ``layout`` tag and each column's entry ``counts``. A layout puts its one-byte
+    columns last, so that the others read back aligned."""
     import numpy as np  # not at module level: report --sweep and --evaluation load no numpy
 
     columns = [np.ascontiguousarray(column, dtype) for column, (_, dtype) in zip(columns, layout)]
-    header = dict(fields, sha256=_sha256(source), columns_sha256=_sha256(blocks=columns),
-                  layout=",".join(map(":".join, layout)), **{f"{kind}_bytes": os.path.getsize(source)})
+    header = dict(fields, source_bytes=os.path.getsize(source), sha256=_sha256(source),
+                  layout=",".join(map(":".join, layout)), counts=list(map(len, columns)))
+    line = json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + b"\n"
     with open(os.fspath(source) + ".columns", "wb") as handle:
-        handle.write(json.dumps(header, separators=(",", ":"), sort_keys=True).encode() + b"\n")
-        handle.writelines(columns)
+        handle.writelines([_sha256(blocks=[line, *columns]).encode(), b"\n", line, *columns])
 
 
-def read_columns(source, kind: str, layout, lengths) -> tuple[dict, list] | None:
+def read_columns(source, layout) -> tuple[dict, list] | None:
     """The header and the columns, as read-only arrays, of the column companion of
-    the file at source, where lengths(header) is each column's entry count; None
-    unless it exists, is whole and write_columns' header holds for it."""
+    the file at source; None unless it exists, is whole, matches its digest and
+    the source, and has write_columns' header for layout."""
     import numpy as np
 
     try:
         with open(os.fspath(source) + ".columns", "rb") as handle:
-            header = json.loads(handle.readline())
+            digest, line = handle.readline(), handle.readline()
             data = handle.read()  # apart from the header, so that the columns are aligned
-        counts = lengths(header)
+        header = json.loads(line)
+        counts = header["counts"]
         sizes = [n * np.dtype(dtype).itemsize for n, (_, dtype) in zip(counts, layout)]
-        if (any(type(n) is not int or n < 0 for n in counts) or len(data) != sum(sizes)
-                or header["layout"] != ",".join(map(":".join, layout))
-                or os.path.getsize(source) != header[f"{kind}_bytes"]
-                or _sha256(blocks=[data]) != header["columns_sha256"]
+        if (header["layout"] != ",".join(map(":".join, layout)) or len(counts) != len(layout)
+                or any(type(n) is not int or n < 0 for n in counts) or len(data) != sum(sizes)
+                or os.path.getsize(source) != header["source_bytes"]
+                or digest != _sha256(blocks=[line, data]).encode() + b"\n"
                 or _sha256(source) != header["sha256"]):
             return None
     except (OSError, ValueError, KeyError, TypeError, RecursionError):

@@ -6,10 +6,9 @@ epoch seconds (UTC); ISO ``YYYY-MM-DDTHH:MM:SS`` is accepted on input and
 interpreted as UTC.
 
 ``write_canonical`` also writes the CSV's column companion (see artifacts),
-``<csv>.columns``, whose header adds the row count and the sorted ids to the
-digests, and whose columns are the log's in _LAYOUT order.
-``parse_events_path`` reads the log from the companion while both digests
-hold, and parses the CSV in every other case.
+``<csv>.columns``, whose header holds the sorted ids, and whose columns are
+the log's in _LAYOUT order. ``parse_events_path`` reads the log from the
+companion while its digests hold, and parses the CSV in every other case.
 """
 
 from __future__ import annotations
@@ -334,10 +333,10 @@ def parse_events_path(path) -> EventLog:
 
 def _read_columns(path) -> EventLog | None:
     """The log that the column companion of the CSV file at path holds, or
-    None unless read_columns accepts it and it holds ids and values that the
-    parser accepts."""
-    read = read_columns(path, "csv", _LAYOUT, lambda header: [header["rows"]] * len(_LAYOUT))
-    if read is None:
+    None unless read_columns accepts it and it holds equal columns, and ids and
+    values that the parser accepts."""
+    read = read_columns(path, _LAYOUT)
+    if read is None or len(set(map(len, read[1]))) > 1:
         return None
     header, (student, location, time, amount, spend) = read
     students, locations = header.get("students"), header.get("locations")
@@ -402,5 +401,5 @@ def write_canonical(log: EventLog, path) -> None:
     """write_events_csv, then the column companion beside the CSV that lets
     parse_events_path read log back without parsing the text."""
     write_events_csv(log, path)
-    write_columns(path, "csv", _LAYOUT, [getattr(log, name) for name, _ in _LAYOUT],
-                  rows=len(log), students=list(log.students), locations=list(log.locations))
+    write_columns(path, _LAYOUT, [getattr(log, name) for name, _ in _LAYOUT],
+                  students=list(log.students), locations=list(log.locations))

@@ -6,7 +6,6 @@ equal-degree endpoints get both directions, each carrying the full payload.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Sequence
 
@@ -16,9 +15,8 @@ from .artifacts import decoding, read_columns, read_json, write_columns, write_j
 from .cooccur import TimedEdges, _ragged
 from .events import TIME_LIMIT, _bad_id
 
-# The column companion's columns in file order; nodes is the JSON text of the
-# node list, covered by the column digest as the header is not.
-_LAYOUT = (("src", "<i8"), ("dst", "<i8"), ("offsets", "<i8"), ("times", "<i8"), ("nodes", "u1"))
+# The column companion's columns in file order; its header holds the nodes.
+_LAYOUT = (("src", "<i8"), ("dst", "<i8"), ("offsets", "<i8"), ("times", "<i8"))
 
 
 def _degrees(g: TimedEdges) -> np.ndarray:
@@ -58,9 +56,7 @@ def write_tie_graph_json(g: TimedEdges, path, params: dict | None = None) -> Non
     write_json(path, {"params": params or {}, "nodes": list(g.nodes),
                       "edges": np.column_stack([g.src, g.dst]).ravel().tolist(),
                       "offsets": g.offsets.tolist(), "times": g.times.tolist()}, indent=None)
-    nodes = np.frombuffer(json.dumps(list(g.nodes)).encode(), dtype=np.uint8)
-    write_columns(path, "json", _LAYOUT, [g.src, g.dst, g.offsets, g.times, nodes],
-                  edges=len(g.src), times=len(g.times), node_bytes=len(nodes))
+    write_columns(path, _LAYOUT, [g.src, g.dst, g.offsets, g.times], nodes=list(g.nodes))
 
 
 def _int64_column(values: list, column: str) -> np.ndarray:
@@ -81,13 +77,13 @@ def read_tie_graph_json(path) -> TimedEdges:
     0 to len(times), that has no edges, or whose edges name unknown nodes, join
     a node to itself, carry times that are not a nonempty ascending list of
     timestamps, or do not strictly ascend in (src, dst) order."""
-    read = read_columns(path, "json", _LAYOUT, lambda h: [
-        h["edges"], h["edges"], h["edges"] + 1, h["times"], h["node_bytes"]])
+    read = read_columns(path, _LAYOUT)
     if read is not None:
-        src, dst, offsets, times, nodes = read[1]
+        header, (src, dst, offsets, times) = read
         try:
-            return _checked(json.loads(nodes.tobytes()), src, dst, offsets, times)
-        except (ValueError, RecursionError):  # the JSON read names the fault, if the JSON has it
+            if len(src) == len(dst) == len(offsets) - 1:  # as the JSON read checks first
+                return _checked(header.get("nodes"), src, dst, offsets, times)
+        except ValueError:  # the JSON read names the fault, if the JSON has it
             pass
     what = "tie graph file"
     doc = read_json(path, what)

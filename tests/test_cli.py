@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from tieflow import cooccur
-from tieflow.artifacts import write_lines
+from tieflow import cooccur, events, orient
+from tieflow.artifacts import read_columns, write_lines
 from tieflow.cli import main
 
 EVENTS = (
@@ -734,6 +735,45 @@ def test_a_rewritten_tie_graph_is_read_from_its_json_not_its_stale_companion(cha
     stale = (chain / "stale.tsv").read_text(encoding="utf-8")
     assert stale == (chain / "json.tsv").read_text(encoding="utf-8")
     assert stale.startswith("# t = 5001\n") and stale != (GOLDEN / "snapshot.tsv").read_text()
+
+
+def write_earlier_companion(source: Path) -> None:
+    """Rewrite the companion of source in the format of earlier versions: one
+    header line with the source's `<kind>_bytes` and `sha256`, `columns_sha256`
+    of the column bytes, the layout and the entry counts, then the columns; the
+    tie graph's node list is a last column of JSON text."""
+    companion = Path(f"{source}.columns")
+    _, line, data = companion.read_bytes().split(b"\n", 2)
+    header = json.loads(line)
+    counts, size = header.pop("counts"), header.pop("source_bytes")
+    if "nodes" in header:
+        nodes = json.dumps(header.pop("nodes")).encode()
+        data += nodes
+        header.update(json_bytes=size, edges=counts[0], times=counts[3], node_bytes=len(nodes),
+                      layout=header["layout"] + ",nodes:u1")
+    else:
+        header.update(csv_bytes=size, rows=counts[0])
+    header["columns_sha256"] = hashlib.sha256(data).hexdigest()
+    companion.write_bytes(json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+                          + b"\n" + data)
+
+
+def test_companions_in_the_earlier_format_read_as_stale_and_are_replaced(chain, capsys):
+    # Commands read the CSV or the JSON beside such a companion, and ingest and
+    # build write the current format in its place.
+    for source, layout in (("canonical.csv", events._LAYOUT), (GRAPH, orient._LAYOUT)):
+        write_earlier_companion(chain / source)
+        assert read_columns(source, layout) is None
+    capsys.readouterr()
+    assert main(["snapshot", "--graph", GRAPH, "--output", "snapshot.tsv"]) == 0
+    assert main(["build", "--events", "canonical.csv", "--output-dir", "rebuilt"]) == 0
+    assert main(["ingest", "--input", "raw.csv", "--output", "canonical.csv"]) == 0
+    assert main(["build", "--events", "canonical.csv", "--output-dir", "graph"]) == 0
+    assert capsys.readouterr().err == ""
+    for written, golden in (("snapshot.tsv", "snapshot.tsv"), ("rebuilt/tie_graph.json", GRAPH),
+                            ("canonical.csv.columns", "canonical.csv.columns"),
+                            (f"{GRAPH}.columns", f"{GRAPH}.columns")):
+        assert (chain / written).read_bytes() == (GOLDEN / golden).read_bytes(), written
 
 
 def test_build_refuses_a_window_past_the_pair_cap(tmp_path, events_csv, capsys, monkeypatch):

@@ -51,7 +51,7 @@ def mutated_text(draw, text, pieces=st.text(ALPHABET, max_size=8)):
 @st.composite
 def flipped(draw, data: bytes) -> bytes:
     """One to three bytes after the first line XORed with a nonzero mask: a
-    column file's values change, and its header and length hold."""
+    column file's header or values change, and its digest line and length hold."""
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 3))):
         data[draw(st.integers(data.index(b"\n") + 1, len(data) - 1))] ^= draw(st.integers(1, 255))
@@ -199,6 +199,53 @@ def test_mutated_tie_graph_companion_reads_as_its_json(workdir, monkeypatch, dat
             assert (workdir / "fuzz.out").read_bytes() == (GOLDEN / golden).read_bytes(), argv
     finally:
         shutil.copyfile(GOLDEN / GRAPH_COLUMNS, workdir / GRAPH_COLUMNS)
+
+
+@st.composite
+def header_mutated(draw, data: bytes) -> bytes:
+    """The companion data with only line 2, its JSON header, changed: mutated
+    as mutated_json mutates a document, or with a suffix on one listed id, so
+    that the ids stay ascending. Line 1 and the columns are kept."""
+    digest, line, columns = data.split(b"\n", 2)
+    doc = json.loads(line)
+    if draw(st.booleans()):
+        return digest + b"\n" + draw(mutated_json(line.decode())).encode() + b"\n" + columns
+    ids = doc[draw(st.sampled_from([key for key in ("students", "locations", "nodes")
+                                    if key in doc]))]
+    ids[draw(st.integers(0, len(ids) - 1))] += draw(st.text(ALPHABET, min_size=1, max_size=3))
+    return digest + b"\n" + json.dumps(doc).encode() + b"\n" + columns
+
+
+# companion -> the commands that read it, each with the golden artifact it writes
+HEADER_READERS = {
+    COLUMNS: [(["evaluate", "--graph", "graph/tie_graph.json", "--communities", "communities.json",
+                "--events", "canonical.csv", "--categories", "categories.json"], "report.json")],
+    GRAPH_COLUMNS: [
+        (["snapshot", "--graph", "graph/tie_graph.json"], "snapshot.tsv"),
+        (["detect", "--graph", "graph/tie_graph.json", "--epsilon", "0.5", "--seed", "7"],
+         "communities.json"),
+    ],
+}
+
+
+@pytest.mark.parametrize("companion", sorted(HEADER_READERS))
+def test_a_companion_with_a_mutated_header_reads_as_its_source(workdir, monkeypatch, companion):
+    # Line 1 covers the header, so no edit of it changes what a command reads:
+    # each reads the CSV or the JSON and writes the golden bytes.
+    monkeypatch.chdir(workdir)  # relative paths, as the golden chain's parameters hold
+
+    @FUZZ
+    @given(data=header_mutated((GOLDEN / companion).read_bytes()))
+    def check(data):
+        (workdir / companion).write_bytes(data)
+        try:
+            for argv, golden in HEADER_READERS[companion]:
+                assert run(workdir, argv + ["--output", "fuzz.out"]) == 0, argv
+                assert (workdir / "fuzz.out").read_bytes() == (GOLDEN / golden).read_bytes(), argv
+        finally:
+            shutil.copyfile(GOLDEN / companion, workdir / companion)
+
+    check()
 
 
 SYNTH = ["synth", "--students", "6", "--communities", "2", "--intra-rate", "2",

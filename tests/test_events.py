@@ -5,13 +5,15 @@ import io
 import json
 import math
 import random
+import shutil
+import string
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tieflow.events
@@ -31,12 +33,14 @@ from tieflow.events import (
     write_events_csv,
 )
 from tieflow.ifs import FlowParams, detect_communities, sweep_epsilon
+from tieflow.metrics import behavior_profiles, variance_comparison
 from tieflow.orient import orient_edges, read_tie_graph_json, write_tie_graph_json
 from tieflow.pagerank import pagerank
-from tieflow.synth import SyntheticConfig, generate
+from tieflow.synth import SyntheticConfig, default_category_map, generate
 from tieflow.tiedecay import DEFAULT_HALF_LIFE, DecayParams, snapshot_at
 
 from oracles import log_rows, reference_parse
+from test_cli import GOLDEN, GRAPH
 
 HEADER = "student_id,timestamp,location_id,kind,amount\n"
 
@@ -553,43 +557,67 @@ def no_parse(stream):
     raise AssertionError("the companion was not read")
 
 
-def edit_companion(path: Path, header=None, column=None, value=None, digest=True) -> None:
-    """Rewrite the companion of path with header edits, or with its first row's
-    value in the named column set to value. With digest, the header's column
-    digest is made to match the new bytes, so that the edit reaches the
-    reader's value checks; without, the header stays as it was."""
+def edit_companion(path: Path, header=None, column=None, value=None, drop=0,
+                   redigest=False) -> None:
+    """Rewrite the companion of path with header edits, with its first row's
+    value in the named column set to value, or with its last drop bytes cut.
+    With redigest, line 1 is made to match the new bytes, so that the edit
+    reaches the reader's own checks; without, line 1 stays as it was."""
     companion = Path(f"{path}.columns")
-    line, data = companion.read_bytes().split(b"\n", 1)
+    digest, line, data = companion.read_bytes().split(b"\n", 2)
     doc = json.loads(line)
     if column is not None:
         offset = 0
-        for name, dtype in tieflow.events._LAYOUT:
+        for (name, dtype), count in zip(tieflow.events._LAYOUT, doc["counts"]):
             if name == column:
                 data = data[:offset] + np.array([value], dtype=dtype).tobytes() + data[
                     offset + np.dtype(dtype).itemsize:]
-            offset += doc["rows"] * np.dtype(dtype).itemsize
-        if digest:
-            doc["columns_sha256"] = hashlib.sha256(data).hexdigest()
+            offset += count * np.dtype(dtype).itemsize
     doc.update(header or {})
-    companion.write_bytes(json.dumps(doc).encode() + b"\n" + data)
+    line = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+    data = data[:len(data) - drop]
+    if redigest:
+        digest = hashlib.sha256(line + data).hexdigest().encode()
+    companion.write_bytes(digest + b"\n" + line + data)
 
 
+# One edit of each header field of a companion of ROWS_OF_THREE's log or of the
+# golden chain's canonical.csv, which have the same ids.
+HEADER_EDITS = {"students": ["s1", "s2", "s9"], "locations": ["caf", "shoq"], "counts": [0] * 5,
+                "layout": "student:<i4", "source_bytes": 1, "sha256": "0" * 64}
 ROWS_OF_THREE = [("s1", 1000, "caf", "spend", "1.5"), ("s2", 1060, "caf", "spend", "2"),
                  ("s3", 5000, "shop", "spend", "7.25")]
 STALE = {
     "one byte edited": lambda path: path.write_bytes(path.read_bytes().replace(b"7.25", b"7.35")),
     "truncated": lambda path: Path(f"{path}.columns").write_bytes(
         Path(f"{path}.columns").read_bytes()[:-1]),
-    "wrong rows": lambda path: edit_companion(path, header={"rows": 2}),
-    "code out of range": lambda path: edit_companion(path, column="student", value=3),
-    "negative code": lambda path: edit_companion(path, column="location", value=-1),
-    "nan amount": lambda path: edit_companion(path, column="amount", value=math.nan),
-    "time edited, header unchanged": lambda path: edit_companion(path, column="time", value=1030,
-                                                                 digest=False),
-    "column digest edited": lambda path: edit_companion(path, header={"columns_sha256": "0" * 64}),
-    "unsorted ids": lambda path: edit_companion(path, header={"students": ["s2", "s1", "s3"]}),
-    "other layout": lambda path: edit_companion(path, header={"layout": "student:<i4"}),
+    "time edited, header unchanged": lambda path: edit_companion(path, column="time", value=1030),
+    "digest edited": lambda path: Path(f"{path}.columns").write_bytes(
+        b"0" * 64 + Path(f"{path}.columns").read_bytes()[64:]),
     "not json": lambda path: Path(f"{path}.columns").write_bytes(b"{\n"),
+    # Header edits under line 1 as written: the digest alone sends them to the parse.
+    **{f"{key} edited, line 1 unchanged": lambda path, edit={key: value}: edit_companion(
+        path, header=edit) for key, value in HEADER_EDITS.items()},
+    # Edits under a new line 1, which the reader's own checks must catch.
+    "code out of range": lambda path: edit_companion(path, column="student", value=3,
+                                                     redigest=True),
+    "negative code": lambda path: edit_companion(path, column="location", value=-1,
+                                                 redigest=True),
+    "nan amount": lambda path: edit_companion(path, column="amount", value=math.nan,
+                                              redigest=True),
+    "unsorted ids": lambda path: edit_companion(path, header={"students": ["s2", "s1", "s3"]},
+                                                redigest=True),
+    "ids not strings": lambda path: edit_companion(path, header={"locations": [1, 2]},
+                                                   redigest=True),
+    "wrong rows": lambda path: edit_companion(path, header={"counts": [2] * 5}, redigest=True),
+    "unequal counts": lambda path: edit_companion(path, header={"counts": [3, 3, 3, 3, 2]},
+                                                  drop=1, redigest=True),
+    "other layout": lambda path: edit_companion(path, header={"layout": "student:<i4"},
+                                                redigest=True),
+    "other source size": lambda path: edit_companion(path, header={"source_bytes": 1},
+                                                     redigest=True),
+    "other source digest": lambda path: edit_companion(path, header={"sha256": "0" * 64},
+                                                       redigest=True),
 }
 
 
@@ -608,6 +636,29 @@ def test_a_stale_or_damaged_companion_falls_back_to_the_parse(tmp_path, monkeypa
     if case == "one byte edited":
         assert log.amount.tolist() == [1.5, 2.0, 7.35]
     assert log.time.tolist() == [1000, 1060, 5000]
+
+
+@pytest.mark.parametrize("key", sorted(HEADER_EDITS))
+def test_a_header_edited_under_its_old_digest_is_read_from_the_csv(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)  # relative paths, as the golden chain's parameters hold
+    for name in ("canonical.csv", "canonical.csv.columns"):
+        shutil.copy(GOLDEN / name, name)
+    edit_companion(Path("canonical.csv"), header={key: HEADER_EDITS[key]})
+    assert tieflow.events._read_columns("canonical.csv") is None
+    assert main(["build", "--events", "canonical.csv", "--output-dir", "graph"]) == 0
+    assert Path(GRAPH).read_bytes() == (GOLDEN / GRAPH).read_bytes()
+
+
+def test_a_student_id_edited_in_the_companion_header_is_read_from_the_csv(tmp_path, monkeypatch):
+    # Earlier versions read the edited id: the digests covered the CSV and the
+    # column bytes, not the header, and build wrote node 's9'.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(GOLDEN / "canonical.csv", "canonical.csv")
+    data = (GOLDEN / "canonical.csv.columns").read_bytes()
+    assert data.count(b'"s3"') == 1
+    Path("canonical.csv.columns").write_bytes(data.replace(b'"s3"', b'"s9"'))
+    assert main(["build", "--events", "canonical.csv", "--output-dir", "graph"]) == 0
+    assert Path(GRAPH).read_bytes() == (GOLDEN / GRAPH).read_bytes()
 
 
 CANONICAL_FORM = {  # the columns of ROWS_OF_THREE's log, and its ids, as a companion holds them
@@ -630,8 +681,7 @@ def test_a_companion_out_of_canonical_form_is_sorted_as_from_codes_sorts(tmp_pat
     columns, students, locations = CANONICAL_FORM[case](
         [log.student, log.location, log.time, log.amount, log.spend],
         list(log.students), list(log.locations))
-    write_columns(out, "csv", tieflow.events._LAYOUT, columns, rows=len(log), students=students,
-                  locations=locations)
+    write_columns(out, tieflow.events._LAYOUT, columns, students=students, locations=locations)
     with mock.patch.object(tieflow.events, "parse_events", no_parse):
         read = parse_events_path(out)
     assert same_log(read, EventLog.from_codes(students, columns[0], locations, *columns[1:]))
@@ -655,37 +705,44 @@ def test_synth_and_write_events_csv_write_no_companion(tmp_path):
     assert not list(tmp_path.glob("*.columns"))
 
 
-def downstream(directory: Path, raw_text: str) -> tuple[bytes, tuple]:
-    """The canonical.csv bytes that ingest makes of a raw log, and what build,
-    snapshot, pagerank, detect and sweep make of it, through the library
-    calls the CLI makes: the tie graph's file bytes, the snapshot weights,
-    the PageRank values, the detect codes and the sweep rows."""
+# A 60-student synthetic semester of three weeks.
+SYNTHETIC = SyntheticConfig(n_students=60, n_communities=3, semester=TimeRange(0, 3 * 7 * 86400),
+                            intra_rate=3.0, inter_rate=0.2, jitter=60, seed=4)
+
+
+def downstream(directory: Path, raw_text: str) -> tuple[bytes, tuple, tuple]:
+    """The canonical.csv bytes that ingest makes of a raw log of SYNTHETIC's
+    locations, what build, snapshot, pagerank, detect and sweep make of it,
+    and what evaluate --events does, through the library calls the CLI makes:
+    the tie graph's file bytes, the snapshot weights, the PageRank values, the
+    detect codes and the sweep rows, then the behaviour indicators and their
+    variances over the detected communities."""
     raw, canonical, graph_path = (directory / name for name in
                                   ("raw.csv", "canonical.csv", "tie_graph.json"))
     raw.write_text(raw_text, encoding="utf-8")
     write_canonical(filter_events(parse_events_path(raw), frozenset()), canonical)
-    graph = orient_edges(build_cooccurrence_graph(parse_events_path(canonical), window=120))
+    log = parse_events_path(canonical)
+    graph = orient_edges(build_cooccurrence_graph(log, window=120))
     write_tie_graph_json(graph, graph_path, {"window": 120})
     graph = read_tie_graph_json(graph_path)
     snap = snapshot_at(graph, DecayParams.from_half_life(DEFAULT_HALF_LIFE), graph.end_time())
     ranking = pagerank(snap)
-    codes = detect_communities(snap, ranking, 0.2, FlowParams(seed=7)).codes
+    assignment = detect_communities(snap, ranking, 0.2, FlowParams(seed=7))
     rows = sweep_epsilon(snap, ranking, [0.5, 0.2, 0.05], FlowParams())
+    profiles = behavior_profiles(log, default_category_map(SYNTHETIC), log.time_range())
     return canonical.read_bytes(), (graph_path.read_bytes(), snap.weights.tolist(),
-                                    ranking.values.tolist(), codes.tolist(), rows)
+                                    ranking.values.tolist(), assignment.codes.tolist(), rows), (
+        profiles.tolist(), variance_comparison(log.students, profiles, assignment))
 
 
 @functools.cache
 def synthetic_raw_log() -> tuple[str, tuple[str, ...], tuple]:
-    """A raw export of a 60-student synthetic semester (its header and rows)
-    and what the chain makes of it after canonical.csv."""
-    config = SyntheticConfig(n_students=60, n_communities=3, semester=TimeRange(0, 3 * 7 * 86400),
-                             intra_rate=3.0, inter_rate=0.2, jitter=60, seed=4)
+    """A raw export of SYNTHETIC's log (its header and rows) and what
+    downstream makes of it."""
     with tempfile.TemporaryDirectory() as tmp:
-        write_events_csv(generate(config)[0], Path(tmp) / "export.csv")
+        write_events_csv(generate(SYNTHETIC)[0], Path(tmp) / "export.csv")
         header, *rows = (Path(tmp) / "export.csv").read_text(encoding="utf-8").splitlines(True)
-        _, after = downstream(Path(tmp), header + "".join(rows))
-    return header, tuple(rows), after
+        return header, tuple(rows), downstream(Path(tmp), header + "".join(rows))
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
@@ -693,10 +750,51 @@ def synthetic_raw_log() -> tuple[str, tuple[str, ...], tuple]:
 def test_a_row_permuted_raw_log_leaves_every_artifact_after_canonical_unchanged(seed):
     # canonical.csv keeps the raw order of rows that share (location, time),
     # so a permutation may reorder it; nothing read from it may change.
-    header, rows, after = synthetic_raw_log()
+    header, rows, (_, after, evaluated) = synthetic_raw_log()
     keys = [tuple(row.split(",")[1:3]) for row in rows]
     assert len(set(keys)) < len(keys)  # rows share (time, location): the order can show
     shuffled = list(rows)
     random.Random(seed).shuffle(shuffled)
     with tempfile.TemporaryDirectory() as tmp:
-        assert downstream(Path(tmp), header + "".join(shuffled))[1] == after
+        assert downstream(Path(tmp), header + "".join(shuffled))[1:] == (after, evaluated)
+
+
+WEEK = 7 * 86400
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2609 * WEEK) | st.integers(1, 2609).map(WEEK.__mul__))
+@example(1)
+@example(WEEK)
+@example(2609 * WEEK)  # about 50 years, in whole weeks
+def test_a_time_shift_leaves_weights_scores_and_communities_unchanged(shift):
+    # Each weight decays over t - tau, exact in int64 seconds and in float64
+    # below 2**53, so every later number keeps its bits at the shifted end
+    # time. Meal hours and weekdays repeat weekly: the indicators keep theirs
+    # under shifts of whole weeks.
+    header, rows, (_, after, evaluated) = synthetic_raw_log()
+    moved = [row.split(",", 2) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        _, (graph, *numbers), indicators = downstream(Path(tmp), header + "".join(
+            f"{student},{int(time) + shift},{rest}" for student, time, rest in moved))
+    assert numbers == list(after[1:])
+    assert json.loads(graph)["times"] == [t + shift for t in json.loads(after[0])["times"]]
+    if shift % WEEK == 0:
+        assert indicators == evaluated
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.text(string.ascii_letters + string.digits, min_size=1, max_size=3))
+@example("x")
+def test_an_order_preserving_renaming_of_students_leaves_every_output_unchanged(prefix):
+    # One prefix for every student id keeps their order, so every node index,
+    # and with it every number, stays as it was; only the names change.
+    header, rows, (canonical, after, evaluated) = synthetic_raw_log()
+    with tempfile.TemporaryDirectory() as tmp:
+        renamed, (graph, *numbers), indicators = downstream(
+            Path(tmp), header + "".join(prefix + row for row in rows))
+    first, *lines = canonical.decode().splitlines(True)
+    assert renamed.decode() == first + "".join(prefix + line for line in lines)
+    doc, want = json.loads(graph), json.loads(after[0])
+    assert doc.pop("nodes") == [prefix + node for node in want.pop("nodes")] and doc == want
+    assert numbers == list(after[1:]) and indicators == evaluated

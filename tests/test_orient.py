@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import shutil
 from pathlib import Path
 from unittest import mock
 
@@ -8,11 +9,14 @@ import numpy as np
 import pytest
 
 import tieflow.orient
-from tieflow.artifacts import DataError, write_columns
+from tieflow.artifacts import DataError, read_columns, write_columns
+from tieflow.cli import main
 from tieflow.cooccur import TimedEdges
 from tieflow.orient import _degrees, orient_edges, read_tie_graph_json, write_tie_graph_json
 
 from oracles import make_cooccurrence, reference_degrees
+from test_cli import GOLDEN, GRAPH
+from test_events import edit_companion
 
 
 def undirected(edge_list) -> TimedEdges:
@@ -260,21 +264,23 @@ def test_both_reads_give_equal_aligned_contiguous_columns(tmp_path):
 
 def forge(path, g: TimedEdges, nodes=None, **columns) -> None:
     """Write a companion of path that holds g's columns with the given ones in
-    their place, under digests that match: only the reader's checks can tell."""
+    their place, under a digest that matches: only the reader's checks can tell."""
     columns = {name: getattr(g, name) for name in COLUMNS} | columns
-    text = np.frombuffer(json.dumps(list(g.nodes if nodes is None else nodes)).encode(), np.uint8)
-    write_columns(path, "json", tieflow.orient._LAYOUT, [*columns.values(), text],
-                  edges=len(columns["src"]), times=len(columns["times"]), node_bytes=len(text))
+    write_columns(path, tieflow.orient._LAYOUT, list(columns.values()),
+                  nodes=list(g.nodes if nodes is None else nodes))
 
 
 FORGED = {
     "nodes out of order": lambda g: {"nodes": g.nodes[::-1]},
     "nodes not a list": lambda g: {"nodes": {"a": 1}},
+    "node not a string": lambda g: {"nodes": [*g.nodes[:-1], 7]},
     "edge to a missing node": lambda g: {"dst": g.dst + len(g.nodes)},
     "edges out of order": lambda g: {"src": g.src[::-1].copy(), "dst": g.dst[::-1].copy()},
     "time before 1970": lambda g: {"times": g.times - 10**9},
     "no edges": lambda g: {"src": g.src[:0], "dst": g.dst[:0], "offsets": g.offsets[:1] * 0,
                            "times": g.times[:0]},
+    # Columns of unequal counts that every check of _checked passes.
+    "one destination for every edge": lambda g: {"dst": g.dst[-1:]},
 }
 
 
@@ -292,3 +298,20 @@ def test_a_companion_that_fails_the_checks_falls_back_to_the_json(tmp_path, case
     loaded = read_tie_graph_json(path)
     assert loaded.nodes == tie.nodes
     assert all(getattr(loaded, name).tolist() == getattr(tie, name).tolist() for name in COLUMNS)
+
+
+# One edit of each header field of the golden chain's tie-graph companion.
+HEADER_EDITS = {"nodes": ["s1", "s2", "s9"], "counts": [0] * 4, "layout": "src:<i4",
+                "source_bytes": 1, "sha256": "0" * 64}
+
+
+@pytest.mark.parametrize("key", sorted(HEADER_EDITS))
+def test_a_header_edited_under_its_old_digest_is_read_from_the_json(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)  # relative paths, as the golden chain's parameters hold
+    shutil.copytree(GOLDEN / "graph", "graph")
+    edit_companion(Path(GRAPH), header={key: HEADER_EDITS[key]})
+    assert read_columns(GRAPH, tieflow.orient._LAYOUT) is None
+    assert main(["snapshot", "--graph", GRAPH, "--output", "snapshot.tsv"]) == 0
+    assert Path("snapshot.tsv").read_bytes() == (GOLDEN / "snapshot.tsv").read_bytes()
+    with pytest.raises(AssertionError, match="the JSON was read"):
+        from_columns(GRAPH)
